@@ -26,10 +26,6 @@ class FiniteDimAlgebra:
         if not self.labels:
             object.__setattr__(self, "labels", tuple(f"e{i}" for i in range(self.dim)))
 
-    @property
-    def unit_vector(self) -> tuple:
-        return self.unit.col(0)
-
 
 def multiply(alg: FiniteDimAlgebra, x, y) -> tuple:
     "Product of two coordinate vectors."

@@ -76,9 +76,22 @@ def _matrix_json(f: LinMap) -> list:
 
 
 def _require(obj: dict, key: str, path: str):
+    if not isinstance(obj, dict):
+        raise ParseError(path, "expected a JSON object")
     if key not in obj:
         raise ParseError(path, f"missing required field {key!r}")
     return obj[key]
+
+
+def _section(data: dict, key: str) -> list:
+    "An optional top-level list of objects."
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(key, "expected a list")
+    for k, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ParseError(f"{key}[{k}]", "expected a JSON object")
+    return value
 
 
 def parse_bundle(text: str) -> Bundle:
@@ -96,7 +109,7 @@ def parse_bundle(text: str) -> Bundle:
     if not isinstance(dim, int) or dim < 1:
         raise ParseError("group.dim", "dim must be a positive integer")
     labels = gobj.get("basis_labels", [f"e{i}" for i in range(dim)])
-    if len(labels) != dim or not all(isinstance(x, str) for x in labels):
+    if not isinstance(labels, list) or len(labels) != dim or not all(isinstance(x, str) for x in labels):
         raise ParseError("group.basis_labels", f"expected {dim} strings")
     alg = FiniteDimAlgebra(
         dim,
@@ -118,7 +131,7 @@ def parse_bundle(text: str) -> Bundle:
             raise ParseError("group.star", "star must be an object with antilinear: true")
         star = AntilinMap(_parse_matrix(_require(sobj, "matrix", "group.star"), dim, dim, "group.star.matrix"))
     calculi = []
-    for k, cobj in enumerate(data.get("calculi", [])):
+    for k, cobj in enumerate(_section(data, "calculi")):
         path = f"calculi[{k}]"
         name = cobj.get("name", f"calculus{k}")
         gdim = _require(cobj, "gdim", path)
@@ -135,7 +148,7 @@ def parse_bundle(text: str) -> Bundle:
             )
         )
     ideals = []
-    for k, iobj in enumerate(data.get("ideals", [])):
+    for k, iobj in enumerate(_section(data, "ideals")):
         path = f"ideals[{k}]"
         name = _require(iobj, "name", path)
         gens = _require(iobj, "generators", path)

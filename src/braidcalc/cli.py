@@ -34,12 +34,32 @@ def _write_report(report: Report, bundle: Bundle, bundle_path: str, out: str | N
 
 
 def _summarize(report: Report, target: str):
+    "The summary goes to stderr when the report itself went to stdout."
+    out = sys.stderr if target == "-" else sys.stdout
     counts = report.counts()
-    print(f"checked {len(report.entries)} entries: {counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped")
+    print(
+        f"checked {len(report.entries)} entries: {counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped",
+        file=out,
+    )
     for e in report.failures():
-        print(f"  FAIL [{e.ctx}] {e.id}" + (f": {e.note}" if e.note else ""))
+        print(f"  FAIL [{e.ctx}] {e.id}" + (f": {e.note}" if e.note else ""), file=out)
     if target != "-":
         print(f"report written to {target}")
+
+
+def _int_at_least(low: int):
+    "An argparse type for integers >= low; argparse names the flag in its error."
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _matrix_json(f: LinMap) -> dict:
@@ -58,9 +78,9 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="full verification of a bundle")
     p_check.add_argument("bundle")
     p_check.add_argument("-o", "--output", default=None, help="report path ('-' for stdout)")
-    p_check.add_argument("--range", type=int, default=2, dest="shift_range", help="shift window for the braid family")
+    p_check.add_argument("--range", type=_int_at_least(0), default=2, dest="shift_range", help="shift window for the braid family")
     p_check.add_argument("--paranoid", action="store_true", help="recompute derived maps, bypassing caches")
-    p_check.add_argument("--jobs", type=int, default=1, help="worker pool size over independent sections")
+    p_check.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker pool size over independent sections")
 
     p_derive = sub.add_parser("derive", help="emit a derived map as a matrix")
     p_derive.add_argument("bundle")
@@ -78,11 +98,11 @@ def main(argv=None) -> int:
     p_cov.add_argument("bundle")
     p_cov.add_argument("--mode", required=True, choices=["left", "right", "bi", "kappa", "star", "braided"])
     p_cov.add_argument("-o", "--output", default=None)
-    p_cov.add_argument("--range", type=int, default=2, dest="shift_range")
+    p_cov.add_argument("--range", type=_int_at_least(0), default=2, dest="shift_range")
 
     p_comp = sub.add_parser("complete-system", help="close the intrinsic braid pair under ternary operations")
     p_comp.add_argument("bundle")
-    p_comp.add_argument("--max", type=int, default=64, dest="max_elems")
+    p_comp.add_argument("--max", type=_int_at_least(1), default=64, dest="max_elems")
 
     args = parser.parse_args(argv)
     try:

@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over Q(i).
+"""Exact sparse linear algebra over Q(i).
 
 LinMap is a linear map between explicitly-dimensioned coordinate spaces,
 stored column-convention: column j is the image of the j-th domain basis
-vector.  Internally a map is a pair of integer matrices (real and
-imaginary numerators) over one common positive denominator, which keeps
-composition in fast integer arithmetic; entries are exposed as Q values.
+vector.  Internally a map keeps its nonzeros only: real and imaginary
+integer numerators as one {col: int} dict per row, over one common
+positive denominator, so composition is a row-by-row sparse product
+(Gustavson) in integer arithmetic and a Kronecker product writes out
+products of nonzeros only; entries are exposed as Q values.
 
 Tensor products follow the row-major index convention: the composite
 index of i (x) j in V (x) W is i*dim(W) + j, and kron satisfies the
@@ -59,55 +61,80 @@ def _q_to_int_triple(value) -> tuple[int, int, int]:
     raise TypeError(f"cannot interpret {value!r} as a Q(i) scalar")
 
 
-def _imul(A, B, m, k, n):
-    "Integer matrix product, sparsity-aware."
-    out = [[0] * n for _ in range(m)]
-    for i in range(m):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(n):
-                    b = Bt[j]
-                    if b:
-                        Oi[j] += a * b
+def _mul(A, B):
+    "Sparse integer product A @ B, row by row (Gustavson)."
+    out = []
+    for Ai in A:
+        if len(Ai) == 1:  # a multiple of one row of B; rows are never mutated, so 1 * row shares it
+            [(t, a)] = Ai.items()
+            out.append(B[t] if a == 1 else {j: a * b for j, b in B[t].items()})
+            continue
+        row: dict = {}
+        get = row.get
+        for t, a in Ai.items():
+            for j, b in B[t].items():
+                row[j] = get(j, 0) + a * b
+        out.append(row)
     return out
 
 
-def _iadd(A, B, m, n, sb=1):
-    return [[A[i][j] + sb * B[i][j] for j in range(n)] for i in range(m)]
+def _kron(A, B, n2):
+    "Sparse integer Kronecker product; only products of nonzeros are written."
+    return [{j1 * n2 + j2: a * b for j1, a in Ai.items() for j2, b in Bi.items()} for Ai in A for Bi in B]
 
 
-def _izero(m, n):
-    return [[0] * n for _ in range(m)]
+def _lincomb(A, sa, B, sb):
+    "Rows of sa * A + sb * B; cancelled entries stay as zeros for __init__ to drop."
+    out = []
+    for Ai, Bi in zip(A, B):
+        row = {j: x * sa for j, x in Ai.items()}
+        get = row.get
+        for j, x in Bi.items():
+            row[j] = get(j, 0) + x * sb
+        out.append(row)
+    return out
 
 
-def _all_zero(A) -> bool:
-    return all(not x for row in A for x in row)
+def _sparse_rows(rows, cod, dom):
+    """Rows as {col: int} dicts without zeros, from dense sequences or dicts.
+
+    A dict row is taken as given (its keys must lie in range(dom)) and is
+    adopted without a copy when it holds no zeros.
+    """
+    out = []
+    for r in rows:
+        if not isinstance(r, dict):
+            r = r if isinstance(r, (list, tuple)) else list(r)
+            if len(r) != dom:
+                raise DimensionMismatch(f"expected {cod}x{dom} matrix")
+            r = dict(enumerate(r))
+        out.append(r if all(r.values()) else {j: x for j, x in r.items() if x})
+    if len(out) != cod:
+        raise DimensionMismatch(f"expected {cod}x{dom} matrix")
+    return out
+
+
+def _rows_key(rows):
+    "A hashable form of sparse rows that ignores dict order."
+    return tuple(frozenset(r.items()) for r in rows)
 
 
 class LinMap:
     __slots__ = ("dom", "cod", "_re", "_im", "_den", "_q")
 
     def __init__(self, cod: int, dom: int, re_rows, im_rows=None, den: int = 1):
+        """Entries (re + i im)/den, rows given as dense integer sequences or as
+        {col: int} dicts (see _sparse_rows); the map owns its rows afterwards."""
         if cod < 0 or dom < 0:
             raise DimensionMismatch("dimensions must be nonnegative")
-        re_rows = [list(r) for r in re_rows]
-        if len(re_rows) != cod or any(len(r) != dom for r in re_rows):
-            raise DimensionMismatch(f"expected {cod}x{dom} matrix")
+        re_rows = _sparse_rows(re_rows, cod, dom)
         if im_rows is not None:
-            im_rows = [list(r) for r in im_rows]
-            if len(im_rows) != cod or any(len(r) != dom for r in im_rows):
-                raise DimensionMismatch(f"expected {cod}x{dom} matrix")
-            if _all_zero(im_rows):
-                im_rows = None
+            im_rows = _sparse_rows(im_rows, cod, dom)
         self.dom = dom
         self.cod = cod
         re_rows, im_rows, den = _normalize(re_rows, im_rows, den)
-        self._re = tuple(tuple(r) for r in re_rows)
-        self._im = None if im_rows is None else tuple(tuple(r) for r in im_rows)
+        self._re = tuple(re_rows)
+        self._im = None if im_rows is None else tuple(im_rows)
         self._den = den
         self._q = None
 
@@ -122,12 +149,12 @@ class LinMap:
         den = 1
         triples = []
         for r in rows:
-            trow = [_q_to_int_triple(x) for x in r]
+            trow = {j: _q_to_int_triple(x) for j, x in enumerate(r) if x}
             triples.append(trow)
-            for _, _, d in trow:
+            for _, _, d in trow.values():
                 den = _lcm(den, d)
-        re_rows = [[a * (den // d) for (a, _, d) in trow] for trow in triples]
-        im_rows = [[b * (den // d) for (_, b, d) in trow] for trow in triples]
+        re_rows = [{j: a * (den // d) for j, (a, _, d) in trow.items()} for trow in triples]
+        im_rows = [{j: b * (den // d) for j, (_, b, d) in trow.items()} for trow in triples]
         return LinMap(cod, dom, re_rows, im_rows, den)
 
     @staticmethod
@@ -141,47 +168,53 @@ class LinMap:
 
     @staticmethod
     def identity(n: int) -> "LinMap":
-        return LinMap(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return LinMap(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def zero(cod: int, dom: int) -> "LinMap":
-        return LinMap(cod, dom, _izero(cod, dom))
+        return LinMap(cod, dom, [{}] * cod)
 
     # -- entry access ------------------------------------------------
 
     def entry(self, i: int, j: int) -> Q:
         if self._q is not None:
             return self._q[i][j]
-        re = self._re[i][j]
-        im = self._im[i][j] if self._im is not None else 0
+        if not 0 <= j < self.dom:
+            raise IndexError(f"column {j} outside range({self.dom})")
+        re = self._re[i].get(j, 0)
+        im = self._im[i].get(j, 0) if self._im is not None else 0
         if not re and not im:
             return _Q_ZERO
         return Q._make(Fraction(re, self._den), Fraction(im, self._den) if im else _F_ZERO)
 
+    def _support(self, i: int):
+        "Columns stored in row i."
+        if self._im is None:
+            return self._re[i].keys()
+        return self._re[i].keys() | self._im[i].keys()
+
+    def nnz(self) -> int:
+        "Number of stored entries; only nonzeros are stored."
+        return sum(len(self._support(i)) for i in range(self.cod))
+
     def q_rows(self) -> tuple:
-        "Entries as Q values; computed once and cached (maps are immutable)."
+        "Entries as dense rows of Q values; computed once and cached (maps are immutable)."
         if self._q is None:
             den = self._den
             cache: dict = {}
-
-            def mk(re, im):
-                key = (re, im)
-                out = cache.get(key)
-                if out is None:
-                    if not re and not im:
-                        out = _Q_ZERO
-                    else:
-                        out = Q._make(Fraction(re, den), Fraction(im, den) if im else _F_ZERO)
-                    cache[key] = out
-                return out
-
-            if self._im is None:
-                rows = tuple(tuple(mk(x, 0) for x in row) for row in self._re)
-            else:
-                rows = tuple(
-                    tuple(mk(x, y) for x, y in zip(rr, ri)) for rr, ri in zip(self._re, self._im)
-                )
-            self._q = rows
+            rows = []
+            for i, rr in enumerate(self._re):
+                ri = self._im[i] if self._im is not None else {}
+                row = [_Q_ZERO] * self.dom
+                for j in self._support(i):
+                    key = (rr.get(j, 0), ri.get(j, 0))
+                    out = cache.get(key)
+                    if out is None:
+                        re, im = key
+                        out = cache[key] = Q._make(Fraction(re, den), Fraction(im, den) if im else _F_ZERO)
+                    row[j] = out
+                rows.append(tuple(row))
+            self._q = tuple(rows)
         return self._q
 
     def col(self, j: int) -> tuple:
@@ -194,9 +227,9 @@ class LinMap:
         out = []
         for i in range(self.cod):
             acc = Q(0)
-            for j, v in enumerate(vec):
-                if v:
-                    acc = acc + self.entry(i, j) * v
+            for j in self._support(i):
+                if vec[j]:
+                    acc = acc + self.entry(i, j) * vec[j]
             out.append(acc)
         return tuple(out)
 
@@ -209,18 +242,17 @@ class LinMap:
             return NotImplemented
         if other.cod != self.dom:
             raise DimensionMismatch(f"compose: {self.cod}x{self.dom} after {other.cod}x{other.dom}")
-        m, k, n = self.cod, self.dom, other.dom
         ar, ai, br, bi = self._re, self._im, other._re, other._im
-        cr = _imul(ar, br, m, k, n)
+        cr = _mul(ar, br)
         ci = None
         if ai is not None and bi is not None:
-            cr = _iadd(cr, _imul(ai, bi, m, k, n), m, n, -1)
-            ci = _iadd(_imul(ar, bi, m, k, n), _imul(ai, br, m, k, n), m, n)
+            cr = _lincomb(cr, 1, _mul(ai, bi), -1)
+            ci = _lincomb(_mul(ar, bi), 1, _mul(ai, br), 1)
         elif ai is not None:
-            ci = _imul(ai, br, m, k, n)
+            ci = _mul(ai, br)
         elif bi is not None:
-            ci = _imul(ar, bi, m, k, n)
-        return LinMap(m, n, cr, ci, self._den * other._den)
+            ci = _mul(ar, bi)
+        return LinMap(self.cod, other.dom, cr, ci, self._den * other._den)
 
     def __add__(self, other):
         if not isinstance(other, LinMap):
@@ -229,87 +261,58 @@ class LinMap:
             raise DimensionMismatch("add: shape mismatch")
         d = _lcm(self._den, other._den)
         sa, sb = d // self._den, d // other._den
-        m, n = self.cod, self.dom
-        re = [[self._re[i][j] * sa + other._re[i][j] * sb for j in range(n)] for i in range(m)]
+        re = _lincomb(self._re, sa, other._re, sb)
         im = None
         if self._im is not None or other._im is not None:
-            ia = self._im if self._im is not None else _izero(m, n)
-            ib = other._im if other._im is not None else _izero(m, n)
-            im = [[ia[i][j] * sa + ib[i][j] * sb for j in range(n)] for i in range(m)]
-        return LinMap(m, n, re, im, d)
+            im = _lincomb(self._im_rows(), sa, other._im_rows(), sb)
+        return LinMap(self.cod, self.dom, re, im, d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        im = None if self._im is None else [[-x for x in r] for r in self._im]
-        return LinMap(self.cod, self.dom, [[-x for x in r] for r in self._re], im, self._den)
+        im = None if self._im is None else [{j: -x for j, x in r.items()} for r in self._im]
+        return LinMap(self.cod, self.dom, [{j: -x for j, x in r.items()} for r in self._re], im, self._den)
+
+    def _im_rows(self):
+        "Imaginary numerator rows, empty rows when the map is real."
+        return self._im if self._im is not None else [{}] * self.cod
 
     def scale(self, value) -> "LinMap":
         a, b, d = _q_to_int_triple(value)
-        m, n = self.cod, self.dom
-        re = [[x * a for x in r] for r in self._re]
-        im = [[x * b for x in r] for r in self._re] if b else None
-        if self._im is not None:
-            if b:
-                re = _iadd(re, [[x * b for x in r] for r in self._im], m, n, -1)
-                im = _iadd(im, [[x * a for x in r] for r in self._im], m, n)
-            else:
-                im = [[x * a for x in r] for r in self._im]
-        return LinMap(m, n, re, im, self._den * d)
+        ar, ai = self._re, self._im_rows()
+        return LinMap(self.cod, self.dom, _lincomb(ar, a, ai, -b), _lincomb(ar, b, ai, a), self._den * d)
 
     def conj(self) -> "LinMap":
-        im = None if self._im is None else [[-x for x in r] for r in self._im]
+        im = None if self._im is None else [{j: -x for j, x in r.items()} for r in self._im]
         return LinMap(self.cod, self.dom, self._re, im, self._den)
 
     def tensor(self, other: "LinMap") -> "LinMap":
         "Kronecker product; (i (x) j) -> i*other.dim + j indexing."
-        m1, n1, m2, n2 = self.cod, self.dom, other.cod, other.dom
-        m, n = m1 * m2, n1 * n2
+        n2 = other.dom
         ar, ai, br, bi = self._re, self._im, other._re, other._im
-
-        def kron(A, B):
-            out = [[0] * n for _ in range(m)]
-            for i1 in range(m1):
-                Ai = A[i1]
-                for i2 in range(m2):
-                    Bi = B[i2]
-                    row = out[i1 * m2 + i2]
-                    for j1 in range(n1):
-                        a = Ai[j1]
-                        if a:
-                            base = j1 * n2
-                            for j2 in range(n2):
-                                b = Bi[j2]
-                                if b:
-                                    row[base + j2] += a * b
-            return out
-
-        cr = kron(ar, br)
+        cr = _kron(ar, br, n2)
         ci = None
         if ai is not None and bi is not None:
-            cr = _iadd(cr, kron(ai, bi), m, n, -1)
-            ci = _iadd(kron(ar, bi), kron(ai, br), m, n)
+            cr = _lincomb(cr, 1, _kron(ai, bi, n2), -1)
+            ci = _lincomb(_kron(ar, bi, n2), 1, _kron(ai, br, n2), 1)
         elif ai is not None:
-            ci = kron(ai, br)
+            ci = _kron(ai, br, n2)
         elif bi is not None:
-            ci = kron(ar, bi)
-        return LinMap(m, n, cr, ci, self._den * other._den)
+            ci = _kron(ar, bi, n2)
+        return LinMap(self.cod * other.cod, self.dom * n2, cr, ci, self._den * other._den)
 
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return _all_zero(self._re) and self._im is None
+        return self._im is None and not any(self._re)
 
     def is_real(self) -> bool:
         return self._im is None
 
     def first_nonzero_col(self):
-        for j in range(self.dom):
-            for i in range(self.cod):
-                if self._re[i][j] or (self._im is not None and self._im[i][j]):
-                    return j
-        return None
+        rows = self._re + (self._im or ())
+        return min((min(r) for r in rows if r), default=None)
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
@@ -323,7 +326,8 @@ class LinMap:
         )
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self._den, self._re, self._im))
+        im = None if self._im is None else _rows_key(self._im)
+        return hash((self.dom, self.cod, self._den, _rows_key(self._re), im))
 
     def __repr__(self):
         return f"LinMap({self.cod}x{self.dom})"
@@ -336,9 +340,6 @@ class LinMap:
 
     def is_surjective(self) -> bool:
         return self.rank() == self.cod
-
-    def is_injective(self) -> bool:
-        return self.rank() == self.dom
 
     def is_invertible(self) -> bool:
         return self.dom == self.cod and self.rank() == self.dom
@@ -424,7 +425,7 @@ def permutation_map(perm, dims) -> LinMap:
     total = 1
     for d in dims:
         total *= d
-    rows = _izero(total, total)
+    rows = [None] * total
     idx = [0] * len(dims)
     for col in range(total):
         rem = col
@@ -435,7 +436,7 @@ def permutation_map(perm, dims) -> LinMap:
         for slot in range(len(dims)):
             src = perm.index(slot)
             row = row * out_dims[slot] + idx[src]
-        rows[row][col] = 1
+        rows[row] = {col: 1}
     return LinMap(total, total, rows)
 
 
@@ -513,9 +514,17 @@ def solve_right(A: LinMap, B: LinMap) -> LinMap | None:
     return LinMap.from_entries(k, n, x_rows)
 
 
+def _transpose_rows(rows, n):
+    out = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
 def transpose(f: LinMap) -> LinMap:
-    im = None if f._im is None else [[f._im[i][j] for i in range(f.cod)] for j in range(f.dom)]
-    return LinMap(f.dom, f.cod, [[f._re[i][j] for i in range(f.cod)] for j in range(f.dom)], im, f._den)
+    im = None if f._im is None else _transpose_rows(f._im, f.dom)
+    return LinMap(f.dom, f.cod, _transpose_rows(f._re, f.dom), im, f._den)
 
 
 def factor_through(f: LinMap, g: LinMap) -> LinMap:
@@ -694,38 +703,28 @@ class AntilinMap:
 
 
 def _normalize(re_rows, im_rows, den):
+    "Divide out the gcd, move the sign of den to the numerators, drop an all-zero im."
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     if den < 0:
         den = -den
-        re_rows = [[-x for x in r] for r in re_rows]
+        re_rows = [{j: -x for j, x in r.items()} for r in re_rows]
         if im_rows is not None:
-            im_rows = [[-x for x in r] for r in im_rows]
+            im_rows = [{j: -x for j, x in r.items()} for r in im_rows]
+    if im_rows is not None and not any(im_rows):
+        im_rows = None
     g = den
-    for r in re_rows:
-        for x in r:
-            if x:
+    for rows in (re_rows, im_rows or ()):
+        for r in rows:
+            for x in r.values():
                 g = gcd(g, x)
                 if g == 1:
                     break
-        if g == 1:
-            break
-    if g != 1 and im_rows is not None:
-        for r in im_rows:
-            for x in r:
-                if x:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
             if g == 1:
                 break
     if g > 1:
-        re_rows = [[x // g for x in r] for r in re_rows]
+        re_rows = [{j: x // g for j, x in r.items()} for r in re_rows]
         if im_rows is not None:
-            im_rows = [[x // g for x in r] for r in im_rows]
+            im_rows = [{j: x // g for j, x in r.items()} for r in im_rows]
         den //= g
-    if im_rows is not None and _all_zero(im_rows):
-        im_rows = None
-    if _all_zero(re_rows) and im_rows is None:
-        den = 1
     return re_rows, im_rows, den

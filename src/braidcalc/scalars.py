@@ -175,7 +175,3 @@ class Q:
 _ZERO = Q(0)
 _ONE = Q(1)
 _I = Q(0, 1)
-
-
-def qstr(value: Q) -> str:
-    return str(value)

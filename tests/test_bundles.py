@@ -107,3 +107,20 @@ def test_zero_dim_calculus_roundtrip(gr):
     zero = [c for c in b.calculi if c.name == "zero"][0]
     assert zero.gdim == 0
     assert emit_bundle(parse_bundle(emit_bundle(b))) == emit_bundle(b)
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda d: d.update(calculi=[1]), "calculi[0]"),
+        (lambda d: d.update(ideals=[1]), "ideals[0]"),
+        (lambda d: d["group"].update(basis_labels=5), "group.basis_labels"),
+    ],
+    ids=["calculus-not-object", "ideal-not-object", "labels-not-list"],
+)
+def test_malformed_section_is_parse_error(edit, path):
+    data = json.loads((BUNDLE_DIR / "fix_k2.json").read_text())
+    edit(data)
+    with pytest.raises(ParseError) as err:
+        parse_bundle(json.dumps(data))
+    assert err.value.path == path

@@ -1,11 +1,17 @@
 import json
+import os
+import resource
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from braidcalc.bundles import parse_bundle
+import braidcalc
+from braidcalc.bundles import Bundle, emit_bundle, parse_bundle
 from braidcalc.cli import main
+from braidcalc.fixtures import _delta_group, conjugation_star
 
 BUNDLE_DIR = Path(__file__).resolve().parent.parent / "bundles"
 
@@ -149,5 +155,49 @@ def test_complete_system(workdir, capsys):
     assert data["closed"] is True and data["size"] == 1
 
 
-def test_paranoid_mode(workdir):
+def test_paranoid_mode(workdir, capsys):
     assert main(["check", str(workdir / "fix_1.json"), "--paranoid", "-o", "-"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)  # the report alone: the summary goes to stderr
+    assert report["summary"]["fail"] == 0
+    assert captured.err.startswith("checked ")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "--range", "-1"], "--range"),
+        (["check", "--jobs", "0"], "--jobs"),
+        (["covariance", "--mode", "left", "--range", "-1"], "--range"),
+        (["complete-system", "--max", "0"], "--max"),
+    ],
+)
+def test_cli_integers_validated(workdir, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + [str(workdir / "fix_1.json")] + argv[1:])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_z8_ideal_check_fits_in_one_gib(tmp_path):
+    "The d1 ideal on Z/8 stays within a 1 GiB address space (a dense kernel needs far more)."
+    n = 8
+    g = _delta_group(n, tuple(f"d_{i}" for i in range(n)))
+    generator = ["1" if j == 1 else "0" for j in range(n)]
+    path = tmp_path / "z8_d1.json"
+    path.write_text(emit_bundle(Bundle(g, conjugation_star(g), [], [("d1", [generator])])))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(braidcalc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidcalc.cli", "check", str(path), "-o", str(tmp_path / "rep.json")],
+        preexec_fn=cap_address_space,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -17,6 +17,7 @@ from braidcalc.linalg import (
     permutation_map,
     quotient,
     tensor,
+    transpose,
 )
 from braidcalc.scalars import Q
 
@@ -256,3 +257,164 @@ def test_compose_matches_oracle():
     a, b = rand_map(rng, 3, 4), rand_map(rng, 4, 2)
     expected = mat_mul([list(r) for r in a.q_rows()], [list(r) for r in b.q_rows()])
     assert (a @ b).q_rows() == tuple(tuple(r) for r in expected)
+
+
+# -- sparse kernel against a dense reference ------------------------------
+#
+# Maps are drawn as integer numerator rows (real, optionally imaginary) over
+# a nonzero denominator, mostly zero; the reference is the same matrix as
+# dense rows of Q entries, operated on with plain index loops.
+
+_NUMERATORS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+_PROPS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def gaussian_maps(draw, cod=None, dom=None):
+    "(LinMap built from dense numerator rows, the same map as dense Q rows)."
+    cod = draw(st.integers(0, 4)) if cod is None else cod
+    dom = draw(st.integers(0, 4)) if dom is None else dom
+    rows = st.lists(st.lists(_NUMERATORS, min_size=dom, max_size=dom), min_size=cod, max_size=cod)
+    re = draw(rows)
+    im = draw(st.none() | rows)
+    den = draw(st.integers(-6, 6).filter(bool))
+    ref = [
+        [Q(Fraction(re[i][j], den), Fraction(im[i][j] if im else 0, den)) for j in range(dom)]
+        for i in range(cod)
+    ]
+    return LinMap(cod, dom, re, im, den), ref
+
+
+@st.composite
+def composable_pairs(draw):
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(gaussian_maps(m, k)), draw(gaussian_maps(k, n))
+
+
+@st.composite
+def same_shape_pairs(draw):
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return draw(gaussian_maps(m, n)), draw(gaussian_maps(m, n))
+
+
+def as_rows(ref):
+    return tuple(tuple(r) for r in ref)
+
+
+def dense_mul(a, b, k, n):
+    return [[sum((row[t] * b[t][j] for t in range(k)), Q(0)) for j in range(n)] for row in a]
+
+
+def dense_kron(a, b, n1, n2):
+    return [[x[j1] * y[j2] for j1 in range(n1) for j2 in range(n2)] for x in a for y in b]
+
+
+@given(gaussian_maps())
+@_PROPS
+def test_sparse_entry_access_matches_dense(pair):
+    f, ref = pair
+    assert f.q_rows() == as_rows(ref)
+    fresh = LinMap.from_entries(f.cod, f.dom, ref)  # q_rows not yet cached: read the sparse rows
+    assert all(fresh.entry(i, j) == ref[i][j] for i in range(f.cod) for j in range(f.dom))
+    assert all(fresh.col(j) == tuple(ref[i][j] for i in range(f.cod)) for j in range(f.dom))
+    vec = [Q(j - 1, j % 2) for j in range(f.dom)]
+    assert fresh.apply(vec) == tuple(dense_mul(ref, [[x] for x in vec], f.dom, 1)[i][0] for i in range(f.cod))
+    assert fresh.nnz() == sum(1 for row in ref for x in row if x)
+    assert fresh.is_zero() == (fresh.nnz() == 0)
+    assert fresh.is_real() == all(not x.im for row in ref for x in row)
+
+
+@given(composable_pairs())
+@_PROPS
+def test_sparse_product_matches_dense(pairs):
+    (f, fr), (g, gr) = pairs
+    assert (f @ g).q_rows() == as_rows(dense_mul(fr, gr, f.dom, g.dom))
+
+
+@given(gaussian_maps(), gaussian_maps())
+@_PROPS
+def test_sparse_tensor_matches_dense(a, b):
+    (f, fr), (g, gr) = a, b
+    fg = tensor(f, g)
+    assert (fg.cod, fg.dom) == (f.cod * g.cod, f.dom * g.dom)
+    assert fg.q_rows() == as_rows(dense_kron(fr, gr, f.dom, g.dom))
+
+
+@given(same_shape_pairs(), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+@_PROPS
+def test_sparse_linear_structure_matches_dense(pairs, a, b, d):
+    (f, fr), (g, gr) = pairs
+    c = Q(Fraction(a, d), Fraction(b, d))
+    assert (f + g).q_rows() == as_rows([[x + y for x, y in zip(r, s)] for r, s in zip(fr, gr)])
+    assert (f - g).q_rows() == as_rows([[x - y for x, y in zip(r, s)] for r, s in zip(fr, gr)])
+    assert (-f).q_rows() == as_rows([[-x for x in r] for r in fr])
+    assert f.scale(c).q_rows() == as_rows([[c * x for x in r] for r in fr])
+    assert f.conj().q_rows() == as_rows([[x.conj() for x in r] for r in fr])
+    assert transpose(f).q_rows() == as_rows([[fr[i][j] for i in range(f.cod)] for j in range(f.dom)])
+    nonzero_cols = [j for j in range(f.dom) if any(fr[i][j] for i in range(f.cod))]
+    assert f.first_nonzero_col() == (nonzero_cols[0] if nonzero_cols else None)
+
+
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).flatmap(
+        lambda dims: st.tuples(st.just(dims), st.permutations(range(len(dims))))
+    )
+)
+@_PROPS
+def test_sparse_permutation_map_matches_definition(dims_perm):
+    dims, perm = dims_perm
+    total = 1
+    for d in dims:
+        total *= d
+    out_dims = [0] * len(dims)
+    for i, p in enumerate(perm):
+        out_dims[p] = dims[i]
+    ref = [[Q(0)] * total for _ in range(total)]
+    for col in range(total):
+        idx, rem = [], col
+        for d in reversed(dims):
+            idx.append(rem % d)
+            rem //= d
+        idx.reverse()
+        out = [0] * len(dims)
+        for i, p in enumerate(perm):
+            out[p] = idx[i]
+        row = 0
+        for slot, d in enumerate(out_dims):
+            row = row * d + out[slot]
+        ref[row][col] = Q(1)
+    assert permutation_map(perm, dims).q_rows() == as_rows(ref)
+
+
+@given(composable_pairs())
+@_PROPS
+def test_sparse_equal_maps_hash_equal(pairs):
+    (f, fr), (g, _) = pairs
+    routes = [
+        LinMap.from_entries(f.cod, f.dom, fr),
+        f @ identity(f.dom),
+        identity(f.cod) @ f,
+        f + LinMap.zero(f.cod, f.dom),
+        transpose(transpose(f)),
+    ]
+    for other in routes:
+        assert other == f and hash(other) == hash(f)
+    fg = f @ g
+    direct = LinMap.from_entries(fg.cod, fg.dom, fg.q_rows())
+    assert direct == fg and hash(direct) == hash(fg)
+
+
+@given(gaussian_maps(), st.integers(1, 4))
+@_PROPS
+def test_tensor_with_identity_stores_only_nonzero_products(pair, n):
+    f, _ = pair
+    assert tensor(identity(n), f).nnz() == n * f.nnz()
+    assert tensor(f, identity(n)).nnz() == n * f.nnz()
+
+
+def test_dict_rows_build_the_same_map():
+    dense = LinMap(2, 3, [[0, 2, 0], [4, 0, -6]], [[0, 0, 2], [0, 0, 0]], 4)
+    sparse = LinMap(2, 3, [{1: 2}, {0: 4, 2: -6, 1: 0}], [{2: 2}, {}], 4)
+    assert dense == sparse and hash(dense) == hash(sparse)
+    assert dense.entry(1, 2) == Q(Fraction(-3, 2))
+    assert LinMap(1, 2, [{}], [{0: 0}]).is_real()
