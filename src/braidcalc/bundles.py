@@ -94,6 +94,12 @@ def _section(data: dict, key: str) -> list:
     return value
 
 
+def _name(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{path}.name", f"expected a string, got {type(value).__name__}")
+    return value
+
+
 def parse_bundle(text: str) -> Bundle:
     try:
         data = json.loads(text, parse_float=_reject_float)
@@ -106,7 +112,7 @@ def parse_bundle(text: str) -> Bundle:
         raise ParseError("format_version", f"unsupported version {version}")
     gobj = _require(data, "group", "<document>")
     dim = _require(gobj, "dim", "group")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # bool is an int subclass: JSON true is no dimension
         raise ParseError("group.dim", "dim must be a positive integer")
     labels = gobj.get("basis_labels", [f"e{i}" for i in range(dim)])
     if not isinstance(labels, list) or len(labels) != dim or not all(isinstance(x, str) for x in labels):
@@ -133,9 +139,9 @@ def parse_bundle(text: str) -> Bundle:
     calculi = []
     for k, cobj in enumerate(_section(data, "calculi")):
         path = f"calculi[{k}]"
-        name = cobj.get("name", f"calculus{k}")
+        name = _name(cobj.get("name", f"calculus{k}"), path)
         gdim = _require(cobj, "gdim", path)
-        if not isinstance(gdim, int) or gdim < 0:
+        if type(gdim) is not int or gdim < 0:
             raise ParseError(f"{path}.gdim", "gdim must be a nonnegative integer")
         calculi.append(
             FirstOrderCalculus(
@@ -150,7 +156,7 @@ def parse_bundle(text: str) -> Bundle:
     ideals = []
     for k, iobj in enumerate(_section(data, "ideals")):
         path = f"ideals[{k}]"
-        name = _require(iobj, "name", path)
+        name = _name(_require(iobj, "name", path), path)
         gens = _require(iobj, "generators", path)
         if not isinstance(gens, list):
             raise ParseError(f"{path}.generators", "expected a list of coordinate vectors")

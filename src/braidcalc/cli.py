@@ -1,6 +1,7 @@
 """Command-line surface: batch verification over bundle files.
 
-Exit codes: 0 all checks pass, 1 verification failures, 2 input errors.
+Exit codes: 0 all checks pass, 1 verification failures, 2 input errors,
+141 when the reader closes stdout early (as a SIGPIPE kill would).
 A machine-readable report is always written for outcomes 0 and 1.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -111,6 +113,21 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
+    try:
+        code = _run(args, bundle)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`... | head`).  Point stdout's descriptor
+        # at devnull, so the flush at exit is quiet, and exit as a SIGPIPE kill
+        # would (128 + 13), apart from the 0/1/2 outcomes.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+
+
+def _run(args, bundle: Bundle) -> int:
     try:
         if args.command == "check":
             report = verify_bundle(bundle, args.shift_range, args.paranoid, args.jobs)

@@ -726,7 +726,7 @@ def _intertwiner_solutions(c1, c2):
     Unknown: T (g2 x g1), flattened row-major into g2*g1 coordinates.
     Equations: T d1 = d2, T mgl1 = mgl2 (id (x) T), T mgr1 = mgr2 (T (x) id).
     """
-    from .linalg import _nullspace
+    from .linalg import _eliminate, _nullspace
     from .scalars import Q
 
     n = c1.group.dim
@@ -778,7 +778,13 @@ def _intertwiner_solutions(c1, c2):
     if sol is None:
         return None, []
     particular = LinMap.from_entries(g2, g1, [[sol.entry(i * g1 + j, 0) for j in range(g1)] for i in range(g2)])
-    basis = []
-    for vec in _nullspace(system.q_rows(), cols):
-        basis.append(LinMap.from_entries(g2, g1, [[vec[i * g1 + j] for j in range(g1)] for i in range(g2)]))
-    return particular, basis
+
+    def reshape(row):
+        out: list = [{} for _ in range(g2)]
+        for t, x in row.items():
+            i, j = divmod(t, g1)
+            out[i][j] = x
+        return out
+
+    re, im, den = _nullspace(_eliminate(system._rows()), cols)
+    return particular, [LinMap(g2, g1, reshape(r), reshape(i), den) for r, i in zip(re, im)]

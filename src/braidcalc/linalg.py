@@ -8,6 +8,12 @@ positive denominator, so composition is a row-by-row sparse product
 (Gustavson) in integer arithmetic and a Kronecker product writes out
 products of nonzeros only; entries are exposed as Q values.
 
+Elimination (rank, kernel, image, solve, inverse, quotient, span and
+intersection) is fraction-free Gauss-Jordan over Z[i] on the same sparse
+integer rows.  The reduced row echelon form of a row space is unique, so
+echelon bases, least-structure solutions, inverses and quotient
+projections are exactly those of dense elimination over Q(i).
+
 Tensor products follow the row-major index convention: the composite
 index of i (x) j in V (x) W is i*dim(W) + j, and kron satisfies the
 mixed-product law with composition.
@@ -19,7 +25,7 @@ identities over them hold vacuously.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import Q
 
@@ -28,7 +34,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-_Q_ONE = Q(1)
 _Q_ZERO = Q(0)
 _F_ZERO = Fraction(0)
 
@@ -41,10 +46,6 @@ class NoFactor(ValueError):
     """No x with x.f = g exists (the kernel condition fails)."""
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def _q_to_int_triple(value) -> tuple[int, int, int]:
     "Return (a, b, d) with value = (a + b i)/d, d > 0."
     if isinstance(value, int):
@@ -52,7 +53,7 @@ def _q_to_int_triple(value) -> tuple[int, int, int]:
     if isinstance(value, Fraction):
         return value.numerator, 0, value.denominator
     if isinstance(value, Q):
-        d = _lcm(value.re.denominator, value.im.denominator)
+        d = lcm(value.re.denominator, value.im.denominator)
         return (
             value.re.numerator * (d // value.re.denominator),
             value.im.numerator * (d // value.im.denominator),
@@ -120,7 +121,7 @@ def _rows_key(rows):
 
 
 class LinMap:
-    __slots__ = ("dom", "cod", "_re", "_im", "_den", "_q")
+    __slots__ = ("dom", "cod", "_re", "_im", "_den")
 
     def __init__(self, cod: int, dom: int, re_rows, im_rows=None, den: int = 1):
         """Entries (re + i im)/den, rows given as dense integer sequences or as
@@ -136,7 +137,6 @@ class LinMap:
         self._re = tuple(re_rows)
         self._im = None if im_rows is None else tuple(im_rows)
         self._den = den
-        self._q = None
 
     # -- constructors ------------------------------------------------
 
@@ -152,7 +152,7 @@ class LinMap:
             trow = {j: _q_to_int_triple(x) for j, x in enumerate(r) if x}
             triples.append(trow)
             for _, _, d in trow.values():
-                den = _lcm(den, d)
+                den = lcm(den, d)
         re_rows = [{j: a * (den // d) for j, (a, _, d) in trow.items()} for trow in triples]
         im_rows = [{j: b * (den // d) for j, (_, b, d) in trow.items()} for trow in triples]
         return LinMap(cod, dom, re_rows, im_rows, den)
@@ -177,8 +177,6 @@ class LinMap:
     # -- entry access ------------------------------------------------
 
     def entry(self, i: int, j: int) -> Q:
-        if self._q is not None:
-            return self._q[i][j]
         if not 0 <= j < self.dom:
             raise IndexError(f"column {j} outside range({self.dom})")
         re = self._re[i].get(j, 0)
@@ -198,24 +196,22 @@ class LinMap:
         return sum(len(self._support(i)) for i in range(self.cod))
 
     def q_rows(self) -> tuple:
-        "Entries as dense rows of Q values; computed once and cached (maps are immutable)."
-        if self._q is None:
-            den = self._den
-            cache: dict = {}
-            rows = []
-            for i, rr in enumerate(self._re):
-                ri = self._im[i] if self._im is not None else {}
-                row = [_Q_ZERO] * self.dom
-                for j in self._support(i):
-                    key = (rr.get(j, 0), ri.get(j, 0))
-                    out = cache.get(key)
-                    if out is None:
-                        re, im = key
-                        out = cache[key] = Q._make(Fraction(re, den), Fraction(im, den) if im else _F_ZERO)
-                    row[j] = out
-                rows.append(tuple(row))
-            self._q = tuple(rows)
-        return self._q
+        "Entries as dense rows of Q values."
+        den = self._den
+        cache: dict = {}
+        rows = []
+        for i, rr in enumerate(self._re):
+            ri = self._im[i] if self._im is not None else {}
+            row = [_Q_ZERO] * self.dom
+            for j in self._support(i):
+                key = (rr.get(j, 0), ri.get(j, 0))
+                out = cache.get(key)
+                if out is None:
+                    re, im = key
+                    out = cache[key] = Q._make(Fraction(re, den), Fraction(im, den) if im else _F_ZERO)
+                row[j] = out
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def col(self, j: int) -> tuple:
         return tuple(self.entry(i, j) for i in range(self.cod))
@@ -259,7 +255,7 @@ class LinMap:
             return NotImplemented
         if (self.cod, self.dom) != (other.cod, other.dom):
             raise DimensionMismatch("add: shape mismatch")
-        d = _lcm(self._den, other._den)
+        d = lcm(self._den, other._den)
         sa, sb = d // self._den, d // other._den
         re = _lincomb(self._re, sa, other._re, sb)
         im = None
@@ -334,9 +330,12 @@ class LinMap:
 
     # -- elimination-backed operations --------------------------------
 
+    def _rows(self):
+        "Numerator rows as (re, im) pairs, im None for a real map; the denominator does not change the row space."
+        return zip(self._re, self._im) if self._im is not None else ((r, None) for r in self._re)
+
     def rank(self) -> int:
-        _, pivots = _rref([list(row) for row in self.q_rows()])
-        return len(pivots)
+        return len(_eliminate(self._rows()))
 
     def is_surjective(self) -> bool:
         return self.rank() == self.cod
@@ -347,18 +346,19 @@ class LinMap:
     def inverse(self) -> "LinMap":
         if self.dom != self.cod:
             raise NotInvertible("not square")
-        n = self.dom
-        aug = [list(row) + [Q(1 if i == j else 0) for j in range(n)] for i, row in enumerate(self.q_rows())]
-        rows, pivots = _rref(aug)
-        if pivots != list(range(n)):
+        x = solve_right(self, LinMap.identity(self.dom))
+        if x is None:
             raise NotInvertible("rank-deficient map")
-        return LinMap.from_entries(n, n, [rows[i][n:] for i in range(n)])
+        return x
 
     def kernel(self) -> "Subspace":
-        return Subspace.spanned_by(self.dom, _nullspace(self.q_rows(), self.dom))
+        re, im, _ = _nullspace(_eliminate(self._rows()), self.dom)
+        return _subspace(self.dom, _eliminate(zip(re, im)))
 
     def image(self) -> "Subspace":
-        return Subspace.spanned_by(self.cod, [self.col(j) for j in range(self.dom)])
+        cols = _transpose_rows(self._re, self.dom)
+        im = [None] * self.dom if self._im is None else _transpose_rows(self._im, self.dom)
+        return _subspace(self.cod, _eliminate(zip(cols, im)))
 
 
 def identity(n: int) -> LinMap:
@@ -440,78 +440,164 @@ def permutation_map(perm, dims) -> LinMap:
     return LinMap(total, total, rows)
 
 
-# -- row reduction over Q(i) ------------------------------------------
+# -- fraction-free elimination over Z[i] --------------------------------
+#
+# A row is a pair (re, im) of {col: int} dicts; an input row may have im
+# None.  Rows are never mutated, so map rows are passed in as they are.
 
 
-def _rref(rows):
-    """In-place RREF of a list of Q-entry rows; returns (rows, pivot column list).
+def _addmul(out, row, k):
+    "out += k * row for a nonzero integer k, dropping cancelled entries."
+    get = out.get
+    for j, x in row.items():
+        v = get(j, 0) + k * x
+        if v:
+            out[j] = v
+        else:
+            del out[j]
 
-    Elimination touches only the nonzero support of the pivot row, which
-    keeps the common sparse case near-linear.
+
+def _submul(re, im, a, b, q):
+    "(re, im) -= (a + b i) * q in place."
+    if a:
+        _addmul(re, q[0], -a)
+        _addmul(im, q[1], -a)
+    if b:
+        _addmul(im, q[0], -b)
+        _addmul(re, q[1], b)
+
+
+def _combine(s, r, a, b, q):
+    "The row s*r - (a + b i)*q, for an integer s and Gaussian integer a + b i."
+    re = {j: s * x for j, x in r[0].items()} if s else {}
+    im = {j: s * x for j, x in r[1].items()} if s else {}
+    _submul(re, im, a, b, q)
+    return re, im
+
+
+def _moved(row, off=0, s=1):
+    "The row times s, its columns shifted by off."
+    return {j + off: s * x for j, x in row.items()}
+
+
+def _primitive(re, im):
+    "The row divided by the gcd of its integer parts."
+    g = gcd(*re.values(), *im.values())
+    if g == 1:
+        return re, im
+    return {j: x // g for j, x in re.items()}, {j: x // g for j, x in im.items()}
+
+
+def _reduce(row, piv):
+    """The row with every pivot column of piv cleared: L*row minus (L/p_c)*row[c]
+    times pivot row c, L the lcm of the pivots p_c met.  Pivot rows hold no other
+    pivot column, so all of them apply at once to the original entries."""
+    re, im = row[0], row[1] or {}
+    hits = [c for c in (re.keys() | im.keys() if im else re) if c in piv]
+    if not hits:
+        return re, im
+    den = lcm(*(piv[c][0][c] for c in hits))
+    out = _moved(re, 0, den), _moved(im, 0, den)
+    for c in hits:
+        k = den // piv[c][0][c]
+        _submul(*out, re.get(c, 0) * k, im.get(c, 0) * k, piv[c])
+    return out
+
+
+def _eliminate(rows) -> dict:
+    """Fraction-free incremental Gauss-Jordan elimination over Z[i].
+
+    Each row is reduced against the pivot rows so far; its leading column
+    becomes a new pivot, made a positive integer (times the conjugate of a
+    complex pivot) with the row's integer content divided out, and that
+    column is cleared from the earlier pivot rows.  Returns {pivot column:
+    row}: divided by their pivots and sorted by column, the rows are the
+    reduced row echelon form of the rows' span, which is unique.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+    piv: dict = {}
+    for row in rows:
+        re, im = _reduce(row, piv)
+        if not re and not im:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inv()
-        prow = rows[r]
-        if inv != _Q_ONE:
-            for j in range(ncols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
-        support = [j for j in range(ncols) if prow[j]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                row = rows[i]
-                for j in support:
-                    row[j] = row[j] - factor * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        c = min(re.keys() | im.keys()) if im else min(re)
+        a, b = re.get(c, 0), im.get(c, 0)
+        if b:
+            re, im = _combine(a, (re, im), 0, b, (re, im))
+        elif a < 0:
+            re, im = _moved(re, 0, -1), _moved(im, 0, -1)
+        new = _primitive(re, im)
+        p = new[0][c]
+        for d, q in piv.items():
+            a, b = q[0].get(c, 0), q[1].get(c, 0)
+            if a or b:
+                piv[d] = _primitive(*_combine(p, q, a, b, new))
+        piv[c] = new
+    return piv
 
 
-def _nullspace(q_rows, dom):
-    rows, pivots = _rref([list(r) for r in q_rows])
-    free = [j for j in range(dom) if j not in pivots]
+def _nullspace(piv, ncols):
+    """The free-column basis of the null space of _eliminate's rows, as rows
+    (re, im) over one denominator: for each non-pivot column f in order, e_f
+    minus each pivot row's entry at f (over its pivot) at that row's pivot."""
+    den = lcm(*(re[c] for c, (re, _) in piv.items()))
+    free = [j for j in range(ncols) if j not in piv]
+    index = {f: i for i, f in enumerate(free)}
+    re_rows = [{f: den} for f in free]
+    im_rows = [{} for _ in free]
+    for c, (re, im) in piv.items():
+        k = den // re[c]
+        for j, x in re.items():
+            if j != c:
+                re_rows[index[j]][c] = -x * k
+        for j, x in im.items():
+            im_rows[index[j]][c] = -x * k
+    return re_rows, im_rows, den
+
+
+def _int_row(vec):
+    "A vector of Q(i) scalars as one integer row (re, im), scaled by the lcm of its denominators."
+    triples = {j: _q_to_int_triple(x) for j, x in enumerate(vec) if x}
+    d = lcm(*(e for _, _, e in triples.values()))
+    re = {j: a * (d // e) for j, (a, _, e) in triples.items() if a}
+    return re, {j: b * (d // e) for j, (_, b, e) in triples.items() if b}
+
+
+def _subspace(ambient, piv) -> "Subspace":
+    "The Subspace whose echelon basis is _eliminate's rows over their pivots."
     basis = []
-    for f in free:
-        vec = [Q(0)] * dom
-        vec[f] = Q(1)
-        for r_idx, p in enumerate(pivots):
-            vec[p] = -rows[r_idx][f]
-        basis.append(tuple(vec))
-    return basis
+    for c in sorted(piv):
+        re, im = piv[c]
+        p = re[c]
+        vec = [_Q_ZERO] * ambient
+        for j, x in re.items():
+            vec[j] = Q._make(Fraction(x, p), _F_ZERO)
+        for j, y in im.items():
+            vec[j] = Q._make(Fraction(re.get(j, 0), p), Fraction(y, p))
+        basis.append(vec)
+    return Subspace(ambient, basis)
 
 
 def solve_right(A: LinMap, B: LinMap) -> LinMap | None:
     "Least-structure X with A @ X = B (free coordinates zero), or None."
     if A.cod != B.cod:
         raise DimensionMismatch("solve: cod mismatch")
-    m, k, n = A.cod, A.dom, B.dom
-    if m == 0:
-        return LinMap.zero(k, n)
-    arows, brows = A.q_rows(), B.q_rows()
-    aug = [list(arows[i]) + list(brows[i]) for i in range(m)]
-    rows, pivots = _rref(aug)
-    for r_idx, p in enumerate(pivots):
-        if p >= k:
-            return None
-    x_rows = [[Q(0)] * n for _ in range(k)]
-    for r_idx, p in enumerate(pivots):
-        x_rows[p] = list(rows[r_idx][k:])
-    return LinMap.from_entries(k, n, x_rows)
+    k, n = A.dom, B.dom
+    g = gcd(A._den, B._den)
+    sa, sb = B._den // g, A._den // g  # [A | B] times lcm(denominators)
+    rows = [
+        ({**_moved(ar, 0, sa), **_moved(br, k, sb)}, {**_moved(ai, 0, sa), **_moved(bi, k, sb)})
+        for ar, ai, br, bi in zip(A._re, A._im_rows(), B._re, B._im_rows())
+    ]
+    piv = _eliminate(rows)
+    if any(c >= k for c in piv):
+        return None
+    den = lcm(*(re[c] for c, (re, _) in piv.items()))
+    re_rows, im_rows = [{} for _ in range(k)], [{} for _ in range(k)]
+    for c, (re, im) in piv.items():
+        s = den // re[c]
+        re_rows[c] = {j - k: x * s for j, x in re.items() if j >= k}
+        im_rows[c] = {j - k: x * s for j, x in im.items() if j >= k}
+    return LinMap(k, n, re_rows, im_rows, den)
 
 
 def _transpose_rows(rows, n):
@@ -551,17 +637,8 @@ def quotient(ambient: int, sub: "Subspace") -> tuple[LinMap, int]:
     """
     if sub.ambient != ambient:
         raise DimensionMismatch("quotient: ambient mismatch")
-    rows = [list(r) for r in sub.basis]
-    _, pivots = _rref(rows) if rows else ([], [])
-    free = [j for j in range(ambient) if j not in pivots]
-    qdim = len(free)
-    proj = [[Q(0)] * ambient for _ in range(qdim)]
-    for out_idx, j in enumerate(free):
-        proj[out_idx][j] = Q(1)
-    for r_idx, p in enumerate(pivots):
-        for out_idx, j in enumerate(free):
-            proj[out_idx][p] = -sub.basis[r_idx][j]
-    return LinMap.from_entries(qdim, ambient, proj), qdim
+    re, im, den = _nullspace(_eliminate(map(_int_row, sub.basis)), ambient)
+    return LinMap(len(re), ambient, re, im, den), len(re)
 
 
 class Subspace:
@@ -579,15 +656,11 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient:
                 raise DimensionMismatch("vector length != ambient")
-        if not vecs:
-            return Subspace(ambient, [])
-        rows, _ = _rref([[x if isinstance(x, Q) else Q(x) for x in v] for v in vecs])
-        rows = [r for r in rows if any(r)]
-        return Subspace(ambient, rows)
+        return _subspace(ambient, _eliminate(map(_int_row, vecs)))
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        return Subspace.spanned_by(ambient, LinMap.identity(ambient).q_rows())
+        return LinMap.identity(ambient).image()
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -617,19 +690,15 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient mismatch")
-        p, q = self.dim, other.dim
-        if p == 0 or q == 0:
-            return Subspace.zero(self.ambient)
-        cols = [[self.basis[i][r] for i in range(p)] + [-other.basis[i][r] for i in range(q)] for r in range(self.ambient)]
-        null = _nullspace(cols, p + q)
-        vecs = []
-        for w in null:
-            vec = [Q(0)] * self.ambient
-            for i in range(p):
-                if w[i]:
-                    vec = [a + w[i] * b for a, b in zip(vec, self.basis[i])]
-            vecs.append(vec)
-        return Subspace.spanned_by(self.ambient, vecs)
+        # Zassenhaus: the rows [u | u] and [w | 0] span pairs whose left part
+        # vanishes exactly on 0 x (U n W), and those rows lead in the right half.
+        n = self.ambient
+        rows = []
+        for re, im in map(_int_row, self.basis):
+            rows.append(({**re, **_moved(re, n)}, {**im, **_moved(im, n)}))
+        rows += map(_int_row, other.basis)
+        piv = _eliminate(rows)
+        return _subspace(n, {c - n: (_moved(re, -n), _moved(im, -n)) for c, (re, im) in piv.items() if c >= n})
 
     def inclusion(self) -> LinMap:
         "The inclusion map (dim -> ambient); columns are the echelon basis."

@@ -28,8 +28,9 @@ def basis(n, i):
     return [Q(1 if t == i else 0) for t in range(n)]
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+def mat_mul(a, b, cols):
+    "a @ b for a b with `cols` columns; the count is explicit because b may have no rows."
+    rows, inner = len(a), len(b)
     return [
         [sum((a[i][k] * b[k][j] for k in range(inner)), Q(0)) for j in range(cols)]
         for i in range(rows)
@@ -46,6 +47,45 @@ def kron(a, b):
                 for t in range(cb):
                     out[i * rb + k][j * cb + t] = a[i][j] * b[k][t]
     return out
+
+
+def rref(rows):
+    """In-place RREF of a list of Q-entry rows; returns (rows, pivot column list).
+
+    The engine's former dense elimination over Q(i), kept as the reference
+    for its fraction-free sparse elimination.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inv()
+        prow = rows[r]
+        if inv != Q(1):
+            for j in range(ncols):
+                if prow[j]:
+                    prow[j] = prow[j] * inv
+        support = [j for j in range(ncols) if prow[j]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                row = rows[i]
+                for j in support:
+                    row[j] = row[j] - factor * prow[j]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
 
 
 def group_tables(g):

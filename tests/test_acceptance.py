@@ -318,8 +318,8 @@ def test_criterion_7_negative_witness_quality():
     cop = [list(r) for r in bad.coproduct.q_rows()]
     sig = [list(r) for r in bad.braiding.q_rows()]
     eye = [list(r) for r in identity(2).q_rows()]
-    lhs = mat_mul(cop, mult)
-    rhs = mat_mul(mat_mul(kron(mult, mult), kron(kron(eye, sig), eye)), kron(cop, cop))
+    lhs = mat_mul(cop, mult, 4)
+    rhs = mat_mul(mat_mul(kron(mult, mult), kron(kron(eye, sig), eye), 16), kron(cop, cop), 4)
     from braidcalc.scalars import Q
 
     vec = [Q.parse(x) for x in w["input"]]
@@ -340,8 +340,8 @@ def test_criterion_7_negative_witness_quality():
     e2 = rep2["ALG_ASSOC"]
     ok = ok and e2.status == "fail"
     m2 = [list(r) for r in bad_alg.mult.q_rows()]
-    lhs2 = mat_mul(m2, kron(m2, eye))
-    rhs2 = mat_mul(m2, kron(eye, m2))
+    lhs2 = mat_mul(m2, kron(m2, eye), 8)
+    rhs2 = mat_mul(m2, kron(eye, m2), 8)
     vec2 = [Q.parse(x) for x in e2.witness["input"]]
     res2 = [a - b for a, b in zip(mat_vec(lhs2, vec2), mat_vec(rhs2, vec2))]
     ok = ok and any(res2)

@@ -115,8 +115,20 @@ def test_zero_dim_calculus_roundtrip(gr):
         (lambda d: d.update(calculi=[1]), "calculi[0]"),
         (lambda d: d.update(ideals=[1]), "ideals[0]"),
         (lambda d: d["group"].update(basis_labels=5), "group.basis_labels"),
+        (lambda d: d["ideals"][0].update(name=[1]), "ideals[0].name"),
+        (lambda d: d["calculi"][0].update(name=5), "calculi[0].name"),
+        (lambda d: d["group"].update(dim=True), "group.dim"),
+        (lambda d: d["calculi"][0].update(gdim=True), "calculi[0].gdim"),
     ],
-    ids=["calculus-not-object", "ideal-not-object", "labels-not-list"],
+    ids=[
+        "calculus-not-object",
+        "ideal-not-object",
+        "labels-not-list",
+        "ideal-name-not-string",
+        "calculus-name-not-string",
+        "dim-boolean",
+        "gdim-boolean",
+    ],
 )
 def test_malformed_section_is_parse_error(edit, path):
     data = json.loads((BUNDLE_DIR / "fix_k2.json").read_text())

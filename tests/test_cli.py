@@ -163,6 +163,37 @@ def test_paranoid_mode(workdir, capsys):
     assert captured.err.startswith("checked ")
 
 
+class _ClosedPipe:
+    "A stdout whose reader has gone away; its descriptor is a scratch file."
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complete-system", "fix_a4.json"],
+        ["derive", "fix_k2.json", "--what", "tau"],
+        ["check", "fix_1.json", "-o", "-"],
+    ],
+)
+def test_closed_stdout_exits_141(workdir, monkeypatch, argv):
+    with open(workdir / "stdout", "w") as scratch:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(scratch.fileno()))
+        assert main([argv[0], str(workdir / argv[1])] + argv[2:]) == 141
+        assert os.path.samestat(os.fstat(scratch.fileno()), os.stat(os.devnull))
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -16,12 +16,13 @@ from braidcalc.linalg import (
     identity,
     permutation_map,
     quotient,
+    solve_right,
     tensor,
     transpose,
 )
 from braidcalc.scalars import Q
 
-from oracles import basis, kron, mat_mul, mat_vec
+from oracles import basis, kron, mat_mul, mat_vec, rref
 
 PSI2 = permutation_map([1, 0], [2, 2])
 
@@ -255,7 +256,7 @@ def test_subspace_contains():
 def test_compose_matches_oracle():
     rng = random.Random(13)
     a, b = rand_map(rng, 3, 4), rand_map(rng, 4, 2)
-    expected = mat_mul([list(r) for r in a.q_rows()], [list(r) for r in b.q_rows()])
+    expected = mat_mul([list(r) for r in a.q_rows()], [list(r) for r in b.q_rows()], b.dom)
     assert (a @ b).q_rows() == tuple(tuple(r) for r in expected)
 
 
@@ -301,10 +302,6 @@ def as_rows(ref):
     return tuple(tuple(r) for r in ref)
 
 
-def dense_mul(a, b, k, n):
-    return [[sum((row[t] * b[t][j] for t in range(k)), Q(0)) for j in range(n)] for row in a]
-
-
 def dense_kron(a, b, n1, n2):
     return [[x[j1] * y[j2] for j1 in range(n1) for j2 in range(n2)] for x in a for y in b]
 
@@ -314,21 +311,20 @@ def dense_kron(a, b, n1, n2):
 def test_sparse_entry_access_matches_dense(pair):
     f, ref = pair
     assert f.q_rows() == as_rows(ref)
-    fresh = LinMap.from_entries(f.cod, f.dom, ref)  # q_rows not yet cached: read the sparse rows
-    assert all(fresh.entry(i, j) == ref[i][j] for i in range(f.cod) for j in range(f.dom))
-    assert all(fresh.col(j) == tuple(ref[i][j] for i in range(f.cod)) for j in range(f.dom))
+    assert all(f.entry(i, j) == ref[i][j] for i in range(f.cod) for j in range(f.dom))
+    assert all(f.col(j) == tuple(ref[i][j] for i in range(f.cod)) for j in range(f.dom))
     vec = [Q(j - 1, j % 2) for j in range(f.dom)]
-    assert fresh.apply(vec) == tuple(dense_mul(ref, [[x] for x in vec], f.dom, 1)[i][0] for i in range(f.cod))
-    assert fresh.nnz() == sum(1 for row in ref for x in row if x)
-    assert fresh.is_zero() == (fresh.nnz() == 0)
-    assert fresh.is_real() == all(not x.im for row in ref for x in row)
+    assert f.apply(vec) == tuple(mat_mul(ref, [[x] for x in vec], 1)[i][0] for i in range(f.cod))
+    assert f.nnz() == sum(1 for row in ref for x in row if x)
+    assert f.is_zero() == (f.nnz() == 0)
+    assert f.is_real() == all(not x.im for row in ref for x in row)
 
 
 @given(composable_pairs())
 @_PROPS
 def test_sparse_product_matches_dense(pairs):
     (f, fr), (g, gr) = pairs
-    assert (f @ g).q_rows() == as_rows(dense_mul(fr, gr, f.dom, g.dom))
+    assert (f @ g).q_rows() == as_rows(mat_mul(fr, gr, g.dom))
 
 
 @given(gaussian_maps(), gaussian_maps())
@@ -418,3 +414,155 @@ def test_dict_rows_build_the_same_map():
     assert dense == sparse and hash(dense) == hash(sparse)
     assert dense.entry(1, 2) == Q(Fraction(-3, 2))
     assert LinMap(1, 2, [{}], [{0: 0}]).is_real()
+
+
+def test_mat_mul_oracle_with_empty_inner_dimension():
+    assert mat_mul([[]], [], 1) == [[Q(0)]]
+
+
+# -- elimination against the dense reference --------------------------------
+#
+# The reference is the former dense Gauss-Jordan over Q(i) (oracles.rref) and
+# the operations as they were built on it; reduced row echelon forms are
+# unique, so every result must agree exactly.
+
+
+@st.composite
+def low_rank_maps(draw, cod=None, dom=None):
+    "Products through a middle dimension of at most 2, mostly rank-deficient."
+    m = draw(st.integers(0, 4)) if cod is None else cod
+    n = draw(st.integers(0, 4)) if dom is None else dom
+    t = draw(st.integers(0, 2))
+    (f, fr), (g, gr) = draw(gaussian_maps(m, t)), draw(gaussian_maps(t, n))
+    return f @ g, mat_mul(fr, gr, n)
+
+
+def any_maps(cod=None, dom=None):
+    return gaussian_maps(cod, dom) | low_rank_maps(cod, dom)
+
+
+@st.composite
+def square_maps(draw):
+    n = draw(st.integers(0, 4))
+    return draw(any_maps(n, n))
+
+
+@st.composite
+def solve_cases(draw):
+    "(A, B) with A X = B solvable about half the time."
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw(any_maps(m, k))
+    if draw(st.booleans()):
+        return a, draw(gaussian_maps(m, n))
+    x, xr = draw(gaussian_maps(k, n))
+    return a, (a[0] @ x, mat_mul(a[1], xr, n))
+
+
+@st.composite
+def subspace_pairs(draw):
+    "Two lists of vectors in one ambient space, as the rows of two maps."
+    n = draw(st.integers(0, 4))
+    return n, draw(any_maps(dom=n))[1], draw(any_maps(dom=n))[1]
+
+
+def ref_span(vectors):
+    rows, _ = rref([list(v) for v in vectors])
+    return tuple(tuple(r) for r in rows if any(r))
+
+
+def ref_nullspace(rows, n):
+    rows, pivots = rref([list(r) for r in rows])
+    out = []
+    for f in (j for j in range(n) if j not in pivots):
+        vec = [Q(0)] * n
+        vec[f] = Q(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -rows[r][f]
+        out.append(vec)
+    return out
+
+
+def ref_solve(a, b, k, n):
+    rows, pivots = rref([list(x) + list(y) for x, y in zip(a, b)])
+    if any(p >= k for p in pivots):
+        return None
+    x = [[Q(0)] * n for _ in range(k)]
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][k:]
+    return as_rows(x)
+
+
+def ref_intersect(u, w, n):
+    if not u or not w:
+        return ()
+    cols = [[v[r] for v in u] + [-v[r] for v in w] for r in range(n)]
+    vecs = []
+    for c in ref_nullspace(cols, len(u) + len(w)):
+        vec = [Q(0)] * n
+        for i, v in enumerate(u):
+            vec = [x + c[i] * y for x, y in zip(vec, v)]
+        vecs.append(vec)
+    return ref_span(vecs)
+
+
+def ref_quotient(basis_rows, n):
+    _, pivots = rref([list(r) for r in basis_rows])
+    free = [j for j in range(n) if j not in pivots]
+    proj = [[Q(0)] * n for _ in free]
+    for out, j in enumerate(free):
+        proj[out][j] = Q(1)
+        for r, p in enumerate(pivots):
+            proj[out][p] = -basis_rows[r][j]
+    return as_rows(proj)
+
+
+@given(any_maps())
+@_PROPS
+def test_rank_kernel_and_image_match_dense_reference(pair):
+    f, ref = pair
+    _, pivots = rref([list(r) for r in ref])
+    assert f.rank() == len(pivots)
+    assert f.is_surjective() == (len(pivots) == f.cod)
+    ker = f.kernel()
+    assert ker.basis == ref_span(ref_nullspace(ref, f.dom))
+    assert f.rank() + ker.dim == f.dom
+    assert (f @ ker.inclusion()).is_zero()
+    assert f.image().basis == ref_span([[ref[i][j] for i in range(f.cod)] for j in range(f.dom)])
+
+
+@given(square_maps())
+@_PROPS
+def test_inverse_matches_dense_reference(pair):
+    f, ref = pair
+    n = f.dom
+    rows, pivots = rref([list(r) + [Q(int(i == j)) for j in range(n)] for i, r in enumerate(ref)])
+    if pivots != list(range(n)):
+        assert not f.is_invertible()
+        with pytest.raises(NotInvertible):
+            f.inverse()
+        return
+    assert f.is_invertible()
+    assert f.inverse().q_rows() == as_rows([r[n:] for r in rows])
+
+
+@given(solve_cases())
+@_PROPS
+def test_solve_right_matches_dense_reference(case):
+    (a, ar), (b, br) = case
+    x = solve_right(a, b)
+    expected = ref_solve(ar, br, a.dom, b.dom)
+    assert (x if x is None else x.q_rows()) == expected
+    if x is not None:
+        assert a @ x == b
+
+
+@given(subspace_pairs())
+@_PROPS
+def test_subspace_operations_match_dense_reference(case):
+    n, us, ws = case
+    u, w = Subspace.spanned_by(n, us), Subspace.spanned_by(n, ws)
+    assert u.basis == ref_span(us) and w.basis == ref_span(ws)
+    assert u.sum_with(w).basis == ref_span(us + ws)
+    assert u.intersect(w).basis == ref_intersect(u.basis, w.basis, n)
+    proj, qdim = quotient(n, u)
+    assert (qdim, proj.q_rows()) == (n - u.dim, ref_quotient(u.basis, n))
