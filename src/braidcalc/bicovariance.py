@@ -87,24 +87,32 @@ def check_bicovariance(
     tau, kap = g.tau, g.antipode
     K = shift_range
 
-    rep.check_eq("EQ_41", tensor(act_l, I) @ act_r, tensor(I, act_r) @ act_l)
+    act_l_I, I_act_r = tensor(act_l, I), tensor(I, act_r)
+    rep.check_eq("EQ_41", act_l_I @ act_r, I_act_r @ act_l)
     rep.check_eq("EQ_43A", act_r @ lcd.pi_hat, tensor(lcd.pi_hat, I) @ ad)
     rep.check_eq(
         "EQ_43B",
         act_l @ rcd.zeta_hat,
         compose(tensor(I, rcd.zeta_hat), tau, tensor(kap, kap), ad, g.kappa_inv),
     )
-    for n_s in range(-K, K + 1):
-        for m_s in range(-K, K + 1):
+    # The identity-padded legs of the shift loop, each built once.
+    shifts = range(-K, K + 1)
+    I_act_l, act_r_I = tensor(I, act_l), tensor(act_r, I)
+    I_right = {k: tensor(I, flips["right"][k].map) for k in shifts}
+    left_I = {k: tensor(flips["left"][k].map, I) for k in shifts}
+    sigma_Ig = {k: tensor(g.sigma_n(k), Ig) for k in shifts}
+    Ig_sigma = {k: tensor(Ig, g.sigma_n(k)) for k in shifts}
+    for n_s in shifts:
+        for m_s in shifts:
             rep.check_eq(
                 f"EQ_44A_n{n_s}_m{m_s}",
-                tensor(act_l, I) @ flips["right"][n_s + m_s].map,
-                compose(tensor(I, flips["right"][m_s].map), tensor(g.sigma_n(n_s), Ig), tensor(I, act_l)),
+                act_l_I @ flips["right"][n_s + m_s].map,
+                compose(I_right[m_s], sigma_Ig[n_s], I_act_l),
             )
             rep.check_eq(
                 f"EQ_44B_n{n_s}_m{m_s}",
-                tensor(I, act_r) @ flips["left"][n_s + m_s].map,
-                compose(tensor(flips["left"][m_s].map, I), tensor(Ig, g.sigma_n(n_s)), tensor(act_r, I)),
+                I_act_r @ flips["left"][n_s + m_s].map,
+                compose(left_I[m_s], Ig_sigma[n_s], act_r_I),
             )
     inv_l = tensor(lcd.incl, I).image()
     inv_r_amb = tensor(I, lcd.incl).image()

@@ -94,9 +94,13 @@ def _section(data: dict, key: str) -> list:
     return value
 
 
-def _name(value, path: str) -> str:
+def _name(value, path: str, seen: set) -> str:
+    "A section name; names are unique per kind, since report entries tell sections apart by ctx kind:name."
     if not isinstance(value, str):
         raise ParseError(f"{path}.name", f"expected a string, got {type(value).__name__}")
+    if value in seen:
+        raise ParseError(f"{path}.name", f"duplicate name {value!r}")
+    seen.add(value)
     return value
 
 
@@ -136,10 +140,10 @@ def parse_bundle(text: str) -> Bundle:
         if not isinstance(sobj, dict) or sobj.get("antilinear") is not True:
             raise ParseError("group.star", "star must be an object with antilinear: true")
         star = AntilinMap(_parse_matrix(_require(sobj, "matrix", "group.star"), dim, dim, "group.star.matrix"))
-    calculi = []
+    calculi, names = [], set()
     for k, cobj in enumerate(_section(data, "calculi")):
         path = f"calculi[{k}]"
-        name = _name(cobj.get("name", f"calculus{k}"), path)
+        name = _name(cobj.get("name", f"calculus{k}"), path, names)
         gdim = _require(cobj, "gdim", path)
         if type(gdim) is not int or gdim < 0:
             raise ParseError(f"{path}.gdim", "gdim must be a nonnegative integer")
@@ -153,10 +157,10 @@ def parse_bundle(text: str) -> Bundle:
                 name=name,
             )
         )
-    ideals = []
+    ideals, names = [], set()
     for k, iobj in enumerate(_section(data, "ideals")):
         path = f"ideals[{k}]"
-        name = _name(_require(iobj, "name", path), path)
+        name = _name(_require(iobj, "name", path), path, names)
         gens = _require(iobj, "generators", path)
         if not isinstance(gens, list):
             raise ParseError(f"{path}.generators", "expected a list of coordinate vectors")

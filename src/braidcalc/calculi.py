@@ -323,49 +323,47 @@ def check_multi_covariance(
                     compose(right[a].map, right[b].inverse, right[cc].map),
                     right[a - b + cc].map,
                 )
-    for p in range(-K, K + 1):
-        for q in range(-K, K + 1):
-            for r in range(-K, K + 1):
-                la, lb = left[p].map, left[q].map
-                gam = g.sigma_n(r)
+    # The identity-padded legs of the shift loops, each built once.
+    shifts = range(-K, K + 1)
+    I_left = {k: tensor(I, left[k].map) for k in shifts}
+    left_I = {k: tensor(left[k].map, I) for k in shifts}
+    I_right = {k: tensor(I, right[k].map) for k in shifts}
+    right_I = {k: tensor(right[k].map, I) for k in shifts}
+    Ig_sigma = {k: tensor(Ig, g.sigma_n(k)) for k in shifts}
+    sigma_Ig = {k: tensor(g.sigma_n(k), Ig) for k in shifts}
+    for p in shifts:
+        for q in shifts:
+            for r in shifts:
                 rep.check_eq(
                     f"EQ_235_a{p}_b{q}_c{r}",
-                    compose(tensor(I, la), tensor(lb, I), tensor(Ig, gam)),
-                    compose(tensor(gam, Ig), tensor(I, lb), tensor(la, I)),
+                    compose(I_left[p], left_I[q], Ig_sigma[r]),
+                    compose(sigma_Ig[r], I_left[q], left_I[p]),
                 )
-                ra, rb = right[p].map, right[q].map
-                alp = g.sigma_n(p)
                 rep.check_eq(
                     f"EQ_237_a{p}_b{q}_c{r}",
-                    compose(tensor(Ig, alp), tensor(rb, I), tensor(I, right[r].map)),
-                    compose(tensor(right[r].map, I), tensor(I, rb), tensor(alp, Ig)),
+                    compose(Ig_sigma[p], right_I[q], I_right[r]),
+                    compose(right_I[r], I_right[q], sigma_Ig[p]),
                 )
                 rep.check_eq(
                     f"EQ_238_a{p}_b{q}_c{r}",
-                    compose(tensor(I, ra), tensor(g.sigma_n(q), Ig), tensor(I, left[r].map)),
-                    compose(tensor(left[r].map, I), tensor(Ig, g.sigma_n(q)), tensor(ra, I)),
+                    compose(I_right[p], sigma_Ig[q], I_left[r]),
+                    compose(left_I[r], Ig_sigma[q], right_I[p]),
                 )
-    for m_s in range(-K, K + 1):
-        for n_s in range(-K, K + 1):
+    Ig_phi, phi_Ig = tensor(Ig, phi), tensor(phi, Ig)
+    for m_s in shifts:
+        for n_s in shifts:
             rep.check_eq(
                 f"EQ_242_n{n_s}_m{m_s}",
-                compose(tensor(I, left[n_s].map), tensor(left[m_s].map, I), tensor(Ig, phi)),
-                tensor(phi, Ig) @ left[m_s + n_s].map,
+                compose(I_left[n_s], left_I[m_s], Ig_phi),
+                phi_Ig @ left[m_s + n_s].map,
             )
             rep.check_eq(
                 f"EQ_246_n{n_s}_m{m_s}",
-                compose(tensor(right[n_s].map, I), tensor(I, right[m_s].map), tensor(phi, Ig)),
-                tensor(Ig, phi) @ right[n_s + m_s].map,
+                compose(right_I[n_s], I_right[m_s], phi_Ig),
+                Ig_phi @ right[n_s + m_s].map,
             )
-    for n_s in range(-K, K + 1):
-        rep.check_eq(
-            f"EQ_247_n{n_s}",
-            left[n_s].map @ tensor(Ig, kap),
-            tensor(kap, Ig) @ left[-n_s].map,
-        )
-        rep.check_eq(
-            f"EQ_248_n{n_s}",
-            right[n_s].map @ tensor(kap, Ig),
-            tensor(Ig, kap) @ right[-n_s].map,
-        )
+    Ig_kap, kap_Ig = tensor(Ig, kap), tensor(kap, Ig)
+    for n_s in shifts:
+        rep.check_eq(f"EQ_247_n{n_s}", left[n_s].map @ Ig_kap, kap_Ig @ left[-n_s].map)
+        rep.check_eq(f"EQ_248_n{n_s}", right[n_s].map @ kap_Ig, Ig_kap @ right[-n_s].map)
     return rep

@@ -115,13 +115,14 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
     il, ir = iota_l(c), iota_r(c)
     m0 = _simplified_mult(g)
 
-    rhs = compose(tensor(m, il), tensor(I, s, I), tensor(phi, phi))
+    I_s_I, phi_phi = tensor(I, s, I), tensor(phi, phi)
+    rhs = compose(tensor(m, il), I_s_I, phi_phi)
     try:
         act = factor_through(il, rhs)
     except NoFactor as exc:
         raise NotLeftCovariant(str(exc)) from exc
     rep.check_eq("EQ_32", act @ il, rhs, note="defining equation of the left action")
-    mirror = compose(tensor(m, ir), tensor(I, s, I), tensor(phi, phi))
+    mirror = compose(tensor(m, ir), I_s_I, phi_phi)
     if not rep.check_eq("EQ_35", act @ ir, mirror):
         raise NotLeftCovariant("iota_r characterization of the left action fails")
     rep.check_eq("EQ_33", act @ d, tensor(I, d) @ phi)
@@ -153,15 +154,17 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
     if flips is not None:
         restrictions = []
         ok_rest = True
+        I_incl, incl_I = tensor(I, incl), tensor(incl, I)
+        pi_hat_I, I_pi_hat_tau = tensor(pi_hat, I), tensor(I, pi_hat) @ g.tau
         for k in sorted(flips["left"]):
             lsk = flips["left"][k].map
-            x = solve_right(tensor(I, incl), lsk @ tensor(incl, I))
+            x = solve_right(I_incl, lsk @ incl_I)
             if x is None:
                 rep.fail(f"SIGMA_STAR_RESTRICT_n{k}", {"reason": "flip does not preserve the invariant subspace"})
                 ok_rest = False
                 continue
             restrictions.append(x)
-            rep.check_eq(f"EQ_315_n{k}", lsk @ tensor(pi_hat, I), tensor(I, pi_hat) @ g.tau)
+            rep.check_eq(f"EQ_315_n{k}", lsk @ pi_hat_I, I_pi_hat_tau)
         if not ok_rest or not restrictions:
             raise NotLeftCovariant("invariant restriction of the flip family missing")
         rep.check_true(
@@ -236,13 +239,14 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     il, ir = iota_l(c), iota_r(c)
     m0 = _simplified_mult(g)
 
-    rhs = compose(tensor(ir, m), tensor(I, s, I), tensor(phi, phi))
+    I_s_I, phi_phi = tensor(I, s, I), tensor(phi, phi)
+    rhs = compose(tensor(ir, m), I_s_I, phi_phi)
     try:
         act = factor_through(ir, rhs)
     except NoFactor as exc:
         raise NotRightCovariant(str(exc)) from exc
     rep.check_eq("EQ_31", act @ ir, rhs, note="defining equation of the right action")
-    mirror = compose(tensor(il, m), tensor(I, s, I), tensor(phi, phi))
+    mirror = compose(tensor(il, m), I_s_I, phi_phi)
     if not rep.check_eq("EQ_A1", act @ il, mirror):
         raise NotRightCovariant("iota_l characterization of the right action fails")
     rep.check_eq("EQ_A2", act @ mgr, compose(tensor(mgr, m), tensor(Ig, s, I), tensor(act, phi)))
@@ -267,15 +271,17 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     if flips is not None:
         restrictions = []
         ok_rest = True
+        incl_I, I_incl = tensor(incl, I), tensor(I, incl)
+        I_zeta_hat, zeta_hat_I_tau = tensor(I, zeta_hat), tensor(zeta_hat, I) @ g.tau
         for k in sorted(flips["right"]):
             rsk = flips["right"][k].map
-            x = solve_right(tensor(incl, I), rsk @ tensor(I, incl))
+            x = solve_right(incl_I, rsk @ I_incl)
             if x is None:
                 rep.fail(f"STAR_SIGMA_RESTRICT_n{k}", {"reason": "flip does not preserve the invariant subspace"})
                 ok_rest = False
                 continue
             restrictions.append(x)
-            rep.check_eq(f"EQ_A12_n{k}", rsk @ tensor(I, zeta_hat), tensor(zeta_hat, I) @ g.tau)
+            rep.check_eq(f"EQ_A12_n{k}", rsk @ I_zeta_hat, zeta_hat_I_tau)
         if not ok_rest or not restrictions:
             raise NotRightCovariant("invariant restriction of the right flip family missing")
         rep.check_true(
@@ -340,17 +346,21 @@ def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Rep
         ks = sorted(flips["left"])
         span = max(ks)
         half = span // 2
-        for p in range(-half, half + 1):
-            for r in range(-half, half + 1):
+        shifts = range(-half, half + 1)
+        sigma_Ig = {k: tensor(g.sigma_n(k), Ig) for k in shifts}
+        I_left = {k: tensor(I, flips["left"][k].map) for k in shifts}
+        act_I, I_act = tensor(act, I), tensor(I, act)
+        for p in shifts:
+            for r in shifts:
                 rep.check_eq(
                     f"EQ_310_n{p}_m{r}",
-                    compose(tensor(g.sigma_n(p), Ig), tensor(I, flips["left"][r].map), tensor(act, I)),
-                    tensor(I, act) @ flips["left"][p + r].map,
+                    compose(sigma_Ig[p], I_left[r], act_I),
+                    I_act @ flips["left"][p + r].map,
                 )
         rep.check_eq(
             "EQ_311",
             flips["left"][0].map,
-            compose(tensor(eps, I, Ig), tensor(g.sigma_inv, Ig), tensor(I, act), ls),
+            compose(tensor(eps, I, Ig), tensor(g.sigma_inv, Ig), I_act, ls),
         )
     return FlipOver("left", 1, built, built.inverse())
 
@@ -372,12 +382,16 @@ def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, repor
     if flips is not None:
         ks = sorted(flips["right"])
         half = max(ks) // 2
-        for p in range(-half, half + 1):
-            for r in range(-half, half + 1):
+        shifts = range(-half, half + 1)
+        Ig_sigma = {k: tensor(Ig, g.sigma_n(k)) for k in shifts}
+        right_I = {k: tensor(flips["right"][k].map, I) for k in shifts}
+        act_I, I_act = tensor(act, I), tensor(I, act)
+        for p in shifts:
+            for r in shifts:
                 rep.check_eq(
                     f"EQ_A8_n{p}_m{r}",
-                    tensor(act, I) @ flips["right"][p + r].map,
-                    compose(tensor(Ig, g.sigma_n(p)), tensor(flips["right"][r].map, I), tensor(I, act)),
+                    act_I @ flips["right"][p + r].map,
+                    compose(Ig_sigma[p], right_I[r], I_act),
                 )
     return FlipOver("right", 1, built, built.inverse())
 

@@ -202,20 +202,24 @@ def check_adjoint(g: MultiBraidedGroup, report: Report | None = None, shift_rang
         compose(tensor(I, m @ tensor(I, kap), I), tensor(ad, phi), phi),
         compose(tensor(I, kap, I), tensor(tau, I), tensor(I, phi), phi),
     )
+    I_ad, ad_I = tensor(I, ad), tensor(ad, I)
     rep.check_eq("EQ_B3", compose(tensor(I, eps), ad), I)
-    rep.check_eq("EQ_B4", compose(tensor(I, phi), ad), compose(tensor(ad, I), ad))
-    for m_shift in range(-shift_range, shift_range + 1):
-        for n_shift in range(-shift_range, shift_range + 1):
-            sm, sn = g.sigma_n(m_shift), g.sigma_n(n_shift)
+    rep.check_eq("EQ_B4", compose(tensor(I, phi), ad), compose(ad_I, ad))
+    shifts = range(-shift_range, shift_range + 1)
+    sigma = {k: g.sigma_n(k) for k in shifts}
+    sigma_I = {k: tensor(sigma[k], I) for k in shifts}
+    I_sigma = {k: tensor(I, sigma[k]) for k in shifts}
+    for m_shift in shifts:
+        for n_shift in shifts:
             rep.check_eq(
                 f"EQ_B7_n{n_shift}_m{m_shift}",
-                compose(tensor(I, ad), sm),
-                compose(tensor(sm, I), tensor(I, sn), tensor(ad, I)),
+                compose(I_ad, sigma[m_shift]),
+                compose(sigma_I[m_shift], I_sigma[n_shift], ad_I),
             )
             rep.check_eq(
                 f"EQ_B8_n{n_shift}_m{m_shift}",
-                compose(tensor(ad, I), sn),
-                compose(tensor(I, sm), tensor(sn, I), tensor(I, ad)),
+                compose(ad_I, sigma[n_shift]),
+                compose(I_sigma[m_shift], sigma_I[n_shift], I_ad),
             )
     return rep
 

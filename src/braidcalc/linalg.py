@@ -8,6 +8,12 @@ positive denominator, so composition is a row-by-row sparse product
 (Gustavson) in integer arithmetic and a Kronecker product writes out
 products of nonzeros only; entries are exposed as Q values.
 
+Rows built inside this module are zero-free by construction: a Kronecker
+row is a product of nonzeros, a one-term product row reuses or scales a
+zero-free row, and sums, accumulated product rows and elimination rows drop
+what cancels as they are built.  Only rows handed to LinMap from outside
+(dense rows, or dict rows from a caller) are scanned for zeros.
+
 Elimination (rank, kernel, image, solve, inverse, quotient, span and
 intersection) is fraction-free Gauss-Jordan over Z[i] on the same sparse
 integer rows.  The reduced row echelon form of a row space is unique, so
@@ -63,7 +69,7 @@ def _q_to_int_triple(value) -> tuple[int, int, int]:
 
 
 def _mul(A, B):
-    "Sparse integer product A @ B, row by row (Gustavson)."
+    "Sparse integer product A @ B, row by row (Gustavson); zero-free rows in, zero-free rows out."
     out = []
     for Ai in A:
         if len(Ai) == 1:  # a multiple of one row of B; rows are never mutated, so 1 * row shares it
@@ -75,7 +81,7 @@ def _mul(A, B):
         for t, a in Ai.items():
             for j, b in B[t].items():
                 row[j] = get(j, 0) + a * b
-        out.append(row)
+        out.append(row if all(row.values()) else {j: x for j, x in row.items() if x})
     return out
 
 
@@ -85,13 +91,12 @@ def _kron(A, B, n2):
 
 
 def _lincomb(A, sa, B, sb):
-    "Rows of sa * A + sb * B; cancelled entries stay as zeros for __init__ to drop."
+    "Rows of sa * A + sb * B for zero-free rows A and B; entries that cancel are dropped."
     out = []
     for Ai, Bi in zip(A, B):
-        row = {j: x * sa for j, x in Ai.items()}
-        get = row.get
-        for j, x in Bi.items():
-            row[j] = get(j, 0) + x * sb
+        row = {j: x * sa for j, x in Ai.items()} if sa else {}
+        if sb:
+            _addmul(row, Bi, sb)
         out.append(row)
     return out
 
@@ -123,14 +128,18 @@ def _rows_key(rows):
 class LinMap:
     __slots__ = ("dom", "cod", "_re", "_im", "_den")
 
-    def __init__(self, cod: int, dom: int, re_rows, im_rows=None, den: int = 1):
+    def __init__(self, cod: int, dom: int, re_rows, im_rows=None, den: int = 1, *, _clean: bool = False):
         """Entries (re + i im)/den, rows given as dense integer sequences or as
-        {col: int} dicts (see _sparse_rows); the map owns its rows afterwards."""
+        {col: int} dicts (see _sparse_rows); the map owns its rows afterwards.
+
+        With _clean the rows are cod zero-free dicts built in this module,
+        and they are adopted without a scan."""
         if cod < 0 or dom < 0:
             raise DimensionMismatch("dimensions must be nonnegative")
-        re_rows = _sparse_rows(re_rows, cod, dom)
-        if im_rows is not None:
-            im_rows = _sparse_rows(im_rows, cod, dom)
+        if not _clean:
+            re_rows = _sparse_rows(re_rows, cod, dom)
+            if im_rows is not None:
+                im_rows = _sparse_rows(im_rows, cod, dom)
         self.dom = dom
         self.cod = cod
         re_rows, im_rows, den = _normalize(re_rows, im_rows, den)
@@ -153,9 +162,9 @@ class LinMap:
             triples.append(trow)
             for _, _, d in trow.values():
                 den = lcm(den, d)
-        re_rows = [{j: a * (den // d) for j, (a, _, d) in trow.items()} for trow in triples]
-        im_rows = [{j: b * (den // d) for j, (_, b, d) in trow.items()} for trow in triples]
-        return LinMap(cod, dom, re_rows, im_rows, den)
+        re_rows = [{j: a * (den // d) for j, (a, _, d) in trow.items() if a} for trow in triples]
+        im_rows = [{j: b * (den // d) for j, (_, b, d) in trow.items() if b} for trow in triples]
+        return LinMap(cod, dom, re_rows, im_rows, den, _clean=True)
 
     @staticmethod
     def from_cols(cod: int, cols) -> "LinMap":
@@ -168,11 +177,11 @@ class LinMap:
 
     @staticmethod
     def identity(n: int) -> "LinMap":
-        return LinMap(n, n, [{i: 1} for i in range(n)])
+        return LinMap(n, n, [{i: 1} for i in range(n)], _clean=True)
 
     @staticmethod
     def zero(cod: int, dom: int) -> "LinMap":
-        return LinMap(cod, dom, [{}] * cod)
+        return LinMap(cod, dom, [{}] * cod, _clean=True)
 
     # -- entry access ------------------------------------------------
 
@@ -248,7 +257,7 @@ class LinMap:
             ci = _mul(ai, br)
         elif bi is not None:
             ci = _mul(ar, bi)
-        return LinMap(self.cod, other.dom, cr, ci, self._den * other._den)
+        return LinMap(self.cod, other.dom, cr, ci, self._den * other._den, _clean=True)
 
     def __add__(self, other):
         if not isinstance(other, LinMap):
@@ -261,14 +270,15 @@ class LinMap:
         im = None
         if self._im is not None or other._im is not None:
             im = _lincomb(self._im_rows(), sa, other._im_rows(), sb)
-        return LinMap(self.cod, self.dom, re, im, d)
+        return LinMap(self.cod, self.dom, re, im, d, _clean=True)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
+        re = [{j: -x for j, x in r.items()} for r in self._re]
         im = None if self._im is None else [{j: -x for j, x in r.items()} for r in self._im]
-        return LinMap(self.cod, self.dom, [{j: -x for j, x in r.items()} for r in self._re], im, self._den)
+        return LinMap(self.cod, self.dom, re, im, self._den, _clean=True)
 
     def _im_rows(self):
         "Imaginary numerator rows, empty rows when the map is real."
@@ -277,11 +287,12 @@ class LinMap:
     def scale(self, value) -> "LinMap":
         a, b, d = _q_to_int_triple(value)
         ar, ai = self._re, self._im_rows()
-        return LinMap(self.cod, self.dom, _lincomb(ar, a, ai, -b), _lincomb(ar, b, ai, a), self._den * d)
+        re, im = _lincomb(ar, a, ai, -b), _lincomb(ar, b, ai, a)
+        return LinMap(self.cod, self.dom, re, im, self._den * d, _clean=True)
 
     def conj(self) -> "LinMap":
         im = None if self._im is None else [{j: -x for j, x in r.items()} for r in self._im]
-        return LinMap(self.cod, self.dom, self._re, im, self._den)
+        return LinMap(self.cod, self.dom, self._re, im, self._den, _clean=True)
 
     def tensor(self, other: "LinMap") -> "LinMap":
         "Kronecker product; (i (x) j) -> i*other.dim + j indexing."
@@ -296,7 +307,7 @@ class LinMap:
             ci = _kron(ai, br, n2)
         elif bi is not None:
             ci = _kron(ar, bi, n2)
-        return LinMap(self.cod * other.cod, self.dom * n2, cr, ci, self._den * other._den)
+        return LinMap(self.cod * other.cod, self.dom * n2, cr, ci, self._den * other._den, _clean=True)
 
     # -- predicates --------------------------------------------------
 
@@ -437,7 +448,7 @@ def permutation_map(perm, dims) -> LinMap:
             src = perm.index(slot)
             row = row * out_dims[slot] + idx[src]
         rows[row] = {col: 1}
-    return LinMap(total, total, rows)
+    return LinMap(total, total, rows, _clean=True)
 
 
 # -- fraction-free elimination over Z[i] --------------------------------
@@ -597,7 +608,7 @@ def solve_right(A: LinMap, B: LinMap) -> LinMap | None:
         s = den // re[c]
         re_rows[c] = {j - k: x * s for j, x in re.items() if j >= k}
         im_rows[c] = {j - k: x * s for j, x in im.items() if j >= k}
-    return LinMap(k, n, re_rows, im_rows, den)
+    return LinMap(k, n, re_rows, im_rows, den, _clean=True)
 
 
 def _transpose_rows(rows, n):
@@ -610,7 +621,7 @@ def _transpose_rows(rows, n):
 
 def transpose(f: LinMap) -> LinMap:
     im = None if f._im is None else _transpose_rows(f._im, f.dom)
-    return LinMap(f.dom, f.cod, _transpose_rows(f._re, f.dom), im, f._den)
+    return LinMap(f.dom, f.cod, _transpose_rows(f._re, f.dom), im, f._den, _clean=True)
 
 
 def factor_through(f: LinMap, g: LinMap) -> LinMap:
@@ -638,7 +649,7 @@ def quotient(ambient: int, sub: "Subspace") -> tuple[LinMap, int]:
     if sub.ambient != ambient:
         raise DimensionMismatch("quotient: ambient mismatch")
     re, im, den = _nullspace(_eliminate(map(_int_row, sub.basis)), ambient)
-    return LinMap(len(re), ambient, re, im, den), len(re)
+    return LinMap(len(re), ambient, re, im, den, _clean=True), len(re)
 
 
 class Subspace:

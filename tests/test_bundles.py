@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -20,6 +21,16 @@ def test_shipped_bundles_parse():
     for name in ("fix_1", "fix_k2", "fix_gr", "fix_k4", "fix_a4"):
         b = parse_bundle((BUNDLE_DIR / f"{name}.json").read_text())
         assert b.group.dim >= 1
+
+
+def test_gen_bundles_reproduces_committed_bundles():
+    "tools/gen_bundles.py emits every committed bundle byte for byte (checked without writing)."
+    spec = importlib.util.spec_from_file_location("gen_bundles", BUNDLE_DIR.parent / "tools" / "gen_bundles.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert sorted(gen.BUNDLES) == sorted(p.stem for p in BUNDLE_DIR.glob("*.json"))
+    for name, builder in gen.BUNDLES.items():
+        assert emit_bundle(builder()) == (BUNDLE_DIR / f"{name}.json").read_text(), name
 
 
 def test_k2_bundle_contents():
@@ -119,6 +130,9 @@ def test_zero_dim_calculus_roundtrip(gr):
         (lambda d: d["calculi"][0].update(name=5), "calculi[0].name"),
         (lambda d: d["group"].update(dim=True), "group.dim"),
         (lambda d: d["calculi"][0].update(gdim=True), "calculi[0].gdim"),
+        (lambda d: d["ideals"][1].update(name="zero"), "ideals[1].name"),
+        (lambda d: d["calculi"][1].update(name="universal"), "calculi[1].name"),
+        (lambda d: (d["calculi"][0].update(name="calculus1"), d["calculi"][1].pop("name")), "calculi[1].name"),
     ],
     ids=[
         "calculus-not-object",
@@ -128,6 +142,9 @@ def test_zero_dim_calculus_roundtrip(gr):
         "calculus-name-not-string",
         "dim-boolean",
         "gdim-boolean",
+        "ideal-name-repeated",
+        "calculus-name-repeated",
+        "calculus-name-repeats-default",
     ],
 )
 def test_malformed_section_is_parse_error(edit, path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -14,6 +15,7 @@ from braidcalc.cli import main
 from braidcalc.fixtures import _delta_group, conjugation_star
 
 BUNDLE_DIR = Path(__file__).resolve().parent.parent / "bundles"
+SHIPPED_DIGESTS = json.loads((BUNDLE_DIR.parent / "perfbench" / "expected.json").read_text())["shipped"]
 
 
 @pytest.fixture()
@@ -32,6 +34,14 @@ def test_check_passes_on_fixture(workdir, capsys):
     assert data["summary"]["pass"] > 1500
     out = capsys.readouterr().out
     assert "fail" in out
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+def test_shipped_report_bytes_are_pinned(workdir, name):
+    "The report of each shipped bundle is byte-identical to the one the benchmark's digests record."
+    report = workdir / f"{name}.report.json"
+    assert main(["check", str(workdir / f"{name}.json"), "-o", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == SHIPPED_DIGESTS[name]["sha256"]
 
 
 def test_check_writes_default_report_path(workdir):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -566,3 +567,74 @@ def test_subspace_operations_match_dense_reference(case):
     assert u.intersect(w).basis == ref_intersect(u.basis, w.basis, n)
     proj, qdim = quotient(n, u)
     assert (qdim, proj.q_rows()) == (n - u.dim, ref_quotient(u.basis, n))
+
+
+# -- canonical form ---------------------------------------------------------
+#
+# Every map is stored canonically: no stored zero, a positive denominator,
+# gcd(denominator, numerators) = 1, and imaginary rows only when some entry
+# is not real.  So two maps are equal exactly when their difference is zero.
+
+
+def _cancelling_product(f):
+    "The zero map of f's shape, as one product whose every row sums f's row and its negative."
+    ones, signs = LinMap(1, 2, [[1, 1]]), LinMap(2, 1, [[1], [-1]])
+    return tensor(ones, identity(f.cod)) @ tensor(signs, f)
+
+
+def assert_canonical(f):
+    rows = f._re + (f._im or ())
+    nums = [x for r in rows for x in r.values()]
+    assert all(nums), "stored zero"
+    assert f._den > 0
+    assert gcd(f._den, *nums) == 1
+    assert (f._im is None) == all(not f.entry(i, j).im for i in range(f.cod) for j in range(f.dom))
+
+
+@given(composable_pairs(), same_shape_pairs(), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+@_PROPS
+def test_algebra_results_are_canonical(pairs, shaped, a, b, d):
+    (f, _), (g, _) = pairs
+    (u, _), (v, _) = shaped
+    c = Q(Fraction(a, d), Fraction(b, d))
+    results = [f @ g, tensor(f, g), u + v, u - v, u + (-u), -u, u.scale(c), u.scale(0), u.conj(), transpose(u)]
+    results.append(_cancelling_product(u))
+    for h in [f, g, u, v] + results:
+        assert_canonical(h)
+
+
+@given(square_maps(), solve_cases())
+@_PROPS
+def test_solve_results_are_canonical(square, case):
+    f, _ = square
+    if f.is_invertible():
+        assert_canonical(f.inverse())
+    assert_canonical(f.kernel().inclusion())
+    assert_canonical(quotient(f.cod, f.image())[0])
+    (a, _), (b, _) = case
+    x = solve_right(a, b)
+    if x is not None:
+        assert_canonical(x)
+
+
+@given(same_shape_pairs(), composable_pairs(), st.integers(-3, 3))
+@_PROPS
+def test_equality_is_a_zero_difference(shaped, pairs, k):
+    (u, _), (v, _) = shaped
+    (f, _), (g, _) = pairs
+    fg = f @ g
+    cases = [
+        (u, v),
+        (u, u),
+        (u - v + v, u),
+        (u + v, v + u),
+        (u + u, u.scale(2)),
+        (u.scale(k) + v.scale(k), (u + v).scale(k)),
+        (transpose(transpose(u)), u),
+        (fg.conj(), f.conj() @ g.conj()),
+        (fg, LinMap.from_entries(fg.cod, fg.dom, fg.q_rows())),
+        (tensor(identity(1), f), f),
+        (_cancelling_product(u), LinMap.zero(u.cod, u.dom)),
+    ]
+    for x, y in cases:
+        assert (x == y) == (x - y).is_zero()

@@ -1,13 +1,20 @@
-"""Regenerate the canonical bundle files shipped under bundles/."""
+"""Regenerate the canonical bundle files shipped under bundles/.
 
+    python3 tools/gen_bundles.py
+"""
+
+import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from braidcalc.bundles import Bundle, emit_bundle
 from braidcalc.covariance import reconstruct_from_ideal, universal_ideals
 from braidcalc.fixtures import conjugation_star, fix_anyon, fix_gr, fix_k2, fix_k4, fix_one, gr_star
 from braidcalc.reporting import Report
 
-OUT = Path(__file__).resolve().parent.parent / "bundles"
+OUT = ROOT / "bundles"
 
 
 def k2_bundle() -> Bundle:
@@ -70,15 +77,18 @@ def a4_bundle() -> Bundle:
     )
 
 
+BUNDLES = {
+    "fix_1": one_bundle,
+    "fix_k2": k2_bundle,
+    "fix_gr": gr_bundle,
+    "fix_k4": k4_bundle,
+    "fix_a4": a4_bundle,
+}
+
+
 def main():
     OUT.mkdir(exist_ok=True)
-    for name, builder in [
-        ("fix_1", one_bundle),
-        ("fix_k2", k2_bundle),
-        ("fix_gr", gr_bundle),
-        ("fix_k4", k4_bundle),
-        ("fix_a4", a4_bundle),
-    ]:
+    for name, builder in BUNDLES.items():
         path = OUT / f"{name}.json"
         path.write_text(emit_bundle(builder()))
         print(f"wrote {path}")
