@@ -24,7 +24,6 @@ from .linalg import (
     tensor,
 )
 from .reporting import Report
-from .scalars import Q
 
 
 class NotCovariant(ValueError):
@@ -141,34 +140,13 @@ def solve_flips(c: FirstOrderCalculus, shift_range: int = 2) -> dict:
     return table
 
 
-def _basis_tensor_left(i: int, n: int, vec) -> list:
-    "Coordinates of e_i (x) vec inside an n * len(vec) space."
-    out = [Q(0)] * (n * len(vec))
-    for t, x in enumerate(vec):
-        out[i * len(vec) + t] = x
-    return out
-
-
-def _basis_tensor_right(vec, j: int, n: int) -> list:
-    "Coordinates of vec (x) e_j inside a len(vec) * n space."
-    out = [Q(0)] * (len(vec) * n)
-    for t, x in enumerate(vec):
-        out[t * n + j] = x
-    return out
-
-
 def _kernel_is_subbimodule(c: FirstOrderCalculus, ker) -> bool:
     "Is a subspace of Gamma (x) A stable under both module multiplications?"
     n = c.group.dim
-    left_act = tensor(c.mgl, identity(n))
-    right_act = tensor(identity(c.gdim), c.group.mult)
-    for v in ker.basis:
-        for i in range(n):
-            if not ker.contains(left_act.apply(_basis_tensor_left(i, n, list(v)))):
-                return False
-            if not ker.contains(right_act.apply(_basis_tensor_right(list(v), i, n))):
-                return False
-    return True
+    I, incl = identity(n), ker.inclusion()
+    left = tensor(c.mgl, I) @ tensor(I, incl)
+    right = tensor(identity(c.gdim), c.group.mult) @ tensor(incl, I)
+    return ker.contains_space(left.image()) and ker.contains_space(right.image())
 
 
 def check_flip_identities(

@@ -82,7 +82,6 @@ def main(argv=None) -> int:
     p_check.add_argument("-o", "--output", default=None, help="report path ('-' for stdout)")
     p_check.add_argument("--range", type=_int_at_least(0), default=2, dest="shift_range", help="shift window for the braid family")
     p_check.add_argument("--paranoid", action="store_true", help="recompute derived maps, bypassing caches")
-    p_check.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker pool size over independent sections")
 
     p_derive = sub.add_parser("derive", help="emit a derived map as a matrix")
     p_derive.add_argument("bundle")
@@ -130,7 +129,7 @@ def main(argv=None) -> int:
 def _run(args, bundle: Bundle) -> int:
     try:
         if args.command == "check":
-            report = verify_bundle(bundle, args.shift_range, args.paranoid, args.jobs)
+            report = verify_bundle(bundle, args.shift_range, args.paranoid)
             target = _write_report(report, bundle, args.bundle, args.output)
             _summarize(report, target)
             return 0 if report.ok_all else 1

@@ -61,10 +61,6 @@ def coords_in(incl: LinMap, target: LinMap) -> LinMap:
     return x
 
 
-def _simplified_mult(g: MultiBraidedGroup) -> LinMap:
-    return compose(g.mult, g.tau_inv, g.braiding)
-
-
 @dataclass
 class LeftCovariantData:
     calculus: FirstOrderCalculus
@@ -113,7 +109,7 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
     m, unit, phi, eps, kap, s = g.mult, g.unit, g.coproduct, g.counit, g.antipode, g.braiding
     mgl, mgr, d = c.mgl, c.mgr, c.d
     il, ir = iota_l(c), iota_r(c)
-    m0 = _simplified_mult(g)
+    m0 = g.m0
 
     I_s_I, phi_phi = tensor(I, s, I), tensor(phi, phi)
     rhs = compose(tensor(m, il), I_s_I, phi_phi)
@@ -213,8 +209,7 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
         {"reason": f"dim inv = {q}, dim ker(eps) = {kere.dim}, dim R = {ideal.dim}"},
         note="dim of invariant forms = dim ker(eps) - dim R",
     )
-    unit_span = Subspace.spanned_by(n, [g.unit.col(0)])
-    rep.check_space_eq("PI_KERNEL", pi.kernel(), ideal.sum_with(unit_span))
+    rep.check_space_eq("PI_KERNEL", pi.kernel(), ideal.sum_with(g.unit.image()))
     _check_left_ideal_conditions(g, ideal, rep)
     return LeftCovariantData(c, act, proj, inv_space, incl, proj_coords, pi, pi_hat, ideal, sigma_star, circ, rep)
 
@@ -223,9 +218,8 @@ def _check_left_ideal_conditions(g: MultiBraidedGroup, r: Subspace, rep: Report)
     "R is a right ideal for the simplified product, and tau-shifts it across."
     n = g.dim
     I = identity(n)
-    m0 = _simplified_mult(g)
     ra = tensor(r.inclusion(), I).image()
-    rep.check_space_le("R_IDEAL", ra.map_by(m0), r, note="m0(R (x) A) inside R")
+    rep.check_space_le("R_IDEAL", ra.map_by(g.m0), r, note="m0(R (x) A) inside R")
     rep.check_space_eq("EQ_320", ra.map_by(g.tau), tensor(I, r.inclusion()).image())
 
 
@@ -237,7 +231,7 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     m, unit, phi, eps, kap, s = g.mult, g.unit, g.coproduct, g.counit, g.antipode, g.braiding
     mgl, mgr, d = c.mgl, c.mgr, c.d
     il, ir = iota_l(c), iota_r(c)
-    m0 = _simplified_mult(g)
+    m0 = g.m0
 
     I_s_I, phi_phi = tensor(I, s, I), tensor(phi, phi)
     rhs = compose(tensor(ir, m), I_s_I, phi_phi)
@@ -312,8 +306,7 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
         q == kere.dim - ideal.dim,
         {"reason": f"dim inv = {q}, dim ker(eps) = {kere.dim}, dim K = {ideal.dim}"},
     )
-    unit_span = Subspace.spanned_by(n, [g.unit.col(0)])
-    rep.check_space_eq("ZETA_KERNEL", zeta.kernel(), ideal.sum_with(unit_span))
+    rep.check_space_eq("ZETA_KERNEL", zeta.kernel(), ideal.sum_with(g.unit.image()))
     _check_right_ideal_conditions(g, ideal, rep)
     return RightCovariantData(c, act, proj, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet, rep)
 
@@ -322,9 +315,8 @@ def _check_right_ideal_conditions(g: MultiBraidedGroup, k: Subspace, rep: Report
     "K is a left ideal for the simplified product; tau shifts A (x) K across."
     n = g.dim
     I = identity(n)
-    m0 = _simplified_mult(g)
     ak = tensor(I, k.inclusion()).image()
-    rep.check_space_le("K_IDEAL", ak.map_by(m0), k, note="m0(A (x) K) inside K")
+    rep.check_space_le("K_IDEAL", ak.map_by(g.m0), k, note="m0(A (x) K) inside K")
     rep.check_space_eq("EQ_A25", ak.map_by(g.tau), tensor(k.inclusion(), I).image())
 
 
@@ -512,50 +504,25 @@ def close_right_ideal(g: MultiBraidedGroup, generators) -> Subspace:
     Generators must lie in ker(eps); tau-stability is checked later, not
     enforced by the closure.
     """
-    n = g.dim
-    kere = g.counit.kernel()
-    vecs = [list(v) for v in generators]
-    for v in vecs:
-        if not kere.contains(v):
-            raise IdealInvalid("generator outside ker(eps)")
-    m0 = _simplified_mult(g)
-    space = Subspace.spanned_by(n, vecs)
-    while True:
-        new_vecs = list(space.basis)
-        for v in space.basis:
-            for j in range(n):
-                ej = [0] * n
-                ej[j] = 1
-                vej = []
-                for a in v:
-                    for b in ej:
-                        vej.append(a * b)
-                new_vecs.append(m0.apply(vej))
-        bigger = Subspace.spanned_by(n, new_vecs)
-        if bigger == space:
-            return space
-        space = bigger
+    return _close_ideal(g, generators, "right")
 
 
 def close_left_ideal(g: MultiBraidedGroup, generators) -> Subspace:
     "Mirror closure under left multiplication by m0."
+    return _close_ideal(g, generators, "left")
+
+
+def _close_ideal(g: MultiBraidedGroup, generators, side: str) -> Subspace:
+    "Add m0(R (x) A) (side 'right') or m0(A (x) R) (side 'left') to R until it stops growing."
     n = g.dim
-    kere = g.counit.kernel()
-    vecs = [list(v) for v in generators]
-    for v in vecs:
-        if not kere.contains(v):
-            raise IdealInvalid("generator outside ker(eps)")
-    m0 = _simplified_mult(g)
-    space = Subspace.spanned_by(n, vecs)
+    I = identity(n)
+    space = Subspace.spanned_by(n, generators)
+    if not g.counit.kernel().contains_space(space):
+        raise IdealInvalid("generator outside ker(eps)")
     while True:
-        new_vecs = list(space.basis)
-        for v in space.basis:
-            for j in range(n):
-                ejv = [0 * v[0]] * (n * n)
-                for t, x in enumerate(v):
-                    ejv[j * n + t] = x
-                new_vecs.append(m0.apply(ejv))
-        bigger = Subspace.spanned_by(n, new_vecs)
+        incl = space.inclusion()
+        products = g.m0 @ (tensor(incl, I) if side == "right" else tensor(I, incl))
+        bigger = space.sum_with(products.image())
         if bigger == space:
             return space
         space = bigger
@@ -564,7 +531,7 @@ def close_left_ideal(g: MultiBraidedGroup, generators) -> Subspace:
 def _ideal_preconditions(g: MultiBraidedGroup, r: Subspace, side: str, rep: Report):
     n = g.dim
     I = identity(n)
-    m0 = _simplified_mult(g)
+    m0 = g.m0
     kere = g.counit.kernel()
     if not kere.contains_space(r):
         raise IdealInvalid("ideal is not contained in ker(eps)")
@@ -603,13 +570,11 @@ def reconstruct_from_ideal(
     n = g.dim
     I = identity(n)
     _ideal_preconditions(g, r, "left", rep)
-    m0 = _simplified_mult(g)
-    unit_span = Subspace.spanned_by(n, [g.unit.col(0)])
-    pi, q = quotient(n, r.sum_with(unit_span))
+    pi, q = quotient(n, r.sum_with(g.unit.image()))
     Iq = identity(q)
     try:
         sigma_star = factor_through(tensor(pi, I), tensor(I, pi) @ g.tau)
-        circ = factor_through(tensor(pi, I), pi @ m0 - pi @ tensor(g.counit, I))
+        circ = factor_through(tensor(pi, I), pi @ g.m0 - pi @ tensor(g.counit, I))
     except NoFactor as exc:
         raise IdealInvalid(f"quotient structure does not descend: {exc}") from exc
     rep.check_eq("EQ_315", sigma_star @ tensor(pi, I), tensor(I, pi) @ g.tau)
@@ -633,14 +598,21 @@ def reconstruct_from_ideal(
     mgr = compose(tensor(g.mult, circ), tensor(I, sigma_star, I), tensor(I, Iq, g.coproduct))
     calc = FirstOrderCalculus(g, n * q, mgl, mgr, d, name=name)
     if verify:
-        calc_rep = Report(ctx=rep.ctx)
-        check_calculus(calc, calc_rep)
-        rep.extend(calc_rep)
-        if not calc_rep.ok_all:
-            raise InternalInconsistency("reconstructed calculus fails the calculus battery")
-        lcd = solve_left_action(calc, rep)
-        rep.check_space_eq("ROUNDTRIP_IDEAL", lcd.ideal, r, note="ideal -> calculus -> ideal is the identity")
+        check_reconstruction(calc, r, rep)
     return calc
+
+
+def check_reconstruction(calc: FirstOrderCalculus, r: Subspace, report: Report) -> LeftCovariantData:
+    """The calculus battery on a calculus reconstructed from the ideal r, then
+    its left action, whose ideal must be r again; returns the solved action."""
+    calc_rep = Report(ctx=report.ctx)
+    check_calculus(calc, calc_rep)
+    report.extend(calc_rep)
+    if not calc_rep.ok_all:
+        raise InternalInconsistency("reconstructed calculus fails the calculus battery")
+    lcd = solve_left_action(calc, report)
+    report.check_space_eq("ROUNDTRIP_IDEAL", lcd.ideal, r, note="ideal -> calculus -> ideal is the identity")
+    return lcd
 
 
 def reconstruct_right_from_ideal(
@@ -655,9 +627,8 @@ def reconstruct_right_from_ideal(
     n = g.dim
     I = identity(n)
     _ideal_preconditions(g, k, "right", rep)
-    m0 = _simplified_mult(g)
-    unit_span = Subspace.spanned_by(n, [g.unit.col(0)])
-    zeta, q = quotient(n, k.sum_with(unit_span))
+    m0 = g.m0
+    zeta, q = quotient(n, k.sum_with(g.unit.image()))
     Iq = identity(q)
     try:
         star_sigma = factor_through(tensor(I, zeta), tensor(zeta, I) @ g.tau)

@@ -4,13 +4,12 @@ A group record holds the algebra plus coproduct, counit, antipode and the
 intrinsic braiding.  From these the secondary braiding tau, the shift
 family sigma_n = (sigma tau^-1)^(n-1) sigma, the simplified product
 m0 = m tau^-1 sigma with its antipode kappa0, and the adjoint action are
-derived and cached (the cache is lock-guarded; a paranoid verification
-pass recomputes everything on a fresh clone and compares).
+derived and cached (a paranoid verification pass recomputes everything on
+a fresh clone and compares).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .algebras import FiniteDimAlgebra, check_algebra
@@ -65,7 +64,6 @@ class MultiBraidedGroup:
         self.antipode = antipode
         self.braiding = braiding
         self.sigma_cap = sigma_cap
-        self._lock = threading.RLock()
         self._cache: dict = {}
 
     @property
@@ -81,10 +79,9 @@ class MultiBraidedGroup:
         return self.alg.unit
 
     def _derived(self, key, fn):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = fn()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = fn()
+        return self._cache[key]
 
     @property
     def sigma_inv(self) -> LinMap:
@@ -101,6 +98,11 @@ class MultiBraidedGroup:
     @property
     def tau_inv(self) -> LinMap:
         return self._derived("tau_inv", self.tau.inverse)
+
+    @property
+    def m0(self) -> LinMap:
+        "The simplified product m tau^-1 sigma."
+        return self._derived("m0", lambda: compose(self.mult, self.tau_inv, self.braiding))
 
     def sigma_n(self, n: int) -> LinMap:
         if abs(n) > self.sigma_cap:
@@ -162,8 +164,7 @@ def sigma_n(g: MultiBraidedGroup, n: int) -> LinMap:
 
 def simplified_algebra(g: MultiBraidedGroup) -> FiniteDimAlgebra:
     "The same space with the twisted product m0 = m tau^-1 sigma."
-    m0 = compose(g.mult, g.tau_inv, g.braiding)
-    return FiniteDimAlgebra(g.dim, g.unit, m0, g.alg.labels)
+    return FiniteDimAlgebra(g.dim, g.unit, g.m0, g.alg.labels)
 
 
 def kappa0(g: MultiBraidedGroup) -> LinMap:
@@ -390,7 +391,7 @@ def check_group(
 
     sigma_eq_tau = s == tau
     shifts_collapse = all(g.sigma_n(k) == s for k in range(-4, 5))
-    m0 = compose(m, g.tau_inv, s)
+    m0 = g.m0
     rep.check_true(
         "CLASSICAL_REDUCTION",
         (sigma_eq_tau == shifts_collapse) and (sigma_eq_tau == (m0 == m)),

@@ -20,6 +20,12 @@ integer rows.  The reduced row echelon form of a row space is unique, so
 echelon bases, least-structure solutions, inverses and quotient
 projections are exactly those of dense elimination over Q(i).
 
+A Subspace is the elimination's own output: its primitive pivot rows over
+Z[i].  Membership, sums, intersections, images and quotients all run on
+those rows.  Q values appear only at the edge: entries read from or built
+into a map, vectors handed to spanned_by or contains, and the echelon
+basis rendered for a witness.
+
 Tensor products follow the row-major index convention: the composite
 index of i (x) j in V (x) W is i*dim(W) + j, and kron satisfies the
 mixed-product law with composition.
@@ -167,15 +173,6 @@ class LinMap:
         return LinMap(cod, dom, re_rows, im_rows, den, _clean=True)
 
     @staticmethod
-    def from_cols(cod: int, cols) -> "LinMap":
-        cols = [list(c) for c in cols]
-        for c in cols:
-            if len(c) != cod:
-                raise DimensionMismatch("column length mismatch")
-        dom = len(cols)
-        return LinMap.from_entries(cod, dom, [[cols[j][i] for j in range(dom)] for i in range(cod)])
-
-    @staticmethod
     def identity(n: int) -> "LinMap":
         return LinMap(n, n, [{i: 1} for i in range(n)], _clean=True)
 
@@ -203,24 +200,6 @@ class LinMap:
     def nnz(self) -> int:
         "Number of stored entries; only nonzeros are stored."
         return sum(len(self._support(i)) for i in range(self.cod))
-
-    def q_rows(self) -> tuple:
-        "Entries as dense rows of Q values."
-        den = self._den
-        cache: dict = {}
-        rows = []
-        for i, rr in enumerate(self._re):
-            ri = self._im[i] if self._im is not None else {}
-            row = [_Q_ZERO] * self.dom
-            for j in self._support(i):
-                key = (rr.get(j, 0), ri.get(j, 0))
-                out = cache.get(key)
-                if out is None:
-                    re, im = key
-                    out = cache[key] = Q._make(Fraction(re, den), Fraction(im, den) if im else _F_ZERO)
-                row[j] = out
-            rows.append(tuple(row))
-        return tuple(rows)
 
     def col(self, j: int) -> tuple:
         return tuple(self.entry(i, j) for i in range(self.cod))
@@ -364,12 +343,12 @@ class LinMap:
 
     def kernel(self) -> "Subspace":
         re, im, _ = _nullspace(_eliminate(self._rows()), self.dom)
-        return _subspace(self.dom, _eliminate(zip(re, im)))
+        return Subspace(self.dom, _eliminate(zip(re, im)))
 
     def image(self) -> "Subspace":
         cols = _transpose_rows(self._re, self.dom)
         im = [None] * self.dom if self._im is None else _transpose_rows(self._im, self.dom)
-        return _subspace(self.cod, _eliminate(zip(cols, im)))
+        return Subspace(self.cod, _eliminate(zip(cols, im)))
 
 
 def identity(n: int) -> LinMap:
@@ -573,21 +552,6 @@ def _int_row(vec):
     return re, {j: b * (d // e) for j, (_, b, e) in triples.items() if b}
 
 
-def _subspace(ambient, piv) -> "Subspace":
-    "The Subspace whose echelon basis is _eliminate's rows over their pivots."
-    basis = []
-    for c in sorted(piv):
-        re, im = piv[c]
-        p = re[c]
-        vec = [_Q_ZERO] * ambient
-        for j, x in re.items():
-            vec[j] = Q._make(Fraction(x, p), _F_ZERO)
-        for j, y in im.items():
-            vec[j] = Q._make(Fraction(re.get(j, 0), p), Fraction(y, p))
-        basis.append(vec)
-    return Subspace(ambient, basis)
-
-
 def solve_right(A: LinMap, B: LinMap) -> LinMap | None:
     "Least-structure X with A @ X = B (free coordinates zero), or None."
     if A.cod != B.cod:
@@ -648,18 +612,24 @@ def quotient(ambient: int, sub: "Subspace") -> tuple[LinMap, int]:
     """
     if sub.ambient != ambient:
         raise DimensionMismatch("quotient: ambient mismatch")
-    re, im, den = _nullspace(_eliminate(map(_int_row, sub.basis)), ambient)
+    re, im, den = _nullspace(sub._piv, ambient)
     return LinMap(len(re), ambient, re, im, den, _clean=True), len(re)
 
 
 class Subspace:
-    "A subspace of a coordinate space, held in reduced echelon form."
+    """A subspace of a coordinate space, held as _eliminate's pivot rows.
 
-    __slots__ = ("ambient", "basis")
+    The rows are sorted by pivot column; each is primitive, has a positive
+    integer pivot and is zero at every other pivot column.  Those rows are
+    unique to the space, so equal spaces have equal rows.
+    """
 
-    def __init__(self, ambient: int, echelon_basis):
+    __slots__ = ("ambient", "_piv")
+
+    def __init__(self, ambient: int, piv: dict):
+        "piv is {pivot column: (re, im)} as _eliminate returns it."
         self.ambient = ambient
-        self.basis = tuple(tuple(v) for v in echelon_basis)
+        self._piv = {c: piv[c] for c in sorted(piv)}
 
     @staticmethod
     def spanned_by(ambient: int, vectors) -> "Subspace":
@@ -667,7 +637,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient:
                 raise DimensionMismatch("vector length != ambient")
-        return _subspace(ambient, _eliminate(map(_int_row, vecs)))
+        return Subspace(ambient, _eliminate(map(_int_row, vecs)))
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
@@ -675,28 +645,50 @@ class Subspace:
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
-        return Subspace(ambient, [])
+        return Subspace(ambient, {})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._piv)
+
+    @property
+    def basis(self) -> tuple:
+        "The reduced echelon basis, as tuples of Q values."
+        return tuple(map(self._vector, self._piv))
+
+    def _vector(self, c: int) -> tuple:
+        "The basis vector with pivot column c: its row over its pivot."
+        re, im = self._piv[c]
+        p = re[c]
+        vec = [_Q_ZERO] * self.ambient
+        for j, x in re.items():
+            vec[j] = Q._make(Fraction(x, p), _F_ZERO)
+        for j, y in im.items():
+            vec[j] = Q._make(Fraction(re.get(j, 0), p), Fraction(y, p))
+        return tuple(vec)
 
     def contains(self, vec) -> bool:
-        v = [x if isinstance(x, Q) else Q(x) for x in vec]
-        if len(v) != self.ambient:
+        vec = list(vec)
+        if len(vec) != self.ambient:
             raise DimensionMismatch("vector length != ambient")
-        for row in self.basis:
-            lead = next(j for j in range(self.ambient) if row[j])
-            if v[lead]:
-                factor = v[lead]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return not any(v)
+        return not any(_reduce(_int_row(vec), self._piv))
+
+    def outside(self, other: "Subspace"):
+        "The first echelon basis vector of other that lies outside this space, or None."
+        if self.ambient != other.ambient:
+            raise DimensionMismatch("ambient mismatch")
+        for c, row in other._piv.items():
+            if any(_reduce(row, self._piv)):
+                return other._vector(c)
+        return None
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return self.outside(other) is None
 
     def sum_with(self, other: "Subspace") -> "Subspace":
-        return Subspace.spanned_by(self.ambient, list(self.basis) + list(other.basis))
+        if self.ambient != other.ambient:
+            raise DimensionMismatch("ambient mismatch")
+        return Subspace(self.ambient, _eliminate([*self._piv.values(), *other._piv.values()]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -704,29 +696,33 @@ class Subspace:
         # Zassenhaus: the rows [u | u] and [w | 0] span pairs whose left part
         # vanishes exactly on 0 x (U n W), and those rows lead in the right half.
         n = self.ambient
-        rows = []
-        for re, im in map(_int_row, self.basis):
-            rows.append(({**re, **_moved(re, n)}, {**im, **_moved(im, n)}))
-        rows += map(_int_row, other.basis)
+        rows = [({**re, **_moved(re, n)}, {**im, **_moved(im, n)}) for re, im in self._piv.values()]
+        rows += other._piv.values()
         piv = _eliminate(rows)
-        return _subspace(n, {c - n: (_moved(re, -n), _moved(im, -n)) for c, (re, im) in piv.items() if c >= n})
+        return Subspace(n, {c - n: (_moved(re, -n), _moved(im, -n)) for c, (re, im) in piv.items() if c >= n})
 
     def inclusion(self) -> LinMap:
         "The inclusion map (dim -> ambient); columns are the echelon basis."
-        return LinMap.from_cols(self.ambient, [list(v) for v in self.basis])
+        den = lcm(*(re[c] for c, (re, _) in self._piv.items()))
+        re_rows, im_rows = [{} for _ in range(self.ambient)], [{} for _ in range(self.ambient)]
+        for k, (c, (re, im)) in enumerate(self._piv.items()):
+            s = den // re[c]
+            for j, x in re.items():
+                re_rows[j][k] = x * s
+            for j, x in im.items():
+                im_rows[j][k] = x * s
+        return LinMap(self.ambient, self.dim, re_rows, im_rows, den, _clean=True)
 
     def map_by(self, f: LinMap) -> "Subspace":
-        if f.dom != self.ambient:
-            raise DimensionMismatch("map_by: domain mismatch")
-        return Subspace.spanned_by(f.cod, [f.apply(v) for v in self.basis])
+        return (f @ self.inclusion()).image()
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.ambient == other.ambient and self._piv == other._piv
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, tuple((frozenset(re.items()), frozenset(im.items())) for re, im in self._piv.values())))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"

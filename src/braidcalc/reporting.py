@@ -65,10 +65,6 @@ class Report:
     def add_skip_section(self, ctx: str):
         self.add(Entry("SECTION_SKIPPED", SKIP, ctx, note="group record invalid; section not evaluated"))
 
-    def sub(self, ctx: str) -> "Report":
-        "A fresh report whose entries carry the given context label."
-        return Report(ctx=ctx)
-
     # -- queries -----------------------------------------------------
 
     @property
@@ -149,25 +145,25 @@ class Report:
 
     def check_space_le(self, key: str, small: Subspace, big: Subspace, name: str = "", note: str = ""):
         "small is contained in big, with an offending basis vector on failure."
-        for v in small.basis:
-            if not big.contains(v):
-                self.fail(key, {"vector_outside": [str(x) for x in v]}, name, note)
-                return False
-        self.ok(key, name, note)
-        return True
+        v = big.outside(small)
+        if v is None:
+            self.ok(key, name, note)
+            return True
+        self.fail(key, {"vector_outside": [str(x) for x in v]}, name, note)
+        return False
 
     def check_space_eq(self, key: str, left: Subspace, right: Subspace, name: str = "", note: str = ""):
         if left == right:
             self.ok(key, name, note)
             return True
-        for v in left.basis:
-            if not right.contains(v):
-                self.fail(key, {"vector_in_left_only": [str(x) for x in v]}, name, note)
-                return False
-        for v in right.basis:
-            if not left.contains(v):
-                self.fail(key, {"vector_in_right_only": [str(x) for x in v]}, name, note)
-                return False
+        v = right.outside(left)
+        if v is not None:
+            self.fail(key, {"vector_in_left_only": [str(x) for x in v]}, name, note)
+            return False
+        v = left.outside(right)
+        if v is not None:
+            self.fail(key, {"vector_in_right_only": [str(x) for x in v]}, name, note)
+            return False
         self.fail(key, {"reason": "subspace mismatch"}, name, note)
         return False
 

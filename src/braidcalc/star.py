@@ -92,8 +92,10 @@ def star_covariance(
     I = identity(n)
     star = sg.star
     sk = star @ g.antipode
-    bad = next((v for v in lcd.ideal.basis if not lcd.ideal.contains(sk.apply(v))), None)
-    if bad is not None:
+    ideal = lcd.ideal
+    # sk is antilinear: the columns of (sk @ inclusion).lin are sk of R's basis, and span sk(R).
+    if not ideal.contains_space((sk @ ideal.inclusion()).lin.image()):
+        bad = next(v for v in ideal.basis if not ideal.contains(sk.apply(v)))
         rep.fail(
             "STARKAPPA_IDEAL",
             {

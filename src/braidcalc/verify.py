@@ -3,13 +3,11 @@
 A full `verify_bundle` run checks the group record, every calculus
 section with the complete covariance battery, and every ideal section
 (closure, validity, reconstruction round-trip, bicovariance criterion).
-Section reports are assembled in a fixed order regardless of the worker
-pool, so identical input yields an identical report.
+Sections run one after another in a fixed order, so identical input
+yields an identical report.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .bicovariance import (
     AdNotDescending,
@@ -37,9 +35,9 @@ from .covariance import (
     NotLeftCovariant,
     NotRightCovariant,
     SigmaStarSingular,
+    check_reconstruction,
     close_left_ideal,
     close_right_ideal,
-    extract_ideal,
     flip_from_actions,
     flip_from_right_action,
     left_trivialization,
@@ -160,9 +158,9 @@ def verify_ideal_section(bundle: Bundle, name: str, vectors, shift_range: int = 
         rep.fail("IDEAL_CLOSURE", {"reason": str(exc)})
         return rep
     try:
-        calc = reconstruct_from_ideal(g, closed, rep, name=f"{name}-left")
-        lcd = solve_left_action(calc, Report())
-        rep.check_space_eq("ROUNDTRIP_EXTRACT", extract_ideal(lcd, Report()), closed)
+        calc = reconstruct_from_ideal(g, closed, rep, name=f"{name}-left", verify=False)
+        lcd = check_reconstruction(calc, closed, rep)
+        rep.check_space_eq("ROUNDTRIP_EXTRACT", lcd.ideal, closed)
     except (IdealInvalid, NotLeftCovariant, InternalInconsistency) as exc:
         rep.fail("RECONSTRUCTION_LEFT", {"reason": str(exc)})
     ideal_bicovariance_test(g, closed, rep)
@@ -190,7 +188,7 @@ def _guarded(ctx: str, fn):
         return rep
 
 
-def verify_bundle(bundle: Bundle, shift_range: int = 2, paranoid: bool = False, jobs: int = 1) -> Report:
+def verify_bundle(bundle: Bundle, shift_range: int = 2, paranoid: bool = False) -> Report:
     out = Report()
     group_rep = _guarded("group", lambda: verify_group_section(bundle, shift_range, paranoid))
     out.extend(group_rep)
@@ -201,21 +199,10 @@ def verify_bundle(bundle: Bundle, shift_range: int = 2, paranoid: bool = False, 
         for name, _ in bundle.ideals:
             out.add_skip_section(f"ideal:{name}")
         return out
-    sections: list = []
     for c in bundle.calculi:
-        sections.append((f"calculus:{c.name}", lambda c=c: verify_calculus_section(bundle, c, shift_range)))
+        out.extend(_guarded(f"calculus:{c.name}", lambda: verify_calculus_section(bundle, c, shift_range)))
     for name, vectors in bundle.ideals:
-        sections.append(
-            (f"ideal:{name}", lambda name=name, vectors=vectors: verify_ideal_section(bundle, name, vectors, shift_range))
-        )
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_guarded, ctx, fn) for ctx, fn in sections]
-            for fut in futures:
-                out.extend(fut.result())
-    else:
-        for ctx, fn in sections:
-            out.extend(_guarded(ctx, fn))
+        out.extend(_guarded(f"ideal:{name}", lambda: verify_ideal_section(bundle, name, vectors, shift_range)))
     return out
 
 

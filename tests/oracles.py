@@ -5,6 +5,9 @@ index loops; none of the engine's composition or elimination machinery is
 used, so these can serve as independent cross-checks of derived maps.
 """
 
+from braidcalc.algebras import FiniteDimAlgebra
+from braidcalc.groups import MultiBraidedGroup
+from braidcalc.linalg import LinMap
 from braidcalc.scalars import Q
 
 
@@ -14,6 +17,11 @@ def mat(rows):
     for row in rows:
         out.append([x if isinstance(x, Q) else Q.parse(x) if isinstance(x, str) else Q(x) for x in row])
     return out
+
+
+def q_rows(f):
+    "A map's entries as dense rows of Q values, read one entry at a time."
+    return tuple(tuple(f.entry(i, j) for j in range(f.dom)) for i in range(f.cod))
 
 
 def mat_vec(rows, vec):
@@ -188,3 +196,24 @@ def residual_of_witness(lhs_rows, rhs_rows, witness_input):
     lhs = mat_vec(lhs_rows, vec)
     rhs = mat_vec(rhs_rows, vec)
     return [a - b for a, b in zip(lhs, rhs)]
+
+
+def mirror(g):
+    """The mirror record (m P, P Delta, eps, kappa, P sigma P), P the tensor flip.
+
+    Reflecting string diagrams left to right turns right-handed structure
+    into left-handed structure; the flipped maps are built by permuting
+    entries, with no composition.
+    """
+    n = g.dim
+
+    def flip(k):
+        i, j = divmod(k, n)
+        return j * n + i
+
+    nn = range(n * n)
+    mult = LinMap.from_entries(n, n * n, [[g.mult.entry(k, flip(c)) for c in nn] for k in range(n)])
+    cop = LinMap.from_entries(n * n, n, [[g.coproduct.entry(flip(r), i) for i in range(n)] for r in nn])
+    braiding = LinMap.from_entries(n * n, n * n, [[g.braiding.entry(flip(r), flip(c)) for c in nn] for r in nn])
+    alg = FiniteDimAlgebra(n, g.unit, mult, g.alg.labels)
+    return MultiBraidedGroup(alg, cop, g.counit, g.antipode, braiding, g.sigma_cap)

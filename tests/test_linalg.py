@@ -23,7 +23,7 @@ from braidcalc.linalg import (
 )
 from braidcalc.scalars import Q
 
-from oracles import basis, kron, mat_mul, mat_vec, rref
+from oracles import basis, kron, mat_mul, mat_vec, q_rows, rref
 
 PSI2 = permutation_map([1, 0], [2, 2])
 
@@ -99,8 +99,8 @@ def test_kron_mixed_product_property(seed):
 def test_kron_matches_oracle():
     rng = random.Random(5)
     a, b = rand_map(rng, 2, 3), rand_map(rng, 3, 2)
-    expected = kron([list(r) for r in a.q_rows()], [list(r) for r in b.q_rows()])
-    assert tensor(a, b).q_rows() == tuple(tuple(r) for r in expected)
+    expected = kron([list(r) for r in q_rows(a)], [list(r) for r in q_rows(b)])
+    assert q_rows(tensor(a, b)) == tuple(tuple(r) for r in expected)
 
 
 # -- permutations -------------------------------------------------------
@@ -257,8 +257,8 @@ def test_subspace_contains():
 def test_compose_matches_oracle():
     rng = random.Random(13)
     a, b = rand_map(rng, 3, 4), rand_map(rng, 4, 2)
-    expected = mat_mul([list(r) for r in a.q_rows()], [list(r) for r in b.q_rows()], b.dom)
-    assert (a @ b).q_rows() == tuple(tuple(r) for r in expected)
+    expected = mat_mul([list(r) for r in q_rows(a)], [list(r) for r in q_rows(b)], b.dom)
+    assert q_rows(a @ b) == tuple(tuple(r) for r in expected)
 
 
 # -- sparse kernel against a dense reference ------------------------------
@@ -311,7 +311,7 @@ def dense_kron(a, b, n1, n2):
 @_PROPS
 def test_sparse_entry_access_matches_dense(pair):
     f, ref = pair
-    assert f.q_rows() == as_rows(ref)
+    assert q_rows(f) == as_rows(ref)
     assert all(f.entry(i, j) == ref[i][j] for i in range(f.cod) for j in range(f.dom))
     assert all(f.col(j) == tuple(ref[i][j] for i in range(f.cod)) for j in range(f.dom))
     vec = [Q(j - 1, j % 2) for j in range(f.dom)]
@@ -325,7 +325,7 @@ def test_sparse_entry_access_matches_dense(pair):
 @_PROPS
 def test_sparse_product_matches_dense(pairs):
     (f, fr), (g, gr) = pairs
-    assert (f @ g).q_rows() == as_rows(mat_mul(fr, gr, g.dom))
+    assert q_rows(f @ g) == as_rows(mat_mul(fr, gr, g.dom))
 
 
 @given(gaussian_maps(), gaussian_maps())
@@ -334,7 +334,7 @@ def test_sparse_tensor_matches_dense(a, b):
     (f, fr), (g, gr) = a, b
     fg = tensor(f, g)
     assert (fg.cod, fg.dom) == (f.cod * g.cod, f.dom * g.dom)
-    assert fg.q_rows() == as_rows(dense_kron(fr, gr, f.dom, g.dom))
+    assert q_rows(fg) == as_rows(dense_kron(fr, gr, f.dom, g.dom))
 
 
 @given(same_shape_pairs(), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
@@ -342,12 +342,12 @@ def test_sparse_tensor_matches_dense(a, b):
 def test_sparse_linear_structure_matches_dense(pairs, a, b, d):
     (f, fr), (g, gr) = pairs
     c = Q(Fraction(a, d), Fraction(b, d))
-    assert (f + g).q_rows() == as_rows([[x + y for x, y in zip(r, s)] for r, s in zip(fr, gr)])
-    assert (f - g).q_rows() == as_rows([[x - y for x, y in zip(r, s)] for r, s in zip(fr, gr)])
-    assert (-f).q_rows() == as_rows([[-x for x in r] for r in fr])
-    assert f.scale(c).q_rows() == as_rows([[c * x for x in r] for r in fr])
-    assert f.conj().q_rows() == as_rows([[x.conj() for x in r] for r in fr])
-    assert transpose(f).q_rows() == as_rows([[fr[i][j] for i in range(f.cod)] for j in range(f.dom)])
+    assert q_rows(f + g) == as_rows([[x + y for x, y in zip(r, s)] for r, s in zip(fr, gr)])
+    assert q_rows(f - g) == as_rows([[x - y for x, y in zip(r, s)] for r, s in zip(fr, gr)])
+    assert q_rows(-f) == as_rows([[-x for x in r] for r in fr])
+    assert q_rows(f.scale(c)) == as_rows([[c * x for x in r] for r in fr])
+    assert q_rows(f.conj()) == as_rows([[x.conj() for x in r] for r in fr])
+    assert q_rows(transpose(f)) == as_rows([[fr[i][j] for i in range(f.cod)] for j in range(f.dom)])
     nonzero_cols = [j for j in range(f.dom) if any(fr[i][j] for i in range(f.cod))]
     assert f.first_nonzero_col() == (nonzero_cols[0] if nonzero_cols else None)
 
@@ -380,7 +380,7 @@ def test_sparse_permutation_map_matches_definition(dims_perm):
         for slot, d in enumerate(out_dims):
             row = row * d + out[slot]
         ref[row][col] = Q(1)
-    assert permutation_map(perm, dims).q_rows() == as_rows(ref)
+    assert q_rows(permutation_map(perm, dims)) == as_rows(ref)
 
 
 @given(composable_pairs())
@@ -397,7 +397,7 @@ def test_sparse_equal_maps_hash_equal(pairs):
     for other in routes:
         assert other == f and hash(other) == hash(f)
     fg = f @ g
-    direct = LinMap.from_entries(fg.cod, fg.dom, fg.q_rows())
+    direct = LinMap.from_entries(fg.cod, fg.dom, q_rows(fg))
     assert direct == fg and hash(direct) == hash(fg)
 
 
@@ -543,7 +543,7 @@ def test_inverse_matches_dense_reference(pair):
             f.inverse()
         return
     assert f.is_invertible()
-    assert f.inverse().q_rows() == as_rows([r[n:] for r in rows])
+    assert q_rows(f.inverse()) == as_rows([r[n:] for r in rows])
 
 
 @given(solve_cases())
@@ -552,7 +552,7 @@ def test_solve_right_matches_dense_reference(case):
     (a, ar), (b, br) = case
     x = solve_right(a, b)
     expected = ref_solve(ar, br, a.dom, b.dom)
-    assert (x if x is None else x.q_rows()) == expected
+    assert (x if x is None else q_rows(x)) == expected
     if x is not None:
         assert a @ x == b
 
@@ -566,7 +566,55 @@ def test_subspace_operations_match_dense_reference(case):
     assert u.sum_with(w).basis == ref_span(us + ws)
     assert u.intersect(w).basis == ref_intersect(u.basis, w.basis, n)
     proj, qdim = quotient(n, u)
-    assert (qdim, proj.q_rows()) == (n - u.dim, ref_quotient(u.basis, n))
+    assert (qdim, q_rows(proj)) == (n - u.dim, ref_quotient(u.basis, n))
+
+
+@st.composite
+def subspace_map_cases(draw):
+    "Two lists of vectors in one ambient space, a map out of it and a vector in it."
+    n, us, ws = draw(subspace_pairs())
+    f, fr = draw(any_maps(dom=n))
+    v = draw(gaussian_maps(1, n))[1][0]
+    return n, us, ws, (f, fr), v
+
+
+def ref_dim(vectors):
+    return len(ref_span(vectors))
+
+
+@given(subspace_pairs(), st.integers(1, 3), st.integers(-2, 2))
+@_PROPS
+def test_subspace_rows_are_unique_to_the_space(case, k, b):
+    n, us, ws = case
+    u = Subspace.spanned_by(n, us)
+    for c, (re, im) in u._piv.items():
+        assert re[c] > 0 and c not in im
+        assert gcd(*re.values(), *im.values()) == 1
+        assert min(re.keys() | im.keys()) == c
+        assert all(d == c or (d not in re and d not in im) for d in u._piv)
+    assert list(u._piv) == sorted(u._piv)
+    # another generating set: reversed, rescaled, and a multiple of the first
+    # vector added to the rest
+    scale = Q(Fraction(k, 2), b)
+    others = [[x * scale for x in v] for v in reversed(us)]
+    if others:
+        others[1:] = [[x + y * b for x, y in zip(v, others[0])] for v in others[1:]]
+    spans = [Subspace.spanned_by(n, others), Subspace.spanned_by(n, u.basis), u.sum_with(u), u.intersect(u)]
+    for same in spans + [u.map_by(identity(n))]:
+        assert same == u and hash(same) == hash(u)
+
+
+@given(subspace_map_cases())
+@_PROPS
+def test_subspace_membership_and_images_match_dense_reference(case):
+    n, us, ws, (f, fr), v = case
+    u, w = Subspace.spanned_by(n, us), Subspace.spanned_by(n, ws)
+    assert u.contains(v) == (ref_dim(us + [v]) == ref_dim(us))
+    assert all(u.contains(x) for x in us)
+    assert u.contains_space(w) == (ref_dim(us + ws) == ref_dim(us))
+    assert u.outside(w) == next((x for x in w.basis if ref_dim(us + [x]) > ref_dim(us)), None)
+    assert u.map_by(f).basis == ref_span([mat_vec(fr, x) for x in u.basis])
+    assert q_rows(u.inclusion()) == as_rows([[x[i] for x in u.basis] for i in range(n)])
 
 
 # -- canonical form ---------------------------------------------------------
@@ -632,7 +680,7 @@ def test_equality_is_a_zero_difference(shaped, pairs, k):
         (u.scale(k) + v.scale(k), (u + v).scale(k)),
         (transpose(transpose(u)), u),
         (fg.conj(), f.conj() @ g.conj()),
-        (fg, LinMap.from_entries(fg.cod, fg.dom, fg.q_rows())),
+        (fg, LinMap.from_entries(fg.cod, fg.dom, q_rows(fg))),
         (tensor(identity(1), f), f),
         (_cancelling_product(u), LinMap.zero(u.cod, u.dom)),
     ]

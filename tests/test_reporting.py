@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from braidcalc.linalg import AntilinMap, LinMap
+from braidcalc.linalg import AntilinMap, LinMap, Subspace
 from braidcalc.reporting import FAIL, PASS, Report
 from braidcalc.scalars import Q
 
@@ -75,3 +75,17 @@ def test_shape_mismatch():
     entry = check(A, LinMap.zero(3, 2))
     assert entry.status == FAIL
     assert entry.witness == {"reason": "shape mismatch 2x3 vs 3x2"}
+
+
+def test_space_checks_name_a_vector_on_the_wrong_side():
+    a = Subspace.spanned_by(3, [[1, 0, 0], [0, 2, Q(0, 2)]])
+    b = Subspace.spanned_by(3, [[1, 0, 0], [0, 0, 1]])
+    rep = Report()
+    assert rep.check_space_le("LE", a.intersect(b), b)
+    assert rep.check_space_eq("EQ", b, Subspace.spanned_by(3, [[1, 0, 1], [0, 0, 3]]))
+    assert not rep.check_space_le("NOT_LE", a, b)
+    assert not rep.check_space_eq("EQ_L", a, b)
+    assert not rep.check_space_eq("EQ_R", a.intersect(b), b)
+    assert rep["NOT_LE"].witness == {"vector_outside": ["0", "1", "0+1 i"]}
+    assert rep["EQ_L"].witness == {"vector_in_left_only": ["0", "1", "0+1 i"]}
+    assert rep["EQ_R"].witness == {"vector_in_right_only": ["0", "0", "1"]}
