@@ -89,30 +89,33 @@ class FlipOver:
     inverse: LinMap
 
 
+def sided_tensor(side: str):
+    """`tensor` for side 'left'; for 'right', `tensor` with its factors reversed,
+    as reflecting a string diagram left to right reverses every tensor product."""
+    if side == "left":
+        return tensor
+    if side == "right":
+        return lambda *maps: tensor(*reversed(maps))
+    raise ValueError("side must be 'left' or 'right'")
+
+
 def solve_flip(c: FirstOrderCalculus, braid: LinMap, direction: str = "left", label=None) -> FlipOver:
     """Solve the flip-over operator extending `braid` across the calculus.
 
     Left: x (iota_l (x) id) = (id (x) iota_l)(braid (x) id)(id (x) braid),
     solved by factoring through the surjection iota_l (x) id; the mirror
-    characterization through iota_r is verified afterwards.  Raises
+    characterization through iota_r is verified afterwards.  Right: the
+    same with every tensor reversed and iota_l, iota_r swapped.  Raises
     NotCovariant on a kernel obstruction, NotBijective when the solved
     operator is not invertible.
     """
-    n = c.group.dim
-    I = identity(n)
-    il, ir = iota_l(c), iota_r(c)
-    if direction == "left":
-        f = tensor(il, I)
-        rhs = compose(tensor(I, il), tensor(braid, I), tensor(I, braid))
-        alt_f = tensor(ir, I)
-        alt_rhs = compose(tensor(I, ir), tensor(braid, I), tensor(I, braid))
-    elif direction == "right":
-        f = tensor(I, ir)
-        rhs = compose(tensor(ir, I), tensor(I, braid), tensor(braid, I))
-        alt_f = tensor(I, il)
-        alt_rhs = compose(tensor(il, I), tensor(I, braid), tensor(braid, I))
-    else:
-        raise ValueError("direction must be 'left' or 'right'")
+    t = sided_tensor(direction)
+    I = identity(c.group.dim)
+    io, alt_io = (iota_l(c), iota_r(c)) if direction == "left" else (iota_r(c), iota_l(c))
+    f = t(io, I)
+    rhs = compose(t(I, io), t(braid, I), t(I, braid))
+    alt_f = t(alt_io, I)
+    alt_rhs = compose(t(I, alt_io), t(braid, I), t(I, braid))
     try:
         x = factor_through(f, rhs)
     except NoFactor as exc:
@@ -228,42 +231,25 @@ def flip_tau_from_sigma(c: FirstOrderCalculus, f_sigma: FlipOver, report: Report
     """
     rep = report if report is not None else Report()
     g = c.group
-    n = g.dim
-    I, Ig = identity(n), identity(c.gdim)
+    side = f_sigma.direction
+    t = sided_tensor(side)
+    I, Ig = identity(g.dim), identity(c.gdim)
     eps, phi, tau = g.counit, g.coproduct, g.tau
-    il = iota_l(c)
-    if f_sigma.direction == "left":
-        ls, ls_inv = f_sigma.map, f_sigma.inverse
-        lt = compose(tensor(I, Ig, eps), tensor(I, ls_inv), tensor(phi, Ig), ls)
-        rep.check_eq(
-            "EQ_239",
-            lt @ tensor(il, I),
-            compose(tensor(I, il), tensor(tau, I), tensor(I, tau)),
-            note="the derived tau flip satisfies the defining flip equation",
-        )
-        rep.check_eq(
-            "EQ_240",
-            lt.inverse(),
-            compose(tensor(eps, Ig, I), tensor(ls, I), tensor(Ig, phi), ls_inv),
-        )
-        rep.check_eq("EQ_241", tensor(eps, Ig) @ lt, tensor(Ig, eps))
-        return FlipOver("left", "tau", lt, lt.inverse())
-    rs, rs_inv = f_sigma.map, f_sigma.inverse
-    ir = iota_r(c)
-    rt = compose(tensor(eps, Ig, I), tensor(rs_inv, I), tensor(Ig, phi), rs)
+    io = iota_l(c) if side == "left" else iota_r(c)
+    flip, flip_inv = f_sigma.map, f_sigma.inverse
+    # the defining equation, the closed inverse formula and the counit law
+    key_def, key_inv, key_counit = {"left": ("EQ_239", "EQ_240", "EQ_241"), "right": ("EQ_243", "EQ_244", "EQ_245")}[side]
+    ft = compose(t(I, Ig, eps), t(I, flip_inv), t(phi, Ig), flip)
     rep.check_eq(
-        "EQ_243",
-        rt @ tensor(I, ir),
-        compose(tensor(ir, I), tensor(I, tau), tensor(tau, I)),
+        key_def,
+        ft @ t(io, I),
+        compose(t(I, io), t(tau, I), t(I, tau)),
         note="the derived tau flip satisfies the defining flip equation",
     )
-    rep.check_eq(
-        "EQ_244",
-        rt.inverse(),
-        compose(tensor(I, Ig, eps), tensor(I, rs), tensor(phi, Ig), rs_inv),
-    )
-    rep.check_eq("EQ_245", tensor(Ig, eps) @ rt, tensor(eps, Ig))
-    return FlipOver("right", "tau", rt, rt.inverse())
+    ft_inv = ft.inverse()
+    rep.check_eq(key_inv, ft_inv, compose(t(eps, Ig, I), t(flip, I), t(Ig, phi), flip_inv))
+    rep.check_eq(key_counit, t(eps, Ig) @ ft, t(Ig, eps))
+    return FlipOver(side, "tau", ft, ft_inv)
 
 
 def check_multi_covariance(

@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="full verification of a bundle")
     p_check.add_argument("bundle")
     p_check.add_argument("-o", "--output", default=None, help="report path ('-' for stdout)")
-    p_check.add_argument("--range", type=_int_at_least(0), default=2, dest="shift_range", help="shift window for the braid family")
+    p_check.add_argument("--range", type=_int_at_least(1), default=2, dest="shift_range", help="shift window for the braid family")
     p_check.add_argument("--paranoid", action="store_true", help="recompute derived maps, bypassing caches")
 
     p_derive = sub.add_parser("derive", help="emit a derived map as a matrix")
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
     p_cov.add_argument("bundle")
     p_cov.add_argument("--mode", required=True, choices=["left", "right", "bi", "kappa", "star", "braided"])
     p_cov.add_argument("-o", "--output", default=None)
-    p_cov.add_argument("--range", type=_int_at_least(0), default=2, dest="shift_range")
+    p_cov.add_argument("--range", type=_int_at_least(1), default=2, dest="shift_range")
 
     p_comp = sub.add_parser("complete-system", help="close the intrinsic braid pair under ternary operations")
     p_comp.add_argument("bundle")

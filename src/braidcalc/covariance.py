@@ -7,6 +7,10 @@ quotient differential pi, the classifying ideal R = ker(pi) & ker(eps),
 the common invariant flip restriction sigma_star and the invariant right
 multiplication circ, together with both module trivializations and the
 ideal-to-calculus reconstruction (and all their mirror versions).
+
+The ideal conditions and the reconstruction are written once, for the left
+side, through `sided_tensor`; the other mirror versions stay twins because
+their report entries differ in set, order, notes or sides of an equation.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .calculi import (
     check_calculus,
     iota_l,
     iota_r,
+    sided_tensor,
     solve_flip,
 )
 from .groups import InternalInconsistency, MultiBraidedGroup
@@ -210,17 +215,31 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
         note="dim of invariant forms = dim ker(eps) - dim R",
     )
     rep.check_space_eq("PI_KERNEL", pi.kernel(), ideal.sum_with(g.unit.image()))
-    _check_left_ideal_conditions(g, ideal, rep)
+    _check_ideal_conditions(g, ideal, "left", rep)
     return LeftCovariantData(c, act, proj, inv_space, incl, proj_coords, pi, pi_hat, ideal, sigma_star, circ, rep)
 
 
-def _check_left_ideal_conditions(g: MultiBraidedGroup, r: Subspace, rep: Report):
-    "R is a right ideal for the simplified product, and tau-shifts it across."
-    n = g.dim
-    I = identity(n)
-    ra = tensor(r.inclusion(), I).image()
-    rep.check_space_le("R_IDEAL", ra.map_by(g.m0), r, note="m0(R (x) A) inside R")
-    rep.check_space_eq("EQ_320", ra.map_by(g.tau), tensor(I, r.inclusion()).image())
+# side of the calculus -> (the ideal's other side, its key, its note, the tau-stability key):
+# a left-covariant calculus is classified by a right ideal R, a right-covariant one by a left ideal K
+_IDEAL_CONDITIONS = {
+    "left": ("right", "R_IDEAL", "m0(R (x) A) inside R", "EQ_320"),
+    "right": ("left", "K_IDEAL", "m0(A (x) K) inside K", "EQ_A25"),
+}
+
+
+def _check_ideal_conditions(g: MultiBraidedGroup, r: Subspace, side: str, rep: Report, precondition: bool = False):
+    """The ideal of a `side`-covariant calculus is an ideal for the simplified
+    product on the other side, and tau moves it across.  As the precondition
+    of a reconstruction the entries carry no note and the first failure
+    raises IdealInvalid."""
+    kind, key, note, tau_key = _IDEAL_CONDITIONS[side]
+    t = sided_tensor(side)
+    I, incl = identity(g.dim), r.inclusion()
+    ra = t(incl, I).image()
+    if not rep.check_space_le(key, ra.map_by(g.m0), r, note="" if precondition else note) and precondition:
+        raise IdealInvalid(f"not a {kind} ideal for the simplified product")
+    if not rep.check_space_eq(tau_key, ra.map_by(g.tau), t(I, incl).image()) and precondition:
+        raise IdealInvalid("ideal is not tau-stable")
 
 
 def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flips: dict | None = None) -> RightCovariantData:
@@ -307,17 +326,8 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
         {"reason": f"dim inv = {q}, dim ker(eps) = {kere.dim}, dim K = {ideal.dim}"},
     )
     rep.check_space_eq("ZETA_KERNEL", zeta.kernel(), ideal.sum_with(g.unit.image()))
-    _check_right_ideal_conditions(g, ideal, rep)
+    _check_ideal_conditions(g, ideal, "right", rep)
     return RightCovariantData(c, act, proj, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet, rep)
-
-
-def _check_right_ideal_conditions(g: MultiBraidedGroup, k: Subspace, rep: Report):
-    "K is a left ideal for the simplified product; tau shifts A (x) K across."
-    n = g.dim
-    I = identity(n)
-    ak = tensor(I, k.inclusion()).image()
-    rep.check_space_le("K_IDEAL", ak.map_by(g.m0), k, note="m0(A (x) K) inside K")
-    rep.check_space_eq("EQ_A25", ak.map_by(g.tau), tensor(k.inclusion(), I).image())
 
 
 def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None = None, flips: dict | None = None) -> FlipOver:
@@ -335,9 +345,7 @@ def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Rep
     ls = solved.map
     rep.check_eq("EQ_39", act @ mgr, compose(tensor(m, mgr), tensor(I, ls, I), tensor(act, phi)))
     if flips is not None:
-        ks = sorted(flips["left"])
-        span = max(ks)
-        half = span // 2
+        half = max(flips["left"]) // 2
         shifts = range(-half, half + 1)
         sigma_Ig = {k: tensor(g.sigma_n(k), Ig) for k in shifts}
         I_left = {k: tensor(I, flips["left"][k].map) for k in shifts}
@@ -372,8 +380,7 @@ def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, repor
     rs = solved.map
     rep.check_eq("EQ_A7", act @ mgl, compose(tensor(mgl, m), tensor(I, rs, I), tensor(phi, act)))
     if flips is not None:
-        ks = sorted(flips["right"])
-        half = max(ks) // 2
+        half = max(flips["right"]) // 2
         shifts = range(-half, half + 1)
         Ig_sigma = {k: tensor(Ig, g.sigma_n(k)) for k in shifts}
         right_I = {k: tensor(flips["right"][k].map, I) for k in shifts}
@@ -494,7 +501,7 @@ def right_covariant_trivializations(c: FirstOrderCalculus, rcd: RightCovariantDa
 
 def extract_ideal(lcd: LeftCovariantData, report: Report | None = None) -> Subspace:
     rep = report if report is not None else Report()
-    _check_left_ideal_conditions(lcd.calculus.group, lcd.ideal, rep)
+    _check_ideal_conditions(lcd.calculus.group, lcd.ideal, "left", rep)
     return lcd.ideal
 
 
@@ -528,30 +535,6 @@ def _close_ideal(g: MultiBraidedGroup, generators, side: str) -> Subspace:
         space = bigger
 
 
-def _ideal_preconditions(g: MultiBraidedGroup, r: Subspace, side: str, rep: Report):
-    n = g.dim
-    I = identity(n)
-    m0 = g.m0
-    kere = g.counit.kernel()
-    if not kere.contains_space(r):
-        raise IdealInvalid("ideal is not contained in ker(eps)")
-    if side == "left":
-        ra = tensor(r.inclusion(), I).image()
-        if not rep.check_space_le("R_IDEAL", ra.map_by(m0), r):
-            raise IdealInvalid("not a right ideal for the simplified product")
-        if not rep.check_space_eq("EQ_320", ra.map_by(g.tau), tensor(I, r.inclusion()).image()):
-            raise IdealInvalid("ideal is not tau-stable")
-    else:
-        ak = tensor(I, r.inclusion()).image()
-        if not rep.check_space_le("K_IDEAL", ak.map_by(m0), r):
-            raise IdealInvalid("not a left ideal for the simplified product")
-        if not rep.check_space_eq("EQ_A25", ak.map_by(g.tau), tensor(r.inclusion(), I).image()):
-            raise IdealInvalid("ideal is not tau-stable")
-    # unital braidings make the quotient solves below well-posed
-    if g.braiding @ tensor(g.unit, I) != tensor(I, g.unit) or g.tau @ tensor(g.unit, I) != tensor(I, g.unit):
-        raise IdealInvalid("braiding or its secondary is not unital")
-
-
 def reconstruct_from_ideal(
     g: MultiBraidedGroup,
     r: Subspace,
@@ -566,53 +549,7 @@ def reconstruct_from_ideal(
     standard dictionary, and the construction is verified end to end
     (including the ideal round-trip) when `verify` is set.
     """
-    rep = report if report is not None else Report()
-    n = g.dim
-    I = identity(n)
-    _ideal_preconditions(g, r, "left", rep)
-    pi, q = quotient(n, r.sum_with(g.unit.image()))
-    Iq = identity(q)
-    try:
-        sigma_star = factor_through(tensor(pi, I), tensor(I, pi) @ g.tau)
-        circ = factor_through(tensor(pi, I), pi @ g.m0 - pi @ tensor(g.counit, I))
-    except NoFactor as exc:
-        raise IdealInvalid(f"quotient structure does not descend: {exc}") from exc
-    rep.check_eq("EQ_315", sigma_star @ tensor(pi, I), tensor(I, pi) @ g.tau)
-    rep.check_eq(
-        "EQ_332",
-        sigma_star @ tensor(circ, I),
-        compose(tensor(I, circ), tensor(sigma_star, I), tensor(Iq, g.tau)),
-    )
-    rep.check_eq(
-        "EQ_333",
-        compose(tensor(g.mult, Iq), tensor(I, sigma_star), tensor(sigma_star, I)),
-        sigma_star @ tensor(Iq, g.mult),
-    )
-    rep.check_eq(
-        "EQ_334",
-        pi @ g.mult,
-        compose(tensor(g.counit, pi) + circ @ tensor(pi, I), g.sigma_inv, g.tau),
-    )
-    d = tensor(I, pi) @ g.coproduct
-    mgl = tensor(g.mult, Iq)
-    mgr = compose(tensor(g.mult, circ), tensor(I, sigma_star, I), tensor(I, Iq, g.coproduct))
-    calc = FirstOrderCalculus(g, n * q, mgl, mgr, d, name=name)
-    if verify:
-        check_reconstruction(calc, r, rep)
-    return calc
-
-
-def check_reconstruction(calc: FirstOrderCalculus, r: Subspace, report: Report) -> LeftCovariantData:
-    """The calculus battery on a calculus reconstructed from the ideal r, then
-    its left action, whose ideal must be r again; returns the solved action."""
-    calc_rep = Report(ctx=report.ctx)
-    check_calculus(calc, calc_rep)
-    report.extend(calc_rep)
-    if not calc_rep.ok_all:
-        raise InternalInconsistency("reconstructed calculus fails the calculus battery")
-    lcd = solve_left_action(calc, report)
-    report.check_space_eq("ROUNDTRIP_IDEAL", lcd.ideal, r, note="ideal -> calculus -> ideal is the identity")
-    return lcd
+    return _reconstruct(g, r, "left", report, name, verify)
 
 
 def reconstruct_right_from_ideal(
@@ -623,33 +560,75 @@ def reconstruct_right_from_ideal(
     verify: bool = True,
 ) -> FirstOrderCalculus:
     "Mirror reconstruction: right-covariant calculus on (invariants) (x) A."
+    return _reconstruct(g, k, "right", report, name, verify)
+
+
+def _reconstruct(g: MultiBraidedGroup, r: Subspace, side: str, report: Report | None, name: str, verify: bool) -> FirstOrderCalculus:
+    """The reconstruction of either side, written for the left one.  On the
+    right every tensor is reversed, sigma_star and circ are star_sigma and
+    bullet, and the plain and the twisted module maps swap places."""
     rep = report if report is not None else Report()
+    t = sided_tensor(side)
     n = g.dim
     I = identity(n)
-    _ideal_preconditions(g, k, "right", rep)
-    m0 = g.m0
-    zeta, q = quotient(n, k.sum_with(g.unit.image()))
+    if not g.counit.kernel().contains_space(r):
+        raise IdealInvalid("ideal is not contained in ker(eps)")
+    _check_ideal_conditions(g, r, side, rep, precondition=True)
+    # unital braidings make the quotient solves below well-posed
+    if g.braiding @ tensor(g.unit, I) != tensor(I, g.unit) or g.tau @ tensor(g.unit, I) != tensor(I, g.unit):
+        raise IdealInvalid("braiding or its secondary is not unital")
+    pi, q = quotient(n, r.sum_with(g.unit.image()))
     Iq = identity(q)
+    circ_rhs = pi @ g.m0 - pi @ t(g.counit, I)
     try:
-        star_sigma = factor_through(tensor(I, zeta), tensor(zeta, I) @ g.tau)
-        bullet = factor_through(tensor(I, zeta), zeta @ m0 - tensor(zeta, g.counit))
+        sigma_star = factor_through(t(pi, I), t(I, pi) @ g.tau)
+        circ = factor_through(t(pi, I), circ_rhs)
     except NoFactor as exc:
         raise IdealInvalid(f"quotient structure does not descend: {exc}") from exc
-    rep.check_eq("EQ_A12", star_sigma @ tensor(I, zeta), tensor(zeta, I) @ g.tau)
-    rep.check_eq("EQ_A20", bullet @ tensor(I, zeta), zeta @ m0 - tensor(zeta, g.counit))
-    d = tensor(zeta, I) @ g.coproduct
-    mgr = tensor(Iq, g.mult)
-    mgl = compose(tensor(bullet, g.mult), tensor(I, star_sigma, I), tensor(g.coproduct, Iq, I))
-    calc = FirstOrderCalculus(g, q * n, mgl, mgr, d, name=name)
+    rep.check_eq("EQ_315" if side == "left" else "EQ_A12", sigma_star @ t(pi, I), t(I, pi) @ g.tau)
+    if side == "left":
+        rep.check_eq(
+            "EQ_332",
+            sigma_star @ tensor(circ, I),
+            compose(tensor(I, circ), tensor(sigma_star, I), tensor(Iq, g.tau)),
+        )
+        rep.check_eq(
+            "EQ_333",
+            compose(tensor(g.mult, Iq), tensor(I, sigma_star), tensor(sigma_star, I)),
+            sigma_star @ tensor(Iq, g.mult),
+        )
+        rep.check_eq(
+            "EQ_334",
+            pi @ g.mult,
+            compose(tensor(g.counit, pi) + circ @ tensor(pi, I), g.sigma_inv, g.tau),
+        )
+    else:
+        rep.check_eq("EQ_A20", circ @ t(pi, I), circ_rhs)
+    d = t(I, pi) @ g.coproduct
+    plain = t(g.mult, Iq)
+    twisted = compose(t(g.mult, circ), t(I, sigma_star, I), t(I, Iq, g.coproduct))
+    mgl, mgr = (plain, twisted) if side == "left" else (twisted, plain)
+    calc = FirstOrderCalculus(g, n * q, mgl, mgr, d, name=name)
     if verify:
-        calc_rep = Report(ctx=rep.ctx)
-        check_calculus(calc, calc_rep)
-        rep.extend(calc_rep)
-        if not calc_rep.ok_all:
-            raise InternalInconsistency("reconstructed calculus fails the calculus battery")
-        rcd = solve_right_action(calc, rep)
-        rep.check_space_eq("ROUNDTRIP_IDEAL_RIGHT", rcd.ideal, k)
+        check_reconstruction(calc, r, rep, side)
     return calc
+
+
+def check_reconstruction(calc: FirstOrderCalculus, r: Subspace, report: Report, side: str = "left"):
+    """The calculus battery on a calculus reconstructed from the ideal r, then
+    its action on `side`, whose ideal must be r again; returns the solved action."""
+    calc_rep = Report(ctx=report.ctx)
+    check_calculus(calc, calc_rep)
+    report.extend(calc_rep)
+    if not calc_rep.ok_all:
+        raise InternalInconsistency("reconstructed calculus fails the calculus battery")
+    if side == "left":
+        data = solve_left_action(calc, report)
+        report.check_space_eq("ROUNDTRIP_IDEAL", data.ideal, r, note="ideal -> calculus -> ideal is the identity")
+    else:
+        data = solve_right_action(calc, report)
+        report.check_space_eq("ROUNDTRIP_IDEAL_RIGHT", data.ideal, r)
+    return data
 
 
 def universal_ideals(g: MultiBraidedGroup) -> dict:

@@ -87,30 +87,9 @@ def verify_calculus_section(bundle: Bundle, c: FirstOrderCalculus, shift_range: 
     rep = Report(ctx=f"calculus:{c.name}")
     g = bundle.group
     check_calculus(c, rep)
-    flips = None
-    try:
-        flips = solve_flips(c, shift_range)
-        rep.ok("FLIPS_SOLVED", note=f"left/right flips for shifts in [-{2*shift_range}, {2*shift_range}]")
-    except NotCovariant as exc:
-        rep.fail("NOT_SIGMA_COVARIANT", {"reason": str(exc)})
-    except NotBijective as exc:
-        rep.fail("FLIP_NOT_BIJECTIVE", {"reason": str(exc)})
-    if flips is not None:
-        for k in range(-shift_range, shift_range + 1):
-            check_flip_identities(c, flips["left"][k], g.sigma_n(k), rep, counterpart=flips["right"][k])
-            check_flip_identities(c, flips["right"][k], g.sigma_n(k), rep)
-        flip_tau_from_sigma(c, flips["left"][1], rep)
-        flip_tau_from_sigma(c, flips["right"][1], rep)
-        check_multi_covariance(c, flips, rep, shift_range)
-    lcd = rcd = None
-    try:
-        lcd = solve_left_action(c, rep, flips=flips)
-    except NotLeftCovariant as exc:
-        rep.fail("NOT_LEFT_COVARIANT", {"reason": str(exc)})
-    try:
-        rcd = solve_right_action(c, rep, flips=flips)
-    except NotRightCovariant as exc:
-        rep.fail("NOT_RIGHT_COVARIANT", {"reason": str(exc)})
+    flips = _flip_battery(c, rep, shift_range, f"left/right flips for shifts in [-{2*shift_range}, {2*shift_range}]")
+    lcd = _solve_action(c, "left", rep, flips)
+    rcd = _solve_action(c, "right", rep, flips)
     if lcd is not None and flips is not None:
         flip_from_actions(c, lcd, rep, flips=flips)
         left_trivialization(c, lcd, rep)
@@ -146,6 +125,40 @@ def verify_calculus_section(bundle: Bundle, c: FirstOrderCalculus, shift_range: 
         except NotStarCovariant:
             pass  # STARKAPPA_IDEAL already carries the witness
     return rep
+
+
+def _flip_battery(c: FirstOrderCalculus, rep: Report, shift_range: int, note: str = ""):
+    "Solve the flip table and check every flip identity; the table, or None when a flip is missing."
+    g = c.group
+    try:
+        flips = solve_flips(c, shift_range)
+    except NotCovariant as exc:
+        rep.fail("NOT_SIGMA_COVARIANT", {"reason": str(exc)})
+        return None
+    except NotBijective as exc:
+        rep.fail("FLIP_NOT_BIJECTIVE", {"reason": str(exc)})
+        return None
+    rep.ok("FLIPS_SOLVED", note=note)
+    for k in range(-shift_range, shift_range + 1):
+        check_flip_identities(c, flips["left"][k], g.sigma_n(k), rep, counterpart=flips["right"][k])
+        check_flip_identities(c, flips["right"][k], g.sigma_n(k), rep)
+    flip_tau_from_sigma(c, flips["left"][1], rep)
+    flip_tau_from_sigma(c, flips["right"][1], rep)
+    check_multi_covariance(c, flips, rep, shift_range)
+    return flips
+
+
+def _solve_action(c: FirstOrderCalculus, side: str, rep: Report, flips: dict | None = None):
+    "The solved action on `side`, or None after recording that the calculus is not covariant there."
+    try:
+        if side == "left":
+            return solve_left_action(c, rep, flips=flips)
+        return solve_right_action(c, rep, flips=flips)
+    except NotLeftCovariant as exc:
+        rep.fail("NOT_LEFT_COVARIANT", {"reason": str(exc)})
+    except NotRightCovariant as exc:
+        rep.fail("NOT_RIGHT_COVARIANT", {"reason": str(exc)})
+    return None
 
 
 def verify_ideal_section(bundle: Bundle, name: str, vectors, shift_range: int = 2) -> Report:
@@ -189,6 +202,8 @@ def _guarded(ctx: str, fn):
 
 
 def verify_bundle(bundle: Bundle, shift_range: int = 2, paranoid: bool = False) -> Report:
+    if shift_range < 1:  # the flip identities read the flips at shifts 1, -1 and -2
+        raise ValueError(f"shift range must be at least 1, got {shift_range}")
     out = Report()
     group_rep = _guarded("group", lambda: verify_group_section(bundle, shift_range, paranoid))
     out.extend(group_rep)
@@ -208,6 +223,8 @@ def verify_bundle(bundle: Bundle, shift_range: int = 2, paranoid: bool = False) 
 
 def run_covariance_mode(bundle: Bundle, mode: str, shift_range: int = 2) -> Report:
     "Targeted decision procedures for one aspect of covariance."
+    if shift_range < 1:
+        raise ValueError(f"shift range must be at least 1, got {shift_range}")
     rep = Report(ctx=f"covariance:{mode}")
     g = bundle.group
     if mode == "star" and bundle.star is None:
@@ -232,26 +249,11 @@ def _covariance_one(bundle: Bundle, c: FirstOrderCalculus, mode: str, shift_rang
     g = bundle.group
     sub = Report(ctx=f"covariance:{mode}:{c.name}")
     check_calculus(c, sub)
-    if mode == "left":
-        try:
-            solve_left_action(c, sub)
-        except NotLeftCovariant as exc:
-            sub.fail("NOT_LEFT_COVARIANT", {"reason": str(exc)})
-    elif mode == "right":
-        try:
-            solve_right_action(c, sub)
-        except NotRightCovariant as exc:
-            sub.fail("NOT_RIGHT_COVARIANT", {"reason": str(exc)})
+    if mode in ("left", "right"):
+        _solve_action(c, mode, sub)
     elif mode == "bi":
-        lcd = rcd = None
-        try:
-            lcd = solve_left_action(c, sub)
-        except NotLeftCovariant as exc:
-            sub.fail("NOT_LEFT_COVARIANT", {"reason": str(exc)})
-        try:
-            rcd = solve_right_action(c, sub)
-        except NotRightCovariant as exc:
-            sub.fail("NOT_RIGHT_COVARIANT", {"reason": str(exc)})
+        lcd = _solve_action(c, "left", sub)
+        rcd = _solve_action(c, "right", sub)
         if lcd is not None and rcd is not None:
             try:
                 flips = solve_flips(c, shift_range)
@@ -266,27 +268,14 @@ def _covariance_one(bundle: Bundle, c: FirstOrderCalculus, mode: str, shift_rang
             pass
         kappa_iff_bicovariant(c, sub)
     elif mode == "star":
-        try:
-            lcd = solve_left_action(c, sub)
-            star_covariance(c, lcd, StarGroup(g, bundle.star), sub)
-        except NotLeftCovariant as exc:
-            sub.fail("NOT_LEFT_COVARIANT", {"reason": str(exc)})
-        except NotStarCovariant:
-            pass
+        lcd = _solve_action(c, "left", sub)
+        if lcd is not None:
+            try:
+                star_covariance(c, lcd, StarGroup(g, bundle.star), sub)
+            except NotStarCovariant:
+                pass
     elif mode == "braided":
-        try:
-            flips = solve_flips(c, shift_range)
-            sub.ok("FLIPS_SOLVED")
-            for k in range(-shift_range, shift_range + 1):
-                check_flip_identities(c, flips["left"][k], g.sigma_n(k), sub, counterpart=flips["right"][k])
-                check_flip_identities(c, flips["right"][k], g.sigma_n(k), sub)
-            flip_tau_from_sigma(c, flips["left"][1], sub)
-            flip_tau_from_sigma(c, flips["right"][1], sub)
-            check_multi_covariance(c, flips, sub, shift_range)
-        except NotCovariant as exc:
-            sub.fail("NOT_SIGMA_COVARIANT", {"reason": str(exc)})
-        except NotBijective as exc:
-            sub.fail("FLIP_NOT_BIJECTIVE", {"reason": str(exc)})
+        _flip_battery(c, sub, shift_range)
     else:
         raise ValueError(f"unknown covariance mode {mode!r}")
     return sub

@@ -13,6 +13,7 @@ import braidcalc
 from braidcalc.bundles import Bundle, emit_bundle, parse_bundle
 from braidcalc.cli import main
 from braidcalc.fixtures import _delta_group, conjugation_star
+from braidcalc.verify import run_covariance_mode, verify_bundle
 
 BUNDLE_DIR = Path(__file__).resolve().parent.parent / "bundles"
 SHIPPED_DIGESTS = json.loads((BUNDLE_DIR.parent / "perfbench" / "expected.json").read_text())["shipped"]
@@ -203,6 +204,8 @@ def test_closed_stdout_exits_141(workdir, monkeypatch, argv):
         (["check", "--range", "two"], "--range"),
         (["covariance", "--mode", "left", "--range", "-1"], "--range"),
         (["complete-system", "--max", "0"], "--max"),
+        (["check", "--range", "0"], "--range"),
+        (["covariance", "--mode", "braided", "--range", "0"], "--range"),
     ],
 )
 def test_cli_integers_validated(workdir, capsys, argv, flag):
@@ -210,6 +213,15 @@ def test_cli_integers_validated(workdir, capsys, argv, flag):
         main(argv[:1] + [str(workdir / "fix_1.json")] + argv[1:])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_shift_range_below_one_is_rejected():
+    "The flip identities read shifts 1, -1 and -2, which a window of K = 0 does not hold."
+    bundle = parse_bundle((BUNDLE_DIR / "fix_k2.json").read_text())
+    with pytest.raises(ValueError, match="shift range"):
+        verify_bundle(bundle, 0)
+    with pytest.raises(ValueError, match="shift range"):
+        run_covariance_mode(bundle, "braided", 0)
 
 
 def test_z8_ideal_check_fits_in_one_gib(tmp_path):

@@ -80,7 +80,7 @@ def _scalar_paths(node, path=()):
 
 
 def mutants(count: int, seed: int) -> list:
-    "(label, bundle name, bundle text) of `count` single-scalar mutants of the shipped bundles."
+    "(label, bundle text) of `count` single-scalar mutants of the shipped bundles."
     rng = random.Random(seed)
     sources = {name: json.loads((BUNDLE_DIR / f"{name}.json").read_text()) for name in SHIPPED}
     out = []
@@ -101,13 +101,13 @@ def mutants(count: int, seed: int) -> list:
         value = rng.choice([s for s in SCALARS if s != parent[path[-1]]])
         parent[path[-1]] = value
         where = ".".join(str(p) for p in path)
-        out.append((f"mutant {k} ({name} {where} = {value})", name, json.dumps(data, indent=2, sort_keys=True)))
+        out.append((f"mutant {k} ({name} {where} = {value})", json.dumps(data, indent=2, sort_keys=True)))
     return out
 
 
 def run_command(bundle_text: str, argv: list, outputs: list) -> list:
     "[exit code, sha256] of one in-process command run on a bundle in a scratch directory."
-    from braidcalc.cli import main
+    from braidcalc.cli import main  # here, since the comparing process has no braidcalc on its path
 
     with tempfile.TemporaryDirectory() as tmp:
         bundle = os.path.join(tmp, "bundle.json")
@@ -129,7 +129,7 @@ def cases(count: int, seed: int) -> list:
     "(label, bundle text, argv, output file names) of the fixed command set and of `count` mutants."
     out = [(label, (BUNDLE_DIR / f"{name}.json").read_text(), argv, outputs)
            for label, name, argv, outputs in fixed_commands()]
-    for label, _, text in mutants(count, seed):
+    for label, text in mutants(count, seed):
         out.extend((f"{label}: {command}", text, argv, ["report.json"]) for command, argv in MUTANT_COMMANDS)
     return out
 
