@@ -45,17 +45,22 @@ def _reject_float(text: str):
     raise ParseError("<number>", f"floating-point literal {text!r} is forbidden; use exact 'a/b' strings")
 
 
-def _parse_scalar(value, path: str) -> Q:
+def _scalar(value) -> Q:
+    "An int or an exact scalar string as Q; ScalarParseError for anything else."
     if isinstance(value, bool):
-        raise ParseError(path, "booleans are not scalars")
+        raise ScalarParseError("booleans are not scalars")
     if isinstance(value, int):
         return Q(value)
     if isinstance(value, str):
-        try:
-            return Q.parse(value)
-        except ScalarParseError as exc:
-            raise ParseError(path, str(exc)) from exc
-    raise ParseError(path, f"expected exact scalar string, got {type(value).__name__}")
+        return Q.parse(value)
+    raise ScalarParseError(f"expected exact scalar string, got {type(value).__name__}")
+
+
+def _parse_scalar(value, path: str) -> Q:
+    try:
+        return _scalar(value)
+    except ScalarParseError as exc:
+        raise ParseError(path, str(exc)) from exc
 
 
 def _parse_matrix(value, cod: int, dom: int, path: str) -> LinMap:
@@ -63,11 +68,26 @@ def _parse_matrix(value, cod: int, dom: int, path: str) -> LinMap:
         raise ParseError(path, "expected a list of rows")
     if len(value) != cod:
         raise DimensionError(path, f"expected {cod} rows, got {len(value)}")
+    scalars: dict = {}  # scalar string -> Q, so each distinct string is parsed once
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dom:
             raise DimensionError(f"{path}[{i}]", f"expected {dom} entries")
-        rows.append([_parse_scalar(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
+        try:
+            rows.append([scalars[x] for x in row])
+        except (KeyError, TypeError):  # a string met for the first time, or a cell that is not a string
+            cells = []
+            for j, x in enumerate(row):
+                q = scalars.get(x) if type(x) is str else None
+                if q is None:
+                    try:
+                        q = _scalar(x)
+                    except ScalarParseError as exc:
+                        raise ParseError(f"{path}[{i}][{j}]", str(exc)) from exc
+                    if type(x) is str:
+                        scalars[x] = q
+                cells.append(q)
+            rows.append(cells)
     return LinMap.from_entries(cod, dom, rows)
 
 

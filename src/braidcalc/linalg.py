@@ -30,6 +30,21 @@ Tensor products follow the row-major index convention: the composite
 index of i (x) j in V (x) W is i*dim(W) + j, and kron satisfies the
 mixed-product law with composition.
 
+A leg is a padded factor I_a (x) f (x) I_b with f real, stored as
+(a, f, b).  identity(n) returns one (f the 1x1 identity), so tensor()
+spots identities at once, and tensor() returns one whenever every factor
+but one real map is an identity or a leg; any other product is built by
+kron.  Multiplying by a leg does not build its rows.  Row (i, r, k) of the
+leg is row r of f with each column s moved to (i, s, k), so leg @ B sums
+B's rows (i, s, k) times f's entries.  When every row of f holds one
+entry, the leg's rows come in blocks that hand on B's rows as they are
+(times the entry, and 1 * row shares the row), found from one start column
+per block; and A @ leg moves column t of A to the one column of leg row t,
+through a column map.  A leg computes its blocks and column map once.  Any
+other read of a leg's rows (equality, hashing, elimination, sums, a
+further kron, A @ leg for any other f) builds them once, on the leg
+itself.  Results are the same canonical maps as with the leg built.
+
 Zero-dimensional spaces are fully supported (maps with dom or cod 0);
 identities over them hold vacuously.
 """
@@ -174,7 +189,8 @@ class LinMap:
 
     @staticmethod
     def identity(n: int) -> "LinMap":
-        return LinMap(n, n, [{i: 1} for i in range(n)], _clean=True)
+        "The identity on n coordinates, as a leg (see the module docstring), so tensor() spots it at once."
+        return _ONE if n == 1 else _Leg(n, _ONE, 1)
 
     @staticmethod
     def zero(cod: int, dom: int) -> "LinMap":
@@ -226,16 +242,23 @@ class LinMap:
             return NotImplemented
         if other.cod != self.dom:
             raise DimensionMismatch(f"compose: {self.cod}x{self.dom} after {other.cod}x{other.dom}")
-        ar, ai, br, bi = self._re, self._im, other._re, other._im
-        cr = _mul(ar, br)
-        ci = None
-        if ai is not None and bi is not None:
-            cr = _lincomb(cr, 1, _mul(ai, bi), -1)
-            ci = _lincomb(_mul(ar, bi), 1, _mul(ai, br), 1)
-        elif ai is not None:
-            ci = _mul(ai, br)
-        elif bi is not None:
-            ci = _mul(ar, bi)
+        if type(self) is _Leg:  # a real leg: apply it to each part of other
+            cr, bi = self._apply(other._re), other._im
+            ci = None if bi is None else self._apply(bi)
+        elif type(other) is _Leg and (other._f is _ONE or other._columns()):  # a monomial real leg: move self's columns
+            cr, ai = other._reindex(self._re), self._im
+            ci = None if ai is None else other._reindex(ai)
+        else:
+            ar, ai, br, bi = self._re, self._im, other._re, other._im
+            cr = _mul(ar, br)
+            ci = None
+            if ai is not None and bi is not None:
+                cr = _lincomb(cr, 1, _mul(ai, bi), -1)
+                ci = _lincomb(_mul(ar, bi), 1, _mul(ai, br), 1)
+            elif ai is not None:
+                ci = _mul(ai, br)
+            elif bi is not None:
+                ci = _mul(ar, bi)
         return LinMap(self.cod, other.dom, cr, ci, self._den * other._den, _clean=True)
 
     def __add__(self, other):
@@ -351,6 +374,124 @@ class LinMap:
         return Subspace(self.cod, _eliminate(zip(cols, im)))
 
 
+class _Leg(LinMap):
+    """I_a (x) f (x) I_b for a real map f, held as (a, f, b): see the module docstring.
+
+    The built rows, the blocks and the column map are kept once computed.
+    """
+
+    __slots__ = ("_a", "_f", "_b", "_built", "_blocking", "_colmap")
+
+    def __init__(self, a: int, f: LinMap, b: int):
+        self._a, self._f, self._b = a, f, b
+        self.cod, self.dom = a * f.cod * b, a * f.dom * b
+        self._im = None
+        self._den = f._den  # the leg's entries are f's; tensor() makes no empty leg but identity(0)
+        self._built = self._blocking = self._colmap = None
+
+    @property
+    def _re(self):
+        "The numerator rows, built on first read."
+        if self._built is None:
+            b, step = self._b, self._f.dom * self._b
+            self._built = tuple([
+                {i * step + s * b + k: c for s, c in frow.items()}
+                for i in range(self._a)
+                for frow in self._f._re
+                for k in range(b)
+            ])
+        return self._built
+
+    def _blocks(self):
+        """(starts, coefs) when every row of f holds one entry, else ().  The
+        leg's rows come in blocks of b, one block per row (i, r) of I_a (x) f:
+        row k of block t holds coefs[t] (coefs None when every entry is 1) at
+        column starts[t] + k."""
+        if self._blocking is None:
+            entries: list = []  # (column, entry) of each row of f
+            for r in self._f._re:
+                if len(r) != 1:
+                    self._blocking = ()
+                    return ()
+                entries += r.items()
+            b, step = self._b, self._f.dom * self._b
+            starts = [i * step + s * b for i in range(self._a) for s, _ in entries]
+            coefs = None if all(c == 1 for _, c in entries) else [c for _, c in entries] * self._a
+            self._blocking = starts, coefs
+        return self._blocking
+
+    def _columns(self):
+        """(cols, coefs, distinct) when every row of f holds one entry: leg row t
+        holds coefs[t] at column cols[t] (coefs None when every entry is 1), and
+        distinct says no two rows share a column.  () for any other f."""
+        if self._colmap is None:
+            blocks = self._blocks()
+            if not blocks:
+                self._colmap = ()
+                return ()
+            starts, coefs = blocks
+            distinct = len(set(starts)) == len(starts)
+            b = self._b
+            if b > 1:
+                starts = [st + k for st in starts for k in range(b)]
+                coefs = coefs and [c for c in coefs for _ in range(b)]
+            self._colmap = starts, coefs, distinct
+        return self._colmap
+
+    def _apply(self, B):
+        "Rows of this leg times the rows B, without this leg's rows."
+        if self._f is _ONE:
+            return B
+        b, blocks = self._b, self._blocks()
+        if blocks:  # row k of block t is coefs[t] times B's row starts[t] + k; 1 * row shares it
+            starts, coefs = blocks
+            if coefs is None:
+                return [B[j] for j in starts] if b == 1 else [B[j] for st in starts for j in range(st, st + b)]
+            if b == 1:
+                return [B[j] if c == 1 else {col: c * x for col, x in B[j].items()} for j, c in zip(starts, coefs)]
+            return [
+                B[j] if c == 1 else {col: c * x for col, x in B[j].items()}
+                for st, c in zip(starts, coefs)
+                for j in range(st, st + b)
+            ]
+        out = []
+        step = self._f.dom * b
+        for i in range(self._a):
+            for frow in self._f._re:
+                if len(frow) == 1:
+                    [(s, c)] = frow.items()
+                    block = B[i * step + s * b : i * step + s * b + b]
+                    out.extend(block if c == 1 else [{j: c * x for j, x in r.items()} for r in block])
+                    continue
+                for k in range(b):
+                    row: dict = {}
+                    get = row.get
+                    for s, c in frow.items():
+                        for j, x in B[i * step + s * b + k].items():
+                            row[j] = get(j, 0) + c * x
+                    out.append(row if all(row.values()) else {j: x for j, x in row.items() if x})
+        return out
+
+    def _reindex(self, A):
+        "Rows of the rows A times this leg, through its column map."
+        if self._f is _ONE:
+            return A
+        cols, coefs, distinct = self._columns()
+        if distinct and coefs is None:
+            return [{cols[t]: x for t, x in Ai.items()} for Ai in A]
+        if distinct:
+            return [{cols[t]: x * coefs[t] for t, x in Ai.items()} for Ai in A]
+        out = []
+        for Ai in A:
+            row: dict = {}
+            get = row.get
+            for t, x in Ai.items():
+                j = cols[t]
+                row[j] = get(j, 0) + (x if coefs is None else x * coefs[t])
+            out.append(row if all(row.values()) else {j: x for j, x in row.items() if x})
+        return out
+
+
 def identity(n: int) -> LinMap:
     return LinMap.identity(n)
 
@@ -392,8 +533,35 @@ def compose(*maps: LinMap) -> LinMap:
 
 
 def tensor(*maps: LinMap) -> LinMap:
+    """The Kronecker product of the maps, left to right.
+
+    When every factor but one real map is an identity or a leg, the
+    product is a leg (see the module docstring); otherwise it is built.
+    """
     if not maps:
         raise ValueError("tensor() needs at least one map")
+    if len(maps) == 1:
+        return maps[0]
+    a, f, b = 1, _ONE, 1
+    for m in maps:
+        ma, mf, mb = (m._a, m._f, m._b) if type(m) is _Leg else (1, m, 1)
+        if mf is _ONE:  # an identity widens the padding on the side of f it stands
+            if f is _ONE:
+                a *= ma * mb
+            else:
+                b *= ma * mb
+        elif f is _ONE and type(mf) is LinMap and mf._im is None:
+            a, f, b = a * ma, mf, mb
+        else:
+            break
+    else:
+        if f is _ONE:
+            return LinMap.identity(a * b)
+        if a * b == 1:
+            return f
+        if not (a * b * f.cod * f.dom):  # no entries: the plain zero map is cheaper to use
+            return LinMap.zero(a * f.cod * b, a * f.dom * b)
+        return _Leg(a, f, b)
     out = maps[0]
     for f in maps[1:]:
         out = out.tensor(f)
@@ -804,3 +972,6 @@ def _normalize(re_rows, im_rows, den):
             im_rows = [{j: x // g for j, x in r.items()} for r in im_rows]
         den //= g
     return re_rows, im_rows, den
+
+
+_ONE = LinMap(1, 1, [{0: 1}], _clean=True)  # the f of every identity leg

@@ -52,6 +52,7 @@ from .groups import (
     BraidSystem,
     Completion,
     InternalInconsistency,
+    MultiBraidedGroup,
     adjoint_action,
     check_adjoint,
     check_group,
@@ -232,16 +233,23 @@ def run_covariance_mode(bundle: Bundle, mode: str, shift_range: int = 2) -> Repo
     if not bundle.calculi and mode != "star":
         rep.skip("NO_CALCULI", note="bundle has no calculus sections")
     if mode == "star":
-        check_star_group(StarGroup(g, bundle.star), rep, shift_range)
+        sg = StarGroup(g, bundle.star)
+        rep.extend(_guarded(rep.ctx, lambda: check_star_group(sg, Report(ctx=rep.ctx), shift_range)))
     for c in bundle.calculi:
         sub = _guarded(f"covariance:{mode}:{c.name}", lambda c=c: _covariance_one(bundle, c, mode, shift_range))
         rep.extend(sub)
     if mode == "braided":
-        shifts = explore_antipode_shifts(g, shift_range)
-        rep.skip(
-            "ANTIPODE_BRAID_SHIFTS",
-            note="exploratory, nothing asserted: " + "; ".join(f"n={k} matches m in {v}" for k, v in shifts.items()),
-        )
+        rep.extend(_guarded(rep.ctx, lambda: _antipode_shifts(g, shift_range, rep.ctx)))
+    return rep
+
+
+def _antipode_shifts(g: MultiBraidedGroup, shift_range: int, ctx: str) -> Report:
+    rep = Report(ctx=ctx)
+    shifts = explore_antipode_shifts(g, shift_range)
+    rep.skip(
+        "ANTIPODE_BRAID_SHIFTS",
+        note="exploratory, nothing asserted: " + "; ".join(f"n={k} matches m in {v}" for k, v in shifts.items()),
+    )
     return rep
 
 

@@ -153,3 +153,31 @@ def test_malformed_section_is_parse_error(edit, path):
     with pytest.raises(ParseError) as err:
         parse_bundle(json.dumps(data))
     assert err.value.path == path
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("x", "not an exact Q(i) scalar: 'x'"),
+        ("1/0", "zero denominator in '1/0'"),
+        (True, "booleans are not scalars"),
+        ([1], "expected exact scalar string, got list"),
+        (None, "expected exact scalar string, got NoneType"),
+    ],
+    ids=["bad-string", "zero-denominator", "boolean", "list", "null"],
+)
+def test_malformed_cell_names_its_path(cell, message):
+    # rows 0 and 1 of sigma hold only "0" and "1", so the bad cell follows parsed ones
+    data = json.loads((BUNDLE_DIR / "fix_k2.json").read_text())
+    data["group"]["sigma"][2][3] = cell
+    with pytest.raises(ParseError) as err:
+        parse_bundle(json.dumps(data))
+    assert err.value.path == "group.sigma[2][3]"
+    assert str(err.value) == f"group.sigma[2][3]: {message}"
+
+
+def test_integer_cells_parse_among_strings():
+    text = (BUNDLE_DIR / "fix_k2.json").read_text()
+    data = json.loads(text)
+    data["group"]["antipode"] = [["1", 0], [0, 1]]
+    assert parse_bundle(json.dumps(data)).group.antipode == parse_bundle(text).group.antipode

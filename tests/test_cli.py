@@ -152,6 +152,21 @@ def test_check_detects_broken_bundle_exit_1(workdir):
     assert fails, "expected at least one failing entry"
 
 
+@pytest.mark.parametrize("command", [["check"], ["covariance", "--mode", "star"], ["covariance", "--mode", "braided"]])
+def test_inconsistent_tau_is_a_verification_failure(workdir, command):
+    "A group record whose two tau expressions disagree is a failing section (exit 1), not malformed input (exit 2)."
+    data = json.loads((workdir / "fix_a4.json").read_text())
+    data["group"]["sigma"][4][7] = "2"
+    broken = workdir / "broken_tau.json"
+    broken.write_text(json.dumps(data))
+    code = main([command[0], str(broken), *command[1:], "-o", str(workdir / "rep.json")])
+    assert code == 1
+    fails = [e for e in json.loads((workdir / "rep.json").read_text())["entries"] if e["status"] == "fail"]
+    reasons = {e["id"]: e["witness"]["reason"] for e in fails if "reason" in e["witness"]}
+    failed_on_tau = reasons.get("TAU_OK" if command == ["check"] else "SECTION_ABORTED", "")
+    assert failed_on_tau.startswith("tau expressions disagree")
+
+
 def test_complete_system(workdir, capsys):
     assert main(["complete-system", str(workdir / "fix_k2.json"), "--max", "8"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -686,3 +686,95 @@ def test_equality_is_a_zero_difference(shaped, pairs, k):
     ]
     for x, y in cases:
         assert (x == y) == (x - y).is_zero()
+
+
+# -- padded Kronecker legs against the eager product --------------------------
+#
+# tensor() returns I_a (x) f (x) I_b unbuilt when every factor but one real f is
+# an identity.  Products with it, and every read of its rows, must give exactly
+# the maps the Kronecker chain LinMap.tensor builds from plain identities.
+
+
+def plain_identity(n):
+    "The identity built from dense rows, as a map like any other."
+    return LinMap(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def eager_tensor(*maps):
+    out = maps[0]
+    for f in maps[1:]:
+        out = out.tensor(f)
+    return out
+
+
+LEG_KINDS = ("general", "monomial", "permutation")
+
+
+@st.composite
+def real_maps(draw, kind):
+    """A real map of the kind: a permutation, or with negative and zero entries
+    over a denominator, general or monomial (one entry per row, columns may repeat)."""
+    if kind == "permutation":
+        perm = draw(st.permutations(range(draw(st.integers(1, 3)))))
+        return LinMap(len(perm), len(perm), [{j: 1} for j in perm])
+    den = draw(st.sampled_from([1, 1, 2, -3, 6]))
+    entry = st.sampled_from([1, 1, -1, 2, -3])
+    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if kind == "monomial" and q:
+        return LinMap(p, q, [{draw(st.integers(0, q - 1)): draw(entry)} for _ in range(p)], den=den)
+    rows = st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=q, max_size=q), min_size=p, max_size=p)
+    return LinMap(p, q, draw(rows), den=den)
+
+
+_LEG_PROPS = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@st.composite
+def legs_with_neighbours(draw, kind):
+    "(a, f, b, A, B) with f of the kind and A @ (I_a (x) f (x) I_b) @ B defined; A and B may be complex."
+    f = draw(real_maps(kind))
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    (A, _), (B, _) = draw(gaussian_maps(m, a * f.cod * b)), draw(gaussian_maps(a * f.dom * b, n))
+    return a, f, b, A, B
+
+
+@pytest.mark.parametrize("kind", LEG_KINDS)
+@given(data=st.data())
+@_LEG_PROPS
+def test_padded_leg_products_match_the_eager_product(kind, data):
+    a, f, b, A, B = data.draw(legs_with_neighbours(kind))
+    eager = eager_tensor(plain_identity(a), f, plain_identity(b))
+
+    def leg():  # a new, unbuilt leg for each use
+        return tensor(identity(a), f, identity(b))
+
+    for got, want in [
+        (leg() @ B, eager @ B),
+        (A @ leg(), A @ eager),
+        (compose(A, leg(), B), compose(A, eager, B)),
+        (leg() @ identity(eager.dom), eager),
+        (identity(eager.cod) @ leg(), eager),
+        (tensor(identity(a), tensor(f, identity(b))), eager),
+        (tensor(tensor(identity(a), f), identity(b)), eager),
+    ]:
+        assert got == want
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("kind", LEG_KINDS)
+@given(data=st.data())
+@_LEG_PROPS
+def test_padded_leg_reads_as_its_eager_twin(kind, data):
+    a, f, b, A, _ = data.draw(legs_with_neighbours(kind))
+    eager = eager_tensor(plain_identity(a), f, plain_identity(b))
+    assert tensor(identity(a), f, identity(b)) == eager
+    assert eager == tensor(identity(a), f, identity(b))
+    assert hash(tensor(identity(a), f, identity(b))) == hash(eager)
+    assert tensor(identity(a), f, identity(b)).nnz() == eager.nnz()
+    assert tensor(identity(a), f, identity(b)).rank() == eager.rank()
+    assert tensor(identity(a), f, identity(b)).image() == eager.image()
+    assert_canonical(tensor(identity(a), f, identity(b)))
+    assert tensor(A, tensor(identity(a), f, identity(b))) == eager_tensor(A, eager)
+    assert identity(a) == plain_identity(a) and hash(identity(a)) == hash(plain_identity(a))
+    assert tensor(identity(a), identity(b)) == plain_identity(a * b)
