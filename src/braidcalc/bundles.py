@@ -91,8 +91,15 @@ def _parse_matrix(value, cod: int, dom: int, path: str) -> LinMap:
     return LinMap.from_entries(cod, dom, rows)
 
 
-def _matrix_json(f: LinMap) -> list:
-    return [[str(f.entry(i, j)) for j in range(f.dom)] for i in range(f.cod)]
+def matrix_rows(f: LinMap) -> list:
+    "f's entries as rows of strings: \"0\" but where an entry is stored."
+    out = []
+    for i in range(f.cod):
+        row = ["0"] * f.dom
+        for j in f.support(i):
+            row[j] = str(f.entry(i, j))
+        out.append(row)
+    return out
 
 
 def _require(obj: dict, key: str, path: str):
@@ -198,24 +205,24 @@ def emit_bundle(b: Bundle) -> str:
     gobj = {
         "dim": g.dim,
         "basis_labels": list(g.alg.labels),
-        "unit": _matrix_json(g.unit),
-        "mult": _matrix_json(g.mult),
-        "coproduct": _matrix_json(g.coproduct),
-        "counit": _matrix_json(g.counit),
-        "antipode": _matrix_json(g.antipode),
-        "sigma": _matrix_json(g.braiding),
+        "unit": matrix_rows(g.unit),
+        "mult": matrix_rows(g.mult),
+        "coproduct": matrix_rows(g.coproduct),
+        "counit": matrix_rows(g.counit),
+        "antipode": matrix_rows(g.antipode),
+        "sigma": matrix_rows(g.braiding),
     }
     if b.star is not None:
-        gobj["star"] = {"antilinear": True, "matrix": _matrix_json(b.star.lin)}
+        gobj["star"] = {"antilinear": True, "matrix": matrix_rows(b.star.lin)}
     data = {"format_version": FORMAT_VERSION, "group": gobj}
     if b.calculi:
         data["calculi"] = [
             {
                 "name": c.name,
                 "gdim": c.gdim,
-                "mgl": _matrix_json(c.mgl),
-                "mgr": _matrix_json(c.mgr),
-                "d": _matrix_json(c.d),
+                "mgl": matrix_rows(c.mgl),
+                "mgr": matrix_rows(c.mgr),
+                "d": matrix_rows(c.d),
             }
             for c in b.calculi
         ]

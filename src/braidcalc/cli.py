@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bundles import Bundle, ParseError, bundle_digest, emit_bundle, emit_report, parse_bundle
+from .bundles import Bundle, ParseError, bundle_digest, emit_bundle, emit_report, matrix_rows, parse_bundle
 from .covariance import IdealInvalid
 from .linalg import LinMap
 from .reporting import Report
@@ -68,7 +68,7 @@ def _matrix_json(f: LinMap) -> dict:
     return {
         "cod": f.cod,
         "dom": f.dom,
-        "rows": [[str(f.entry(i, j)) for j in range(f.dom)] for i in range(f.cod)],
+        "rows": matrix_rows(f),
     }
 
 

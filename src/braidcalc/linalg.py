@@ -33,17 +33,28 @@ mixed-product law with composition.
 A leg is a padded factor I_a (x) f (x) I_b with f real, stored as
 (a, f, b).  identity(n) returns one (f the 1x1 identity), so tensor()
 spots identities at once, and tensor() returns one whenever every factor
-but one real map is an identity or a leg; any other product is built by
-kron.  Multiplying by a leg does not build its rows.  Row (i, r, k) of the
-leg is row r of f with each column s moved to (i, s, k), so leg @ B sums
-B's rows (i, s, k) times f's entries.  When every row of f holds one
-entry, the leg's rows come in blocks that hand on B's rows as they are
-(times the entry, and 1 * row shares the row), found from one start column
-per block; and A @ leg moves column t of A to the one column of leg row t,
-through a column map.  A leg computes its blocks and column map once.  Any
-other read of a leg's rows (equality, hashing, elimination, sums, a
-further kron, A @ leg for any other f) builds them once, on the leg
-itself.  Results are the same canonical maps as with the leg built.
+but one real map is an identity or a leg.  Any other product of two real
+factors is a lazy product A (x) B (below); a complex factor, or three
+factors that make no leg, are built by kron.  Multiplying by a leg does
+not build its rows.  Row (i, r, k) of the leg is row r of f with each
+column s moved to (i, s, k), so leg @ B sums B's rows (i, s, k) times f's
+entries.  When every row of f holds one entry, the leg's rows come in
+blocks that hand on B's rows as they are (times the entry, and 1 * row
+shares the row), found from one start column per block; and A @ leg moves
+column t of A to the one column of leg row t, found from its block's start
+for the columns A uses.  A leg computes its blocks once.  Any other read
+of a leg's rows (equality, hashing, elimination, sums, a further kron,
+A @ leg for any other f) builds them once, on the leg itself.  Results are
+the same canonical maps as with the leg built.
+
+A lazy product A (x) B holds its two real factors.  X @ (A (x) B) makes
+row t = i * B.cod + k of the product from row i of A and row k of B only
+when a row of X uses it, inside the Gustavson loop, and keeps none of
+them; X may be complex.  Any other read of its rows or denominator
+(equality, hashing, elimination, transpose, (A (x) B) @ Y, a leg applied
+to it, a further tensor factor) builds it once, on the object itself,
+through LinMap.tensor.  compose() orders a chain by estimated nonzeros,
+so a lazy product meets a thin left factor: see its docstring.
 
 Zero-dimensional spaces are fully supported (maps with dom or cod 0);
 identities over them hold vacuously.
@@ -207,15 +218,15 @@ class LinMap:
             return _Q_ZERO
         return Q._make(Fraction(re, self._den), Fraction(im, self._den) if im else _F_ZERO)
 
-    def _support(self, i: int):
-        "Columns stored in row i."
+    def support(self, i: int):
+        "Columns stored in row i: every nonzero entry's, and no other."
         if self._im is None:
             return self._re[i].keys()
         return self._re[i].keys() | self._im[i].keys()
 
     def nnz(self) -> int:
         "Number of stored entries; only nonzeros are stored."
-        return sum(len(self._support(i)) for i in range(self.cod))
+        return sum(len(self.support(i)) for i in range(self.cod))
 
     def col(self, j: int) -> tuple:
         return tuple(self.entry(i, j) for i in range(self.cod))
@@ -227,7 +238,7 @@ class LinMap:
         out = []
         for i in range(self.cod):
             acc = Q(0)
-            for j in self._support(i):
+            for j in self.support(i):
                 if vec[j]:
                     acc = acc + self.entry(i, j) * vec[j]
             out.append(acc)
@@ -245,6 +256,10 @@ class LinMap:
         if type(self) is _Leg:  # a real leg: apply it to each part of other
             cr, bi = self._apply(other._re), other._im
             ci = None if bi is None else self._apply(bi)
+        elif type(other) is _Kron:  # a lazy product: combine the rows of its factors that self uses
+            cr, ai = other._rmul(self._re), self._im
+            ci = None if ai is None else other._rmul(ai)
+            return LinMap(self.cod, other.dom, cr, ci, self._den * other._A._den * other._B._den, _clean=True)
         elif type(other) is _Leg and (other._f is _ONE or other._columns()):  # a monomial real leg: move self's columns
             cr, ai = other._reindex(self._re), self._im
             ci = None if ai is None else other._reindex(ai)
@@ -359,6 +374,10 @@ class LinMap:
     def inverse(self) -> "LinMap":
         if self.dom != self.cod:
             raise NotInvertible("not square")
+        if self._im is None:
+            inverse = _monomial_inverse(self._re, self._den)
+            if inverse is not None:
+                return inverse
         x = solve_right(self, LinMap.identity(self.dom))
         if x is None:
             raise NotInvertible("rank-deficient map")
@@ -377,7 +396,7 @@ class LinMap:
 class _Leg(LinMap):
     """I_a (x) f (x) I_b for a real map f, held as (a, f, b): see the module docstring.
 
-    The built rows, the blocks and the column map are kept once computed.
+    The built rows and the blocks are kept once computed.
     """
 
     __slots__ = ("_a", "_f", "_b", "_built", "_blocking", "_colmap")
@@ -421,21 +440,11 @@ class _Leg(LinMap):
         return self._blocking
 
     def _columns(self):
-        """(cols, coefs, distinct) when every row of f holds one entry: leg row t
-        holds coefs[t] at column cols[t] (coefs None when every entry is 1), and
-        distinct says no two rows share a column.  () for any other f."""
+        """(starts, coefs, distinct) when every row of f holds one entry: the
+        blocks, and whether no two leg rows share a column.  () for any other f."""
         if self._colmap is None:
             blocks = self._blocks()
-            if not blocks:
-                self._colmap = ()
-                return ()
-            starts, coefs = blocks
-            distinct = len(set(starts)) == len(starts)
-            b = self._b
-            if b > 1:
-                starts = [st + k for st in starts for k in range(b)]
-                coefs = coefs and [c for c in coefs for _ in range(b)]
-            self._colmap = starts, coefs, distinct
+            self._colmap = (*blocks, len(set(blocks[0])) == len(blocks[0])) if blocks else ()
         return self._colmap
 
     def _apply(self, B):
@@ -473,34 +482,128 @@ class _Leg(LinMap):
         return out
 
     def _reindex(self, A):
-        "Rows of the rows A times this leg, through its column map."
+        """Rows of the rows A times this leg: column t = q * b + k of A moves to
+        column starts[q] + k, times coefs[q].  Only the columns A uses are
+        mapped; a map of every leg row would hold cod integers."""
         if self._f is _ONE:
             return A
-        cols, coefs, distinct = self._columns()
+        starts, coefs, distinct = self._columns()
+        b = self._b
         if distinct and coefs is None:
-            return [{cols[t]: x for t, x in Ai.items()} for Ai in A]
-        if distinct:
-            return [{cols[t]: x * coefs[t] for t, x in Ai.items()} for Ai in A]
+            if b == 1:
+                return [{starts[t]: x for t, x in Ai.items()} for Ai in A]
+            return [{starts[t // b] + t % b: x for t, x in Ai.items()} for Ai in A]
         out = []
         for Ai in A:
             row: dict = {}
             get = row.get
             for t, x in Ai.items():
-                j = cols[t]
-                row[j] = get(j, 0) + (x if coefs is None else x * coefs[t])
+                q, k = divmod(t, b)
+                j = starts[q] + k
+                row[j] = get(j, 0) + (x if coefs is None else x * coefs[q])
             out.append(row if all(row.values()) else {j: x for j, x in row.items() if x})
         return out
+
+
+class _Kron(LinMap):
+    """A (x) B for real maps A and B, held unbuilt: see the module docstring.
+
+    The built map is kept once computed.
+    """
+
+    __slots__ = ("_A", "_B", "_built")
+
+    def __init__(self, A: LinMap, B: LinMap):
+        self._A, self._B = A, B
+        self.cod, self.dom = A.cod * B.cod, A.dom * B.dom
+        self._im = None
+        self._built = None
+
+    def _build(self) -> LinMap:
+        if self._built is None:
+            self._built = LinMap.tensor(self._A, self._B)
+        return self._built
+
+    @property
+    def _re(self):
+        "The numerator rows, built on first read."
+        return self._build()._re
+
+    @property
+    def _den(self):
+        "The normalised denominator, which needs the built rows: [1/2] (x) [2/3] is [1/3]."
+        return self._build()._den
+
+    def _rmul(self, X):
+        """Rows of the rows X times this product, over A's and B's denominators:
+        row t = i * B.cod + k of A (x) B is A's row i times B's row k, made
+        only where X uses it, and never kept."""
+        A, B = self._A._re, self._B._re
+        q, n = self._B.cod, self._B.dom
+        out = []
+        for Xi in X:
+            if len(Xi) == 1:  # a multiple of one row: products of nonzeros
+                [(t, x)] = Xi.items()
+                i, k = divmod(t, q)
+                Bk = B[k].items()
+                out.append({j1 * n + j2: x * a * b for j1, a in A[i].items() for j2, b in Bk})
+                continue
+            row: dict = {}
+            get = row.get
+            for t, x in Xi.items():
+                i, k = divmod(t, q)
+                Bk = B[k].items()
+                for j1, a in A[i].items():
+                    off, xa = j1 * n, x * a
+                    for j2, b in Bk:
+                        j = off + j2
+                        row[j] = get(j, 0) + xa * b
+            out.append(row if all(row.values()) else {j: v for j, v in row.items() if v})
+        return out
+
+
+def _monomial_inverse(rows, den):
+    """The inverse of the real square map with numerator rows `rows` over
+    `den` when each row and each column holds one entry, else None: row i's
+    entry c / den at column j becomes den / c at row j, column i."""
+    out = [None] * len(rows)
+    for i, r in enumerate(rows):
+        if len(r) != 1:
+            return None
+        [(j, c)] = r.items()
+        if out[j] is not None:
+            return None
+        out[j] = i, c
+    d = lcm(*(c for _, c in out))
+    return LinMap(len(out), len(out), [{i: den * (d // c)} for i, c in out], None, d, _clean=True)
 
 
 def identity(n: int) -> LinMap:
     return LinMap.identity(n)
 
 
+def _nnz_estimate(f: LinMap) -> int:
+    "f's stored entries, from its factors for a leg or a lazy product, else from its row lengths."
+    kind = type(f)
+    if kind is _Leg:  # f._f is a plain real map
+        return f._a * f._b * sum(map(len, f._f._re))
+    if kind is _Kron:
+        return _nnz_estimate(f._A) * _nnz_estimate(f._B)
+    return sum(map(len, f._re)) + (sum(map(len, f._im)) if f._im is not None else 0)
+
+
 def compose(*maps: LinMap) -> LinMap:
     """Compose maps in application order: compose(f, g)(v) = f(g(v)).
 
-    The association order is chosen by the classic matrix-chain DP so
-    long identity strings fold through their thin factors first.
+    The association order is chosen by the matrix-chain DP on estimated
+    nonzeros rather than dense shapes: X @ Y costs nnz(X) * nnz(Y) / Y.cod
+    (the row products Gustavson's loop adds up) and is estimated to hold
+    as many entries, at most X.cod * Y.dom.  A leg I_a (x) f (x) I_b holds
+    a * b * nnz(f) entries and a lazy product A (x) B nnz(A) * nnz(B).  So
+    a chain like (m (x) mgl)(I (x) s (x) I)(phi (x) act), square at its
+    ends, multiplies from a thin end and applies the lazy product to a
+    narrow left factor instead of building it.  The result is the same
+    canonical map in any order.
     """
     if not maps:
         raise ValueError("compose() needs at least one map")
@@ -511,32 +614,41 @@ def compose(*maps: LinMap) -> LinMap:
     for i in range(k - 1):
         if maps[i].dom != maps[i + 1].cod:
             raise DimensionMismatch(f"compose: slot {i} dom {maps[i].dom} != slot {i+1} cod {maps[i+1].cod}")
-    cost = [[0] * k for _ in range(k)]
-    split = [[0] * k for _ in range(k)]
+    # plan[i][j]: (cost, estimated nonzeros, split) of the product of maps[i..j]
+    plan = [[None] * k for _ in range(k)]
+    for i, f in enumerate(maps):
+        plan[i][i] = 0, _nnz_estimate(f), i
     for span in range(1, k):
         for i in range(k - span):
             j = i + span
-            best, arg = None, i
+            best = None
             for s in range(i, j):
-                c = cost[i][s] + cost[s + 1][j] + dims[i] * dims[s + 1] * dims[j + 1]
-                if best is None or c < best:
-                    best, arg = c, s
-            cost[i][j], split[i][j] = best, arg
+                cl, nl, _ = plan[i][s]
+                cr, nr, _ = plan[s + 1][j]
+                w = nl * nr / dims[s + 1] if dims[s + 1] else 0
+                if best is None or cl + cr + w < best[0]:
+                    best = cl + cr + w, w, s
+            dense = dims[i] * dims[j + 1]
+            plan[i][j] = best if best[1] <= dense else (best[0], dense, best[2])
+    return _chain(maps, plan, 0, k - 1)
 
-    def build(i, j):
-        if i == j:
-            return maps[i]
-        s = split[i][j]
-        return build(i, s) @ build(s + 1, j)
 
-    return build(0, k - 1)
+def _chain(maps, plan, i, j):
+    """The product of maps[i..j] in the order of compose's plan.  A module
+    function, because a recursive closure refers to itself: the cycle would
+    keep every factor alive until the cyclic garbage collector runs."""
+    if i == j:
+        return maps[i]
+    s = plan[i][j][2]
+    return _chain(maps, plan, i, s) @ _chain(maps, plan, s + 1, j)
 
 
 def tensor(*maps: LinMap) -> LinMap:
     """The Kronecker product of the maps, left to right.
 
     When every factor but one real map is an identity or a leg, the
-    product is a leg (see the module docstring); otherwise it is built.
+    product is a leg; any other product of two real factors is a lazy
+    product (see the module docstring); otherwise it is built.
     """
     if not maps:
         raise ValueError("tensor() needs at least one map")
@@ -562,6 +674,10 @@ def tensor(*maps: LinMap) -> LinMap:
         if not (a * b * f.cod * f.dom):  # no entries: the plain zero map is cheaper to use
             return LinMap.zero(a * f.cod * b, a * f.dom * b)
         return _Leg(a, f, b)
+    if len(maps) == 2:
+        A, B = maps
+        if isinstance(A, LinMap) and isinstance(B, LinMap) and A._im is None and B._im is None:
+            return _Kron(A, B)
     out = maps[0]
     for f in maps[1:]:
         out = out.tensor(f)

@@ -13,6 +13,7 @@ import braidcalc
 from braidcalc.bundles import Bundle, emit_bundle, parse_bundle
 from braidcalc.cli import main
 from braidcalc.fixtures import _delta_group, conjugation_star
+from braidcalc.linalg import LinMap
 from braidcalc.verify import run_covariance_mode, verify_bundle
 
 BUNDLE_DIR = Path(__file__).resolve().parent.parent / "bundles"
@@ -261,3 +262,21 @@ def test_z8_ideal_check_fits_in_one_gib(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_z8_ideal_check_builds_no_large_kronecker_product(tmp_path, monkeypatch):
+    "No Kronecker product of more than 4096 rows is built for the d1 ideal on Z/8 (phi (x) act has 24576)."
+    n = 8
+    g = _delta_group(n, tuple(f"d_{i}" for i in range(n)))
+    path = tmp_path / "z8_d1.json"
+    path.write_text(emit_bundle(Bundle(g, conjugation_star(g), [], [("d1", [["1" if j == 1 else "0" for j in range(n)]])])))
+    built = []
+    eager = LinMap.tensor
+
+    def recorded(f, h):
+        built.append(f.cod * h.cod)
+        return eager(f, h)
+
+    monkeypatch.setattr(LinMap, "tensor", recorded)
+    assert main(["check", str(path), "-o", str(tmp_path / "rep.json")]) == 0
+    assert built and max(built) <= 4096

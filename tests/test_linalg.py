@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import matmul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcalc.linalg import (
+    AntilinMap,
     DimensionMismatch,
     LinMap,
     NoFactor,
@@ -20,6 +23,7 @@ from braidcalc.linalg import (
     solve_right,
     tensor,
     transpose,
+    _Kron,
 )
 from braidcalc.scalars import Q
 
@@ -778,3 +782,154 @@ def test_padded_leg_reads_as_its_eager_twin(kind, data):
     assert tensor(A, tensor(identity(a), f, identity(b))) == eager_tensor(A, eager)
     assert identity(a) == plain_identity(a) and hash(identity(a)) == hash(plain_identity(a))
     assert tensor(identity(a), identity(b)) == plain_identity(a * b)
+
+
+# -- monomial inverses against elimination ------------------------------------
+
+
+@st.composite
+def monomial_maps(draw):
+    """A real square map with one entry in each row (signed, over a denominator,
+    values may repeat); its columns are a permutation, or repeat one column."""
+    n = draw(st.integers(0, 5))
+    cols = draw(st.permutations(range(n)))
+    if n > 1 and draw(st.booleans()):
+        cols[0] = cols[1]
+    entries = st.sampled_from([1, 1, -1, 2, -2, 3, 6])
+    return LinMap(n, n, [{j: draw(entries)} for j in cols], den=draw(st.sampled_from([1, 2, -3, 4, 6])))
+
+
+@given(monomial_maps())
+@_PROPS
+def test_monomial_inverse_matches_elimination(f):
+    expected = solve_right(f, identity(f.dom))
+    if expected is None:
+        with pytest.raises(NotInvertible):
+            f.inverse()
+        return
+    got = f.inverse()
+    assert got == expected and hash(got) == hash(expected)
+    assert_canonical(got)
+    assert f @ got == identity(f.dom) == got @ f
+
+
+# -- lazy Kronecker products against the eager product ------------------------
+#
+# tensor() returns A (x) B unbuilt for two real factors that make no leg.
+# X @ K reads only the rows of A and B that X uses; every other read builds K
+# once, through LinMap.tensor.  Results must be exactly the eager product's.
+
+
+@st.composite
+def lazy_factors(draw):
+    "Real (A, B), general, monomial or permutations, possibly zero-dimensional."
+    return tuple(draw(real_maps(draw(st.sampled_from(LEG_KINDS)))) for _ in range(2))
+
+
+@st.composite
+def real_gaussian_maps(draw, cod, dom):
+    "A real map of the shape: twice the real part of a Gaussian one."
+    f, _ = draw(gaussian_maps(cod, dom))
+    return f + f.conj()
+
+
+@given(lazy_factors(), st.integers(0, 3), st.data())
+@_LEG_PROPS
+def test_lazy_product_times_a_left_factor_matches_the_eager_product(factors, m, data):
+    A, B = factors
+    eager = A.tensor(B)
+    X, _ = data.draw(gaussian_maps(m, eager.cod))
+    for left in (X + X.conj(), X.scale(Q(1, 1))):  # real, and complex unless X is zero
+        K = tensor(A, B)
+        assert type(K) is _Kron
+        got = left @ K
+        assert K._built is None, "X @ K built K"
+        assert got == left @ eager
+        assert_canonical(got)
+
+
+@given(lazy_factors(), st.integers(0, 3), st.data())
+@_LEG_PROPS
+def test_lazy_product_reads_as_its_eager_twin(factors, n, data):
+    A, B = factors
+    eager = A.tensor(B)
+
+    def lazy():  # a new, unbuilt product for each read
+        return tensor(A, B)
+
+    assert lazy() == eager and eager == lazy()
+    assert hash(lazy()) == hash(eager)
+    assert lazy().nnz() == eager.nnz()
+    assert lazy().rank() == eager.rank()
+    assert lazy().image() == eager.image()
+    assert transpose(lazy()) == transpose(eager)
+    Y, _ = data.draw(gaussian_maps(eager.dom, n))
+    assert lazy() @ Y == eager @ Y
+    assert_canonical(lazy())
+    C, _ = data.draw(gaussian_maps())
+    assert tensor(lazy(), C) == eager.tensor(C)
+    assert tensor(C, lazy()) == C.tensor(eager)
+    assert tensor(identity(n), lazy()) == plain_identity(n).tensor(eager)
+    if eager.cod:
+        leg, twin = data.draw(legs(eager.cod, rows=False))
+        assert leg @ lazy() == twin @ eager
+
+
+def test_tensor_of_antilinear_maps_stays_antilinear():
+    f, g = LinMap(1, 2, [[1, 2]], den=3), LinMap.from_entries(2, 1, [[Q(0, 1)], [Q(2)]])
+    assert tensor(AntilinMap(f), AntilinMap(g)) == AntilinMap(f.tensor(g))
+
+
+def test_lazy_product_has_the_normalised_denominator():
+    k = tensor(LinMap(1, 1, [[1]], den=2), LinMap(1, 1, [[2]], den=3))
+    assert type(k) is _Kron
+    assert k == LinMap(1, 1, [[1]], den=3) and k._den == 3
+
+
+def divisors(n):
+    return [x for x in range(1, n + 1) if n % x == 0]
+
+
+@st.composite
+def legs(draw, d, rows=True):
+    "(tensor(I_a, f, I_b), its eager twin) for a real f, with d > 0 rows, or columns."
+    a = draw(st.sampled_from(divisors(d)))
+    b = draw(st.sampled_from(divisors(d // a)))
+    free = draw(st.integers(0, max(1, 6 // (a * b))))
+    f = draw(real_gaussian_maps(*((d // (a * b), free) if rows else (free, d // (a * b)))))
+    return tensor(identity(a), f, identity(b)), eager_tensor(plain_identity(a), f, plain_identity(b))
+
+
+@st.composite
+def chains(draw):
+    """(maps, eager twins): 2-5 composable maps, each plain (real or complex),
+    a leg or a lazy product, with zero-dimensional spaces allowed."""
+    d = draw(st.integers(0, 4))
+    maps, twins = [], []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["plain", "leg", "lazy"]))
+        if kind == "leg" and d:
+            leg, twin = draw(legs(d))
+        elif kind == "lazy":
+            p = draw(st.sampled_from(divisors(d))) if d else 0
+            q = d // p if d else draw(st.integers(0, 2))
+            A = draw(real_gaussian_maps(p, draw(st.integers(0, 2))))
+            B = draw(real_gaussian_maps(q, draw(st.integers(0, 2))))
+            leg, twin = tensor(A, B), A.tensor(B)
+        else:
+            leg, _ = draw(gaussian_maps(d, draw(st.integers(0, 4))))
+            twin = leg
+        maps.append(leg)
+        twins.append(twin)
+        d = leg.dom
+    return maps, twins
+
+
+@given(chains())
+@_LEG_PROPS
+def test_compose_of_mixed_chains_matches_the_left_to_right_fold(chain):
+    maps, twins = chain
+    got = compose(*maps)
+    assert got == reduce(matmul, twins)
+    assert got == reduce(matmul, maps)
+    assert_canonical(got)

@@ -5,7 +5,7 @@
 The rungs are fixed:
   z{n}_d1          the d1 ideal (generated by the delta function at 1) of
                    functions on Z/n, n = 8, 12, 16, 20, 24
-  z{n}_universal   the universal calculus of functions on Z/n, n = 4, 6
+  z{n}_universal   the universal calculus of functions on Z/n, n = 4, 6, 8
   fix_a4_range{k}  bundles/fix_a4.json with `--range k`, k = 2, 4, 8
 
 Each rung runs `python -m braidcalc.cli check` once, in a fresh process
@@ -45,7 +45,7 @@ TIMEOUT_S = 300
 # name -> (bundle: ("d1" | "universal", n) or a bundle file name, extra check arguments)
 RUNGS = {
     **{f"z{n}_d1": (("d1", n), []) for n in (8, 12, 16, 20, 24)},
-    **{f"z{n}_universal": (("universal", n), []) for n in (4, 6)},
+    **{f"z{n}_universal": (("universal", n), []) for n in (4, 6, 8)},
     **{f"fix_a4_range{k}": ("fix_a4.json", ["--range", str(k)]) for k in (2, 4, 8)},
 }
 
