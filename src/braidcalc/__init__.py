@@ -51,7 +51,6 @@ from .groups import (
     derive_tau,
     explore_antipode_shifts,
     kappa0,
-    sigma_n,
     simplified_algebra,
 )
 from .linalg import (

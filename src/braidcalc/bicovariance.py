@@ -47,7 +47,6 @@ class AdNotDescending(ValueError):
 class KappaData:
     map: LinMap
     inverse: LinMap
-    report: Report
 
 
 def check_kappa0(g: MultiBraidedGroup, report: Report | None = None) -> LinMap:
@@ -151,8 +150,8 @@ def ideal_bicovariance_test(g: MultiBraidedGroup, r: Subspace, report: Report | 
 def right_action_from_ad(
     g: MultiBraidedGroup,
     lcd: LeftCovariantData,
-    report: Report | None = None,
-    rcd: RightCovariantData | None = None,
+    report: Report | None,
+    rcd: RightCovariantData,
 ) -> LinMap:
     """The right action rebuilt from the adjoint action on invariant forms.
 
@@ -178,8 +177,6 @@ def right_action_from_ad(
     rho_pic = compose(tensor(identity(q), I, g.mult), tensor(identity(q), g.braiding, I), tensor(varpi, g.coproduct))
     fwd2, bwd2 = right_trivialization(c, lcd, Report())
     rho_built = compose(tensor(fwd2, I), rho_pic, bwd2)
-    if rcd is None:
-        rcd = solve_right_action(c, Report())
     rep.check_eq("EQ_49", rho_built, rcd.action, note="ad-built right action equals the solved one")
     rep.check_eq("EQ_49_A3", rho_built @ c.d, tensor(c.d, I) @ g.coproduct)
     rep.check_eq(
@@ -290,7 +287,7 @@ def check_kappa_covariance(
             compose(vk, c.mgr, tensor(rcd.zeta_hat, I)),
             compose(c.mgl, tensor(kap, lcd.pi_hat @ k0), tau),
         )
-    return KappaData(vk, vk_inv, rep)
+    return KappaData(vk, vk_inv)
 
 
 def kappa_iff_bicovariant(c: FirstOrderCalculus, report: Report | None = None) -> Report:

@@ -16,9 +16,10 @@ from pathlib import Path
 from . import __version__
 from .bundles import Bundle, ParseError, bundle_digest, emit_bundle, emit_report, matrix_rows, parse_bundle
 from .covariance import IdealInvalid
+from .groups import SIGMA_CAP
 from .linalg import LinMap
 from .reporting import Report
-from .verify import build_calculus, complete_system, derive_map, run_covariance_mode, verify_bundle
+from .verify import MAX_SHIFT_RANGE, build_calculus, complete_system, derive_map, run_covariance_mode, verify_bundle
 
 
 def _load(path: str) -> Bundle:
@@ -49,8 +50,8 @@ def _summarize(report: Report, target: str):
         print(f"report written to {target}")
 
 
-def _int_at_least(low: int):
-    "An argparse type for integers >= low; argparse names the flag in its error."
+def _int_in(low: int, high: int | None = None):
+    "An argparse type for integers in [low, high]; argparse names the flag in its error."
 
     def parse(text: str) -> int:
         try:
@@ -59,6 +60,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -80,13 +83,13 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="full verification of a bundle")
     p_check.add_argument("bundle")
     p_check.add_argument("-o", "--output", default=None, help="report path ('-' for stdout)")
-    p_check.add_argument("--range", type=_int_at_least(1), default=2, dest="shift_range", help="shift window for the braid family")
+    p_check.add_argument("--range", type=_int_in(1, MAX_SHIFT_RANGE), default=2, dest="shift_range", help="shift window for the braid family")
     p_check.add_argument("--paranoid", action="store_true", help="recompute derived maps, bypassing caches")
 
     p_derive = sub.add_parser("derive", help="emit a derived map as a matrix")
     p_derive.add_argument("bundle")
     p_derive.add_argument("--what", required=True, choices=["tau", "sigma-n", "a0", "kappa0", "ad"])
-    p_derive.add_argument("-n", type=int, default=1, help="shift index for sigma-n")
+    p_derive.add_argument("-n", type=_int_in(-SIGMA_CAP, SIGMA_CAP), default=1, help="shift index for sigma-n")
 
     p_build = sub.add_parser("build-calculus", help="reconstruct a calculus from a named ideal")
     p_build.add_argument("bundle")
@@ -99,11 +102,11 @@ def main(argv=None) -> int:
     p_cov.add_argument("bundle")
     p_cov.add_argument("--mode", required=True, choices=["left", "right", "bi", "kappa", "star", "braided"])
     p_cov.add_argument("-o", "--output", default=None)
-    p_cov.add_argument("--range", type=_int_at_least(1), default=2, dest="shift_range")
+    p_cov.add_argument("--range", type=_int_in(1, MAX_SHIFT_RANGE), default=2, dest="shift_range")
 
     p_comp = sub.add_parser("complete-system", help="close the intrinsic braid pair under ternary operations")
     p_comp.add_argument("bundle")
-    p_comp.add_argument("--max", type=_int_at_least(1), default=64, dest="max_elems")
+    p_comp.add_argument("--max", type=_int_in(1), default=64, dest="max_elems")
 
     args = parser.parse_args(argv)
     try:

@@ -15,7 +15,7 @@ their report entries differ in set, order, notes or sides of an equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .calculi import (
     FirstOrderCalculus,
@@ -79,7 +79,6 @@ class LeftCovariantData:
     ideal: Subspace
     sigma_star: LinMap
     circ: LinMap
-    report: Report = field(repr=False, default=None)
 
     @property
     def inv_dim(self) -> int:
@@ -99,7 +98,6 @@ class RightCovariantData:
     ideal: Subspace
     star_sigma: LinMap
     bullet: LinMap
-    report: Report = field(repr=False, default=None)
 
     @property
     def inv_dim(self) -> int:
@@ -216,7 +214,7 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
     )
     rep.check_space_eq("PI_KERNEL", pi.kernel(), ideal.sum_with(g.unit.image()))
     _check_ideal_conditions(g, ideal, "left", rep)
-    return LeftCovariantData(c, act, proj, inv_space, incl, proj_coords, pi, pi_hat, ideal, sigma_star, circ, rep)
+    return LeftCovariantData(c, act, proj, inv_space, incl, proj_coords, pi, pi_hat, ideal, sigma_star, circ)
 
 
 # side of the calculus -> (the ideal's other side, its key, its note, the tau-stability key):
@@ -327,7 +325,7 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     )
     rep.check_space_eq("ZETA_KERNEL", zeta.kernel(), ideal.sum_with(g.unit.image()))
     _check_ideal_conditions(g, ideal, "right", rep)
-    return RightCovariantData(c, act, proj, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet, rep)
+    return RightCovariantData(c, act, proj, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet)
 
 
 def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None = None, flips: dict | None = None) -> FlipOver:
@@ -638,40 +636,21 @@ def universal_ideals(g: MultiBraidedGroup) -> dict:
 
 
 def calculi_isomorphic(c1: FirstOrderCalculus, c2: FirstOrderCalculus) -> LinMap | None:
-    """An invertible intertwiner of calculi (d, mgl, mgr), or None.
+    """The isomorphism of calculi (d, mgl, mgr) from c1 to c2, or None.
 
-    For a pair of left-covariant calculi the canonical candidate comes from
-    the invariant trivializations; otherwise a deterministic search over the
-    intertwiner solution space is attempted (first solution in variable
-    order, then prefix sums of the solution basis).
+    Gamma is spanned by the a d(b), so a calculus is the quotient of
+    A (x) A by ker(iota_l): two calculi are isomorphic exactly when their
+    iota_l have one kernel, and then T iota_l(c1) = iota_l(c2) fixes T.
+    The answer is exact for every pair that passes check_calculus, left-
+    covariant or not; a returned map is always a checked isomorphism.
     """
     if c1.group.dim != c2.group.dim or c1.gdim != c2.gdim:
         return None
-    try:
-        l1 = solve_left_action(c1, Report())
-        l2 = solve_left_action(c2, Report())
-        rho = factor_through(l1.pi, l2.pi)
-        n = c1.group.dim
-        fwd1 = tensor(identity(n), l1.proj_coords) @ l1.action
-        bwd2 = c2.mgl @ tensor(identity(n), l2.incl)
-        cand = compose(bwd2, tensor(identity(n), rho), fwd1)
-        if _is_intertwiner(c1, c2, cand) and cand.is_invertible():
-            return cand
-    except (NotLeftCovariant, NoFactor, InternalInconsistency):
-        pass
-    particular, basis = _intertwiner_solutions(c1, c2)
-    if particular is None:
+    il1, il2 = iota_l(c1), iota_l(c2)
+    if il1.kernel() != il2.kernel():
         return None
-    candidates = [particular]
-    acc = particular
-    for b in basis:
-        candidates.append(particular + b)
-        acc = acc + b
-        candidates.append(acc)
-    for cand in candidates:
-        if cand.is_invertible() and _is_intertwiner(c1, c2, cand):
-            return cand
-    return None
+    t = factor_through(il1, il2)
+    return t if _is_intertwiner(c1, c2, t) and t.is_invertible() else None
 
 
 def _is_intertwiner(c1, c2, t: LinMap) -> bool:
@@ -682,73 +661,3 @@ def _is_intertwiner(c1, c2, t: LinMap) -> bool:
         and t @ c1.mgl == c2.mgl @ tensor(I, t)
         and t @ c1.mgr == c2.mgr @ tensor(t, I)
     )
-
-
-def _intertwiner_solutions(c1, c2):
-    """Particular solution and homogeneous basis of the intertwiner equations.
-
-    Unknown: T (g2 x g1), flattened row-major into g2*g1 coordinates.
-    Equations: T d1 = d2, T mgl1 = mgl2 (id (x) T), T mgr1 = mgr2 (T (x) id).
-    """
-    from .linalg import _eliminate, _nullspace
-    from .scalars import Q
-
-    n = c1.group.dim
-    g1, g2 = c1.gdim, c2.gdim
-    cols = g2 * g1
-    rows: list = []
-    rhs: list = []
-
-    def emit(coeffs: dict, value: Q):
-        rows.append([coeffs.get(t, Q(0)) for t in range(cols)])
-        rhs.append(value)
-
-    for a in range(n):
-        for i in range(g2):
-            coeffs = {i * g1 + j: c1.d.entry(j, a) for j in range(g1) if c1.d.entry(j, a)}
-            emit(coeffs, c2.d.entry(i, a))
-    for col in range(n * g1):
-        a, j0 = divmod(col, g1)
-        for i in range(g2):
-            coeffs: dict = {}
-            for j in range(g1):
-                v = c1.mgl.entry(j, col)
-                if v:
-                    coeffs[i * g1 + j] = coeffs.get(i * g1 + j, Q(0)) + v
-            for k in range(g2):
-                v = c2.mgl.entry(i, a * g2 + k)
-                if v:
-                    coeffs[k * g1 + j0] = coeffs.get(k * g1 + j0, Q(0)) - v
-            emit(coeffs, Q(0))
-    for col in range(g1 * n):
-        j0, a = divmod(col, n)
-        for i in range(g2):
-            coeffs = {}
-            for j in range(g1):
-                v = c1.mgr.entry(j, col)
-                if v:
-                    coeffs[i * g1 + j] = coeffs.get(i * g1 + j, Q(0)) + v
-            for k in range(g2):
-                v = c2.mgr.entry(i, k * n + a)
-                if v:
-                    coeffs[k * g1 + j0] = coeffs.get(k * g1 + j0, Q(0)) - v
-            emit(coeffs, Q(0))
-
-    if cols == 0:
-        return LinMap.zero(g2, g1), []
-    system = LinMap.from_entries(len(rows), cols, rows) if rows else LinMap.zero(0, cols)
-    target = LinMap.from_entries(len(rhs), 1, [[v] for v in rhs]) if rhs else LinMap.zero(0, 1)
-    sol = solve_right(system, target)
-    if sol is None:
-        return None, []
-    particular = LinMap.from_entries(g2, g1, [[sol.entry(i * g1 + j, 0) for j in range(g1)] for i in range(g2)])
-
-    def reshape(row):
-        out: list = [{} for _ in range(g2)]
-        for t, x in row.items():
-            i, j = divmod(t, g1)
-            out[i][j] = x
-        return out
-
-    re, im, den = _nullspace(_eliminate(system._rows()), cols)
-    return particular, [LinMap(g2, g1, reshape(r), reshape(i), den) for r, i in zip(re, im)]

@@ -39,6 +39,10 @@ class InternalInconsistency(AssertionError):
     "An engine self-check failed; indicates a solver bug, not bad input."
 
 
+# the largest |n| for which sigma_n is derived
+SIGMA_CAP = 16
+
+
 class MultiBraidedGroup:
     def __init__(
         self,
@@ -47,7 +51,6 @@ class MultiBraidedGroup:
         counit: LinMap,
         antipode: LinMap,
         braiding: LinMap,
-        sigma_cap: int = 16,
     ):
         n = alg.dim
         if coproduct.dom != n or coproduct.cod != n * n:
@@ -63,7 +66,6 @@ class MultiBraidedGroup:
         self.counit = counit
         self.antipode = antipode
         self.braiding = braiding
-        self.sigma_cap = sigma_cap
         self._cache: dict = {}
 
     @property
@@ -105,14 +107,12 @@ class MultiBraidedGroup:
         return self._derived("m0", lambda: compose(self.mult, self.tau_inv, self.braiding))
 
     def sigma_n(self, n: int) -> LinMap:
-        if abs(n) > self.sigma_cap:
-            raise ValueError(f"shift {n} beyond configured bound {self.sigma_cap}")
+        if abs(n) > SIGMA_CAP:
+            raise ValueError(f"shift {n} beyond the bound {SIGMA_CAP}")
         return self._derived(("sigma_n", n), lambda: _sigma_n_raw(self, n))
 
     def uncached_clone(self) -> "MultiBraidedGroup":
-        return MultiBraidedGroup(
-            self.alg, self.coproduct, self.counit, self.antipode, self.braiding, self.sigma_cap
-        )
+        return MultiBraidedGroup(self.alg, self.coproduct, self.counit, self.antipode, self.braiding)
 
 
 def derive_tau(g: MultiBraidedGroup) -> LinMap:
@@ -156,10 +156,6 @@ def _sigma_n_raw(g: MultiBraidedGroup, n: int) -> LinMap:
     if a != b:
         raise InternalInconsistency(f"sigma_{n}: the two product expressions differ")
     return a
-
-
-def sigma_n(g: MultiBraidedGroup, n: int) -> LinMap:
-    return g.sigma_n(n)
 
 
 def simplified_algebra(g: MultiBraidedGroup) -> FiniteDimAlgebra:

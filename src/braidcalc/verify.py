@@ -49,6 +49,7 @@ from .covariance import (
     solve_right_action,
 )
 from .groups import (
+    SIGMA_CAP,
     BraidSystem,
     Completion,
     InternalInconsistency,
@@ -64,6 +65,9 @@ from .groups import (
 from .linalg import LinMap
 from .reporting import Report
 from .star import NotStarCovariant, StarGroup, check_star_flip_compat, check_star_group, star_covariance
+
+# the flip table over the window [-K, K] reads sigma_n up to |n| = 2K
+MAX_SHIFT_RANGE = SIGMA_CAP // 2
 
 
 def verify_group_section(bundle: Bundle, shift_range: int = 2, paranoid: bool = False) -> Report:
@@ -202,9 +206,14 @@ def _guarded(ctx: str, fn):
         return rep
 
 
+def _check_shift_range(shift_range: int):
+    "The flip identities read the flips at shifts 1, -1 and -2, and sigma_n stops at SIGMA_CAP."
+    if not 1 <= shift_range <= MAX_SHIFT_RANGE:
+        raise ValueError(f"shift range must be between 1 and {MAX_SHIFT_RANGE}, got {shift_range}")
+
+
 def verify_bundle(bundle: Bundle, shift_range: int = 2, paranoid: bool = False) -> Report:
-    if shift_range < 1:  # the flip identities read the flips at shifts 1, -1 and -2
-        raise ValueError(f"shift range must be at least 1, got {shift_range}")
+    _check_shift_range(shift_range)
     out = Report()
     group_rep = _guarded("group", lambda: verify_group_section(bundle, shift_range, paranoid))
     out.extend(group_rep)
@@ -224,8 +233,7 @@ def verify_bundle(bundle: Bundle, shift_range: int = 2, paranoid: bool = False) 
 
 def run_covariance_mode(bundle: Bundle, mode: str, shift_range: int = 2) -> Report:
     "Targeted decision procedures for one aspect of covariance."
-    if shift_range < 1:
-        raise ValueError(f"shift range must be at least 1, got {shift_range}")
+    _check_shift_range(shift_range)
     rep = Report(ctx=f"covariance:{mode}")
     g = bundle.group
     if mode == "star" and bundle.star is None:

@@ -216,4 +216,4 @@ def mirror(g):
     cop = LinMap.from_entries(n * n, n, [[g.coproduct.entry(flip(r), i) for i in range(n)] for r in nn])
     braiding = LinMap.from_entries(n * n, n * n, [[g.braiding.entry(flip(r), flip(c)) for c in nn] for r in nn])
     alg = FiniteDimAlgebra(n, g.unit, mult, g.alg.labels)
-    return MultiBraidedGroup(alg, cop, g.counit, g.antipode, braiding, g.sigma_cap)
+    return MultiBraidedGroup(alg, cop, g.counit, g.antipode, braiding)

@@ -222,6 +222,10 @@ def test_closed_stdout_exits_141(workdir, monkeypatch, argv):
         (["complete-system", "--max", "0"], "--max"),
         (["check", "--range", "0"], "--range"),
         (["covariance", "--mode", "braided", "--range", "0"], "--range"),
+        (["check", "--range", "9"], "--range"),
+        (["covariance", "--mode", "bi", "--range", "9"], "--range"),
+        (["derive", "--what", "sigma-n", "-n", "17"], "-n"),
+        (["derive", "--what", "sigma-n", "-n", "-17"], "-n"),
     ],
 )
 def test_cli_integers_validated(workdir, capsys, argv, flag):
@@ -238,6 +242,15 @@ def test_shift_range_below_one_is_rejected():
         verify_bundle(bundle, 0)
     with pytest.raises(ValueError, match="shift range"):
         run_covariance_mode(bundle, "braided", 0)
+
+
+def test_shift_range_above_the_cap_is_rejected():
+    "A window of K reads sigma_n up to |n| = 2K, and sigma_n stops at |n| = 16."
+    bundle = parse_bundle((BUNDLE_DIR / "fix_k2.json").read_text())
+    with pytest.raises(ValueError, match="between 1 and 8"):
+        verify_bundle(bundle, 9)
+    with pytest.raises(ValueError, match="between 1 and 8"):
+        run_covariance_mode(bundle, "bi", 9)
 
 
 def test_z8_ideal_check_fits_in_one_gib(tmp_path):

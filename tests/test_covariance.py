@@ -1,6 +1,6 @@
 import pytest
 
-from braidcalc.calculi import FirstOrderCalculus, check_calculus
+from braidcalc.calculi import FirstOrderCalculus, check_calculus, iota_l
 from braidcalc.covariance import (
     IdealInvalid,
     NotLeftCovariant,
@@ -18,7 +18,8 @@ from braidcalc.covariance import (
     solve_right_action,
     universal_ideals,
 )
-from braidcalc.linalg import LinMap, Subspace, identity, tensor
+from braidcalc.fixtures import _delta_group
+from braidcalc.linalg import LinMap, Subspace, compose, identity, quotient, solve_right, tensor
 from braidcalc.reporting import Report
 from braidcalc.scalars import Q
 
@@ -219,6 +220,53 @@ def test_calculus_roundtrip_isomorphism(k2, gr, k2_universal, gr_universal, k2_l
 
 def test_non_isomorphic_calculi_detected(k2, k2_universal, k2_zero_calc):
     assert calculi_isomorphic(k2_universal, k2_zero_calc) is None
+
+
+def _permuted(c, perm):
+    "P and the copy of c with Gamma's coordinate j moved to perm[j]."
+    g = c.gdim
+    P = LinMap.from_entries(g, g, [[1 if perm[j] == i else 0 for j in range(g)] for i in range(g)])
+    P_inv, I = P.inverse(), identity(c.group.dim)
+    return P, FirstOrderCalculus(c.group, g, compose(P, c.mgl, tensor(I, P_inv)), compose(P, c.mgr, tensor(P_inv, I)), P @ c.d)
+
+
+def _quotient_by(c, a, b):
+    "c modulo the sub-bimodule spanned by the basis element a times d of the basis element b."
+    I = identity(c.group.dim)
+    form = iota_l(c).col(a * c.group.dim + b)
+    bimodule = compose(c.mgl, tensor(I, c.mgr), tensor(I, LinMap.from_entries(c.gdim, 1, [[x] for x in form]), I))
+    pi, q = quotient(c.gdim, bimodule.image())
+    section = solve_right(pi, identity(q))
+    return FirstOrderCalculus(
+        c.group, q, compose(pi, c.mgl, tensor(I, section)), compose(pi, c.mgr, tensor(section, I)), pi @ c.d
+    )
+
+
+def test_calculi_of_different_ideals_of_one_size_are_not_isomorphic(k4, k4_d1_calc):
+    d2 = reconstruct_from_ideal(k4, close_right_ideal(k4, [[0, 0, 1, 0]]), Report(), verify=False)
+    assert k4_d1_calc.gdim == d2.gdim == 8
+    assert calculi_isomorphic(k4_d1_calc, d2) is None
+    assert calculi_isomorphic(d2, k4_d1_calc) is None
+
+
+def test_permuted_calculus_is_isomorphic_by_the_permutation(k4_d1_calc):
+    P, copy = _permuted(k4_d1_calc, [3, 0, 7, 1, 6, 2, 5, 4])
+    assert calculi_isomorphic(k4_d1_calc, copy) == P
+    assert calculi_isomorphic(copy, k4_d1_calc) == P.inverse()
+
+
+def test_isomorphism_of_calculi_that_are_not_left_covariant():
+    "Removing the edge 0 -> 1 of the universal calculus on Z/3 breaks left covariance."
+    g = _delta_group(3, ("d_0", "d_1", "d_2"))
+    universal = reconstruct_from_ideal(g, Subspace.zero(3), Report(), verify=False)
+    c01, c12 = _quotient_by(universal, 0, 1), _quotient_by(universal, 1, 2)
+    assert c01.gdim == c12.gdim == 5
+    assert check_calculus(c01).ok_all and check_calculus(c12).ok_all
+    with pytest.raises(NotLeftCovariant):
+        solve_left_action(c01, Report())
+    P, copy = _permuted(c01, [2, 0, 4, 1, 3])
+    assert calculi_isomorphic(c01, copy) == P
+    assert calculi_isomorphic(c01, c12) is None
 
 
 def test_reconstruct_k4_nonsquare(k4, k4_d1):

@@ -1,8 +1,9 @@
 """Byte pins of every command beyond the default `check`, passing and failing.
 
-The cases are `tools/report_diff.py`'s: every covariance mode on each
-shipped bundle, `build-calculus` on both sides for every ideal of `fix_k4`
-and `fix_a4`, two more `check` runs, and 16 seeded single-scalar mutants
+The cases are `tools/report_diff.py`'s: every covariance mode, every
+`derive` map and `complete-system` on each shipped bundle,
+`build-calculus` on both sides for every ideal of `fix_k4` and `fix_a4`,
+two more `check` runs, and 16 seeded single-scalar mutants
 of the shipped bundles through `check` and every covariance mode.  The
 digests in `tests/data/report_digests.json` are the tool's
 `--digests --mutants 16 --seed 0` output.

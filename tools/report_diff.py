@@ -3,7 +3,8 @@
     python3 tools/report_diff.py BASE_SRC [--mutants N] [--seed S]
     PYTHONPATH=src python3 tools/report_diff.py --digests [--mutants N] [--seed S]
 
-The command set is fixed: every covariance mode on each shipped bundle,
+The command set is fixed: every covariance mode, every `derive` map
+(`sigma-n` at `-n -2`) and `complete-system` on each shipped bundle,
 `build-calculus` on both sides for every ideal of `fix_k4` and `fix_a4`,
 `check --range 1` on `fix_k2` and `check --range 3 --paranoid` on
 `fix_a4`.  On top of it, N seeded single-scalar mutants of the shipped
@@ -19,7 +20,9 @@ that is on the path, as JSON; `tests/data/report_digests.json` is that
 output for 16 mutants at seed 0.
 
 A digest covers the exit code, every file the command writes (report,
-bundle) and its console output with the scratch directory blanked out.
+bundle) and its console output with the scratch directory blanked out;
+`derive` and `complete-system` write no file, so their console output is
+all there is.
 Standard library only.
 """
 
@@ -41,16 +44,22 @@ ROOT = Path(__file__).resolve().parent.parent
 BUNDLE_DIR = ROOT / "bundles"
 SHIPPED = ("fix_1", "fix_k2", "fix_gr", "fix_k4", "fix_a4")
 MODES = ("left", "right", "bi", "kappa", "star", "braided")
+DERIVED = ("tau", "a0", "kappa0", "ad")
 # a mutated scalar becomes one of these, other than its old value
 SCALARS = ("0", "1", "-1", "2", "1/2", "0+1 i")
 
 
 def fixed_commands() -> list:
-    "(label, bundle name, argv without the bundle path, output file names) of the fixed command set."
+    """(label, bundle name, argv without the bundle path, output file names) of
+    the fixed command set; the first output file, if any, is the `-o` target."""
     out = []
     for name in SHIPPED:
         for mode in MODES:
             out.append((f"{name}: covariance --mode {mode}", name, ["covariance", "--mode", mode], ["report.json"]))
+        for what in DERIVED:
+            out.append((f"{name}: derive --what {what}", name, ["derive", "--what", what], []))
+        out.append((f"{name}: derive --what sigma-n -n -2", name, ["derive", "--what", "sigma-n", "-n", "-2"], []))
+        out.append((f"{name}: complete-system", name, ["complete-system"], []))
     for name in ("fix_k4", "fix_a4"):
         ideals = [ideal["name"] for ideal in json.loads((BUNDLE_DIR / f"{name}.json").read_text())["ideals"]]
         for ideal in ideals:
@@ -113,7 +122,7 @@ def run_command(bundle_text: str, argv: list, outputs: list) -> list:
         bundle = os.path.join(tmp, "bundle.json")
         Path(bundle).write_text(bundle_text)
         args = [a.replace("{dir}", tmp) for a in argv]
-        args = args[:1] + [bundle] + args[1:] + ["-o", os.path.join(tmp, outputs[0])]
+        args = args[:1] + [bundle] + args[1:] + (["-o", os.path.join(tmp, outputs[0])] if outputs else [])
         console = io.StringIO()
         with contextlib.redirect_stdout(console), contextlib.redirect_stderr(console):
             code = main(args)
