@@ -5,6 +5,11 @@ detected on the classifying ideal through the adjoint action, and (for a
 left-covariant calculus) equivalent to antipodal covariance: equality of
 ker(iota_l) with the kernel of the antipode-twisted iota_r, which yields
 the bijection vk with d kappa = vk d.
+
+Every decision here is made from data the caller has already solved: the
+left and right actions (None where the calculus is not covariant on that
+side) and the right trivialization.  No action is solved in this module,
+and every entry goes to the report the caller passes.
 """
 
 from __future__ import annotations
@@ -12,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calculi import FirstOrderCalculus, iota_l, iota_r
-from .covariance import (
-    LeftCovariantData,
-    NotLeftCovariant,
-    NotRightCovariant,
-    RightCovariantData,
-    right_trivialization,
-    solve_left_action,
-    solve_right_action,
-)
+from .covariance import LeftCovariantData, RightCovariantData
 from .groups import InternalInconsistency, MultiBraidedGroup, adjoint_action, kappa0
 from .linalg import (
     LinMap,
@@ -49,9 +46,8 @@ class KappaData:
     inverse: LinMap
 
 
-def check_kappa0(g: MultiBraidedGroup, report: Report | None = None) -> LinMap:
+def check_kappa0(g: MultiBraidedGroup, rep: Report) -> LinMap:
     "kappa0 with its counit law and the antipode laws for the simplified product."
-    rep = report if report is not None else Report()
     n = g.dim
     I = identity(n)
     k0 = kappa0(g)
@@ -73,11 +69,10 @@ def check_bicovariance(
     lcd: LeftCovariantData,
     rcd: RightCovariantData,
     flips: dict,
-    report: Report | None = None,
+    rep: Report,
     shift_range: int = 2,
 ) -> Report:
     "Compatibility of the two actions, their twistings, and the invariant restrictions."
-    rep = report if report is not None else Report()
     g = c.group
     n = g.dim
     I, Ig = identity(n), identity(c.gdim)
@@ -125,9 +120,8 @@ def check_bicovariance(
     return rep
 
 
-def ideal_bicovariance_test(g: MultiBraidedGroup, r: Subspace, report: Report | None = None) -> Report:
+def ideal_bicovariance_test(g: MultiBraidedGroup, r: Subspace, rep: Report) -> Report:
     "The two ideal-level conditions equivalent to bicovariance."
-    rep = report if report is not None else Report()
     n = g.dim
     I = identity(n)
     kere = g.counit.kernel()
@@ -150,15 +144,16 @@ def ideal_bicovariance_test(g: MultiBraidedGroup, r: Subspace, report: Report | 
 def right_action_from_ad(
     g: MultiBraidedGroup,
     lcd: LeftCovariantData,
-    report: Report | None,
     rcd: RightCovariantData,
+    right_triv: tuple[LinMap, LinMap],
+    rep: Report,
 ) -> LinMap:
     """The right action rebuilt from the adjoint action on invariant forms.
 
-    Requires the ideal criterion; the result is compared entry by entry
+    Requires the ideal criterion; `right_triv` is the (fwd, bwd) pair of
+    `right_trivialization`, and the result is compared entry by entry
     against the directly solved right action.
     """
-    rep = report if report is not None else Report()
     c = lcd.calculus
     n = g.dim
     I = identity(n)
@@ -175,8 +170,8 @@ def right_action_from_ad(
         raise AdNotDescending(f"adjoint action does not descend to the quotient: {exc}") from exc
     rep.check_eq("EQ_410", varpi @ lcd.pi, tensor(lcd.pi, I) @ ad)
     rho_pic = compose(tensor(identity(q), I, g.mult), tensor(identity(q), g.braiding, I), tensor(varpi, g.coproduct))
-    fwd2, bwd2 = right_trivialization(c, lcd, Report())
-    rho_built = compose(tensor(fwd2, I), rho_pic, bwd2)
+    fwd, bwd = right_triv
+    rho_built = compose(tensor(fwd, I), rho_pic, bwd)
     rep.check_eq("EQ_49", rho_built, rcd.action, note="ad-built right action equals the solved one")
     rep.check_eq("EQ_49_A3", rho_built @ c.d, tensor(c.d, I) @ g.coproduct)
     rep.check_eq(
@@ -189,14 +184,13 @@ def right_action_from_ad(
 
 def check_kappa_covariance(
     c: FirstOrderCalculus,
-    report: Report | None = None,
+    rep: Report,
     lcd: LeftCovariantData | None = None,
     rcd: RightCovariantData | None = None,
     flips: dict | None = None,
     shift_range: int = 2,
 ) -> KappaData:
     "Decide antipodal covariance and derive the twisting bijection."
-    rep = report if report is not None else Report()
     g = c.group
     n = g.dim
     I, Ig = identity(n), identity(c.gdim)
@@ -290,23 +284,22 @@ def check_kappa_covariance(
     return KappaData(vk, vk_inv)
 
 
-def kappa_iff_bicovariant(c: FirstOrderCalculus, report: Report | None = None) -> Report:
-    "Run both decisions independently and assert they agree, left-covariance permitting."
-    rep = report if report is not None else Report()
-    try:
-        solve_left_action(c, Report())
-    except NotLeftCovariant:
+def kappa_iff_bicovariant(
+    c: FirstOrderCalculus,
+    lcd: LeftCovariantData | None,
+    rcd: RightCovariantData | None,
+    rep: Report,
+) -> Report:
+    """Assert that antipodal covariance and bicovariance agree, given the solved
+    actions (None where the calculus is not covariant on that side)."""
+    if lcd is None:
         rep.skip("KAPPA_IFF_BICOVARIANT", note="calculus is not left-covariant; equivalence not applicable")
         return rep
     il, ir = iota_l(c), iota_r(c)
     g = c.group
     twisted = compose(ir, tensor(g.antipode, g.antipode), g.sigma_n(-2))
     kappa_cov = il.kernel() == twisted.kernel()
-    try:
-        solve_right_action(c, Report())
-        bicov = True
-    except NotRightCovariant:
-        bicov = False
+    bicov = rcd is not None
     rep.check_true(
         "KAPPA_IFF_BICOVARIANT",
         kappa_cov == bicov,

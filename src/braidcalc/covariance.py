@@ -24,7 +24,6 @@ from .calculi import (
     iota_l,
     iota_r,
     sided_tensor,
-    solve_flip,
 )
 from .groups import InternalInconsistency, MultiBraidedGroup
 from .linalg import (
@@ -139,7 +138,8 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
     pi = proj_coords @ d
     pi_hat = incl @ pi
     rep.check_surjective("PI_SURJ", pi)
-    ideal = pi.kernel().intersect(eps.kernel())
+    kere = eps.kernel()
+    ideal = pi.kernel().intersect(kere)
 
     rep.check_eq("EQ_314", proj @ il, compose(tensor(eps, pi_hat), g.sigma_inv, g.tau))
     rep.check_eq(
@@ -182,7 +182,7 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
     rep.check_invertible("SIGMA_STAR_INVERTIBLE", sigma_star)
 
     circ = compose(proj_coords, mgr, tensor(incl, I))
-    ik = eps.kernel().inclusion()
+    ik = kere.inclusion()
     rep.check_eq("EQ_321", compose(circ, tensor(pi, I), tensor(ik, I)), compose(pi, m0, tensor(ik, I)))
     rep.check_eq(
         "EQ_332",
@@ -205,7 +205,6 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
         compose(incl, tensor(eps, Iq)),
         note="P(a theta) = eps(a) theta on invariant forms",
     )
-    kere = eps.kernel()
     rep.check_true(
         "GINV_DIM",
         q == kere.dim - ideal.dim,
@@ -274,7 +273,8 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     zeta = proj_coords @ d
     zeta_hat = incl @ zeta
     rep.check_surjective("EQ_A11", zeta, note="quotient differential onto right-invariant forms")
-    ideal = zeta.kernel().intersect(eps.kernel())
+    kere = eps.kernel()
+    ideal = zeta.kernel().intersect(kere)
 
     rep.check_eq("EQ_A10", proj @ ir, compose(tensor(zeta_hat, eps), g.sigma_inv, g.tau))
 
@@ -317,7 +317,6 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
         note="a . theta = Q(a theta) in invariant coordinates",
     )
     rep.check_eq("EQ_A20", bullet @ tensor(I, zeta), zeta @ m0 - tensor(zeta, eps))
-    kere = eps.kernel()
     rep.check_true(
         "RINV_DIM",
         q == kere.dim - ideal.dim,
@@ -328,8 +327,8 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     return RightCovariantData(c, act, proj, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet)
 
 
-def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None = None, flips: dict | None = None) -> FlipOver:
-    "The sigma flip rebuilt out of the left action; checked against the solver."
+def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None, flips: dict) -> FlipOver:
+    "The sigma flip rebuilt out of the left action; checked against the solved flip table."
     rep = report if report is not None else Report()
     g = c.group
     n = g.dim
@@ -337,33 +336,31 @@ def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Rep
     m, phi, eps, kap = g.mult, g.coproduct, g.counit, g.antipode
     act, mgr = lcd.action, c.mgr
     built = compose(tensor(m, mgr), tensor(kap, act @ mgr, kap), tensor(act, phi))
-    solved = flips["left"][1] if flips is not None else solve_flip(c, g.braiding, "left", label=1)
-    if not rep.check_eq("EQ_38", built, solved.map, note="action-built flip equals the solved flip"):
+    ls = flips["left"][1].map
+    if not rep.check_eq("EQ_38", built, ls, note="action-built flip equals the solved flip"):
         raise InternalInconsistency("flip built from the left action disagrees with the solver")
-    ls = solved.map
     rep.check_eq("EQ_39", act @ mgr, compose(tensor(m, mgr), tensor(I, ls, I), tensor(act, phi)))
-    if flips is not None:
-        half = max(flips["left"]) // 2
-        shifts = range(-half, half + 1)
-        sigma_Ig = {k: tensor(g.sigma_n(k), Ig) for k in shifts}
-        I_left = {k: tensor(I, flips["left"][k].map) for k in shifts}
-        act_I, I_act = tensor(act, I), tensor(I, act)
-        for p in shifts:
-            for r in shifts:
-                rep.check_eq(
-                    f"EQ_310_n{p}_m{r}",
-                    compose(sigma_Ig[p], I_left[r], act_I),
-                    I_act @ flips["left"][p + r].map,
-                )
-        rep.check_eq(
-            "EQ_311",
-            flips["left"][0].map,
-            compose(tensor(eps, I, Ig), tensor(g.sigma_inv, Ig), I_act, ls),
-        )
+    half = max(flips["left"]) // 2
+    shifts = range(-half, half + 1)
+    sigma_Ig = {k: tensor(g.sigma_n(k), Ig) for k in shifts}
+    I_left = {k: tensor(I, flips["left"][k].map) for k in shifts}
+    act_I, I_act = tensor(act, I), tensor(I, act)
+    for p in shifts:
+        for r in shifts:
+            rep.check_eq(
+                f"EQ_310_n{p}_m{r}",
+                compose(sigma_Ig[p], I_left[r], act_I),
+                I_act @ flips["left"][p + r].map,
+            )
+    rep.check_eq(
+        "EQ_311",
+        flips["left"][0].map,
+        compose(tensor(eps, I, Ig), tensor(g.sigma_inv, Ig), I_act, ls),
+    )
     return FlipOver("left", 1, built, built.inverse())
 
 
-def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, report: Report | None = None, flips: dict | None = None) -> FlipOver:
+def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, report: Report | None, flips: dict) -> FlipOver:
     "Mirror construction of the right flip out of the right action."
     rep = report if report is not None else Report()
     g = c.group
@@ -372,24 +369,22 @@ def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, repor
     m, phi, kap = g.mult, g.coproduct, g.antipode
     act, mgl = rcd.action, c.mgl
     built = compose(tensor(mgl, m), tensor(kap, act @ mgl, kap), tensor(phi, act))
-    solved = flips["right"][1] if flips is not None else solve_flip(c, g.braiding, "right", label=1)
-    if not rep.check_eq("EQ_A6", built, solved.map):
+    rs = flips["right"][1].map
+    if not rep.check_eq("EQ_A6", built, rs):
         raise InternalInconsistency("flip built from the right action disagrees with the solver")
-    rs = solved.map
     rep.check_eq("EQ_A7", act @ mgl, compose(tensor(mgl, m), tensor(I, rs, I), tensor(phi, act)))
-    if flips is not None:
-        half = max(flips["right"]) // 2
-        shifts = range(-half, half + 1)
-        Ig_sigma = {k: tensor(Ig, g.sigma_n(k)) for k in shifts}
-        right_I = {k: tensor(flips["right"][k].map, I) for k in shifts}
-        act_I, I_act = tensor(act, I), tensor(I, act)
-        for p in shifts:
-            for r in shifts:
-                rep.check_eq(
-                    f"EQ_A8_n{p}_m{r}",
-                    act_I @ flips["right"][p + r].map,
-                    compose(Ig_sigma[p], right_I[r], I_act),
-                )
+    half = max(flips["right"]) // 2
+    shifts = range(-half, half + 1)
+    Ig_sigma = {k: tensor(Ig, g.sigma_n(k)) for k in shifts}
+    right_I = {k: tensor(flips["right"][k].map, I) for k in shifts}
+    act_I, I_act = tensor(act, I), tensor(I, act)
+    for p in shifts:
+        for r in shifts:
+            rep.check_eq(
+                f"EQ_A8_n{p}_m{r}",
+                act_I @ flips["right"][p + r].map,
+                compose(Ig_sigma[p], right_I[r], I_act),
+            )
     return FlipOver("right", 1, built, built.inverse())
 
 

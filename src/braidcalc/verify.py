@@ -95,11 +95,12 @@ def verify_calculus_section(bundle: Bundle, c: FirstOrderCalculus, shift_range: 
     flips = _flip_battery(c, rep, shift_range, f"left/right flips for shifts in [-{2*shift_range}, {2*shift_range}]")
     lcd = _solve_action(c, "left", rep, flips)
     rcd = _solve_action(c, "right", rep, flips)
+    right_triv = None
     if lcd is not None and flips is not None:
         flip_from_actions(c, lcd, rep, flips=flips)
         left_trivialization(c, lcd, rep)
         try:
-            right_trivialization(c, lcd, rep)
+            right_triv = right_trivialization(c, lcd, rep)
         except SigmaStarSingular as exc:
             rep.fail("SIGMA_STAR_SINGULAR", {"reason": str(exc)})
     if rcd is not None and flips is not None:
@@ -110,8 +111,9 @@ def verify_calculus_section(bundle: Bundle, c: FirstOrderCalculus, shift_range: 
             rep.fail("STAR_SIGMA_SINGULAR", {"reason": str(exc)})
     if lcd is not None and rcd is not None and flips is not None:
         check_bicovariance(c, lcd, rcd, flips, rep, shift_range)
+    if rcd is not None and right_triv is not None:
         try:
-            right_action_from_ad(g, lcd, rep, rcd)
+            right_action_from_ad(g, lcd, rcd, right_triv, rep)
         except AdNotDescending as exc:
             rep.fail("AD_NOT_DESCENDING", {"reason": str(exc)})
     kd = None
@@ -120,7 +122,7 @@ def verify_calculus_section(bundle: Bundle, c: FirstOrderCalculus, shift_range: 
             kd = check_kappa_covariance(c, rep, lcd=lcd, rcd=rcd, flips=flips, shift_range=shift_range)
         except NotKappaCovariant:
             pass  # the decision entry already records the failure and witness
-        kappa_iff_bicovariant(c, rep)
+        kappa_iff_bicovariant(c, lcd, rcd, rep)
     if bundle.star is not None and lcd is not None:
         sg = StarGroup(g, bundle.star)
         try:
@@ -282,7 +284,9 @@ def _covariance_one(bundle: Bundle, c: FirstOrderCalculus, mode: str, shift_rang
             check_kappa_covariance(c, sub, shift_range=shift_range)
         except NotKappaCovariant:
             pass
-        kappa_iff_bicovariant(c, sub)
+        lcd = _solve_action(c, "left", Report())
+        rcd = _solve_action(c, "right", Report()) if lcd is not None else None
+        kappa_iff_bicovariant(c, lcd, rcd, sub)
     elif mode == "star":
         lcd = _solve_action(c, "left", sub)
         if lcd is not None:

@@ -1,5 +1,9 @@
+import sys
+from pathlib import Path
+
 import pytest
 
+from braidcalc import covariance
 from braidcalc.bicovariance import (
     NotKappaCovariant,
     check_bicovariance,
@@ -9,12 +13,21 @@ from braidcalc.bicovariance import (
     kappa_iff_bicovariant,
     right_action_from_ad,
 )
+from braidcalc.bundles import Bundle, parse_bundle
 from braidcalc.calculi import FirstOrderCalculus, iota_l, iota_r
-from braidcalc.covariance import solve_left_action, solve_right_action
+from braidcalc.covariance import (
+    NotLeftCovariant,
+    NotRightCovariant,
+    right_trivialization,
+    solve_left_action,
+    solve_right_action,
+)
+from braidcalc.fixtures import _delta_group, conjugation_star
 from braidcalc.groups import kappa0
 from braidcalc.linalg import LinMap, Subspace, compose, tensor
 from braidcalc.reporting import Report
 from braidcalc.scalars import Q
+from braidcalc.verify import verify_bundle
 
 
 def test_kappa0_report(k2, gr, one):
@@ -77,7 +90,7 @@ def test_right_action_from_ad_matches_solver(k2_universal, k2_lcd, k2_rcd,
                                              gr_universal, gr_lcd, gr_rcd, k2, gr):
     for g, c, lcd, rcd in ((k2, k2_universal, k2_lcd, k2_rcd), (gr, gr_universal, gr_lcd, gr_rcd)):
         rep = Report()
-        built = right_action_from_ad(g, lcd, rep, rcd)
+        built = right_action_from_ad(g, lcd, rcd, right_trivialization(c, lcd, Report()), rep)
         assert rep.ok_all, [e.id for e in rep.failures()]
         assert built == rcd.action
         assert rep.passed("EQ_49") and rep.passed("EQ_410")
@@ -87,7 +100,7 @@ def test_right_action_from_ad_zero_calculus(k2, k2_zero_calc):
     lcd = solve_left_action(k2_zero_calc, Report())
     rcd = solve_right_action(k2_zero_calc, Report())
     rep = Report()
-    built = right_action_from_ad(k2, lcd, rep, rcd)
+    built = right_action_from_ad(k2, lcd, rcd, right_trivialization(k2_zero_calc, lcd, Report()), rep)
     assert rep.ok_all and built.cod == 0
 
 
@@ -137,10 +150,17 @@ def test_kappa_covariance_negative(k2_universal, k2):
 # -- equivalence of decisions -----------------------------------------------------
 
 
+def _right_action_or_none(c):
+    try:
+        return solve_right_action(c, Report())
+    except NotRightCovariant:
+        return None
+
+
 def test_kappa_iff_bicovariant_positive(k2_universal, gr_universal, k2_zero_calc, k4_d1_calc):
     for c in (k2_universal, gr_universal, k2_zero_calc, k4_d1_calc):
         rep = Report()
-        kappa_iff_bicovariant(c, rep)
+        kappa_iff_bicovariant(c, solve_left_action(c, Report()), _right_action_or_none(c), rep)
         entry = rep["KAPPA_IFF_BICOVARIANT"]
         assert entry.status == "pass", entry.note
 
@@ -150,8 +170,10 @@ def test_kappa_iff_bicovariant_skips_non_left_covariant(k2_universal, k2):
     rows[0][1] = rows[0][1] + Q(1)
     broken = FirstOrderCalculus(k2, 2, LinMap.from_entries(2, 4, rows),
                                 k2_universal.mgr, k2_universal.d, name="broken")
+    with pytest.raises(NotLeftCovariant):
+        solve_left_action(broken, Report())
     rep = Report()
-    kappa_iff_bicovariant(broken, rep)
+    kappa_iff_bicovariant(broken, None, None, rep)
     assert rep["KAPPA_IFF_BICOVARIANT"].status == "skipped"
 
 
@@ -166,8 +188,10 @@ def test_anyon_t2_is_left_but_not_bicovariant(anyon, anyon_t2_calc):
     ideal_bicovariance_test(anyon, lcd.ideal, rep)
     assert rep["EQ_47"].status == "fail"
     assert rep["EQ_48"].status == "pass"
+    with pytest.raises(NotRightCovariant):
+        solve_right_action(c, Report())
     rep2 = Report()
-    kappa_iff_bicovariant(c, rep2)
+    kappa_iff_bicovariant(c, lcd, None, rep2)
     entry = rep2["KAPPA_IFF_BICOVARIANT"]
     assert entry.status == "pass"
     assert "kappa-covariant: False; bicovariant: False" in entry.note
@@ -197,8 +221,6 @@ def test_decisions_agree_on_corrupted_mgl(k2_universal, k2):
     il, ir = iota_l(broken), iota_r(broken)
     twisted = compose(ir, tensor(k2.antipode, k2.antipode), k2.sigma_n(-2))
     kappa_cov = il.kernel() == twisted.kernel()
-    from braidcalc.covariance import NotLeftCovariant, NotRightCovariant
-
     try:
         solve_left_action(broken, Report())
         solve_right_action(broken, Report())
@@ -206,3 +228,41 @@ def test_decisions_agree_on_corrupted_mgl(k2_universal, k2):
     except (NotLeftCovariant, NotRightCovariant):
         bicov = False
     assert kappa_cov is False and bicov is False
+
+
+# -- each calculus section solves each action once ----------------------------------
+
+SOLVERS = ("solve_left_action", "solve_right_action", "right_trivialization")
+
+
+def _z3_universal_bundle():
+    g = _delta_group(3, ("d_0", "d_1", "d_2"))
+    universal = covariance.reconstruct_from_ideal(g, covariance.universal_ideals(g)["zero"], Report(), name="universal")
+    return Bundle(g, conjugation_star(g), [universal], [])
+
+
+def test_each_calculus_section_solves_each_action_once(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(c, *args, **kwargs):
+            calls.append((name, c))
+            return fn(c, *args, **kwargs)
+
+        return wrapped
+
+    # from-imports copy the names, so every module that bound a solver is patched
+    modules = [m for key, m in sys.modules.items() if key == "braidcalc" or key.startswith("braidcalc.")]
+    for name in SOLVERS:
+        fn = getattr(covariance, name)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+
+    k2_path = Path(__file__).resolve().parent.parent / "bundles" / "fix_k2.json"
+    for bundle in (parse_bundle(k2_path.read_text()), _z3_universal_bundle()):
+        calls.clear()
+        assert verify_bundle(bundle).ok_all
+        for c in bundle.calculi:
+            counts = {name: sum(1 for n, x in calls if n == name and x is c) for name in SOLVERS}
+            assert counts == dict.fromkeys(SOLVERS, 1), c.name

@@ -1,6 +1,6 @@
 import pytest
 
-from braidcalc.calculi import FirstOrderCalculus, check_calculus, iota_l
+from braidcalc.calculi import FirstOrderCalculus, check_calculus, iota_l, solve_flips
 from braidcalc.covariance import (
     IdealInvalid,
     NotLeftCovariant,
@@ -92,7 +92,7 @@ def test_flip_from_right_action(k2_universal, k2_flips, k2_rcd, gr_universal, gr
 def test_flip_from_actions_zero_calculus(k2_zero_calc):
     lcd = solve_left_action(k2_zero_calc, Report())
     rep = Report()
-    flip = flip_from_actions(k2_zero_calc, lcd, rep)
+    flip = flip_from_actions(k2_zero_calc, lcd, rep, flips=solve_flips(k2_zero_calc))
     assert rep.ok_all and flip.map.cod == 0
 
 
