@@ -29,11 +29,15 @@ from .linalg import (
     identity,
     tensor,
 )
-from .reporting import Report
+from .reporting import Report, Verdicts
 
 
 class NotKappaCovariant(ValueError):
-    pass
+    "Not antipodally covariant; `kernels_agree` is the kernel decision, false unless only the twisting map is singular."
+
+    def __init__(self, message: str, kernels_agree: bool = False):
+        super().__init__(message)
+        self.kernels_agree = kernels_agree
 
 
 class AdNotDescending(ValueError):
@@ -91,32 +95,53 @@ def check_bicovariance(
     )
     # The identity-padded legs of the shift loop, each built once.
     shifts = range(-K, K + 1)
+    left, right = flips["left"], flips["right"]
+    sigma = {k: g.sigma_n(k) for k in shifts}
     I_act_l, act_r_I = tensor(I, act_l), tensor(act_r, I)
-    I_right = {k: tensor(I, flips["right"][k].map) for k in shifts}
-    left_I = {k: tensor(flips["left"][k].map, I) for k in shifts}
-    sigma_Ig = {k: tensor(g.sigma_n(k), Ig) for k in shifts}
-    Ig_sigma = {k: tensor(Ig, g.sigma_n(k)) for k in shifts}
+    I_right = {k: tensor(I, right[k].map) for k in shifts}
+    left_I = {k: tensor(left[k].map, I) for k in shifts}
+    sigma_Ig = {k: tensor(sigma[k], Ig) for k in shifts}
+    Ig_sigma = {k: tensor(Ig, sigma[k]) for k in shifts}
+    once = Verdicts(rep)
     for n_s in shifts:
         for m_s in shifts:
-            rep.check_eq(
+            rsum, lsum = right[n_s + m_s].map, left[n_s + m_s].map
+            once.check(
                 f"EQ_44A_n{n_s}_m{m_s}",
-                act_l_I @ flips["right"][n_s + m_s].map,
-                compose(I_right[m_s], sigma_Ig[n_s], I_act_l),
+                "EQ_44A",
+                (rsum, right[m_s].map, sigma[n_s]),
+                lambda key: rep.check_eq(key, act_l_I @ rsum, compose(I_right[m_s], sigma_Ig[n_s], I_act_l)),
             )
-            rep.check_eq(
+            once.check(
                 f"EQ_44B_n{n_s}_m{m_s}",
-                I_act_r @ flips["left"][n_s + m_s].map,
-                compose(left_I[m_s], Ig_sigma[n_s], act_r_I),
+                "EQ_44B",
+                (lsum, left[m_s].map, sigma[n_s]),
+                lambda key: rep.check_eq(key, I_act_r @ lsum, compose(left_I[m_s], Ig_sigma[n_s], act_r_I)),
             )
     inv_l = tensor(lcd.incl, I).image()
     inv_r_amb = tensor(I, lcd.incl).image()
     rinv_l = tensor(rcd.incl, I).image()
     rinv_r_amb = tensor(I, rcd.incl).image()
-    for n_s in range(-K, K + 1):
-        rep.check_space_eq(f"EQ_45A_n{n_s}", inv_r_amb.map_by(flips["right"][n_s].map), inv_l)
-        rep.check_space_eq(f"EQ_45B_n{n_s}", rinv_l.map_by(flips["left"][n_s].map), rinv_r_amb)
-        rep.check_eq(f"EQ_46A_n{n_s}", flips["right"][n_s].map @ tensor(I, lcd.pi_hat), tensor(lcd.pi_hat, I) @ tau)
-        rep.check_eq(f"EQ_46B_n{n_s}", flips["left"][n_s].map @ tensor(rcd.zeta_hat, I), tensor(I, rcd.zeta_hat) @ tau)
+    for n_s in shifts:
+        rs, ls = right[n_s].map, left[n_s].map
+        once.check(
+            f"EQ_45A_n{n_s}", "EQ_45A", (rs,), lambda key: rep.check_space_eq(key, inv_r_amb.map_by(rs), inv_l)
+        )
+        once.check(
+            f"EQ_45B_n{n_s}", "EQ_45B", (ls,), lambda key: rep.check_space_eq(key, rinv_l.map_by(ls), rinv_r_amb)
+        )
+        once.check(
+            f"EQ_46A_n{n_s}",
+            "EQ_46A",
+            (rs,),
+            lambda key: rep.check_eq(key, rs @ tensor(I, lcd.pi_hat), tensor(lcd.pi_hat, I) @ tau),
+        )
+        once.check(
+            f"EQ_46B_n{n_s}",
+            "EQ_46B",
+            (ls,),
+            lambda key: rep.check_eq(key, ls @ tensor(rcd.zeta_hat, I), tensor(I, rcd.zeta_hat) @ tau),
+        )
     return rep
 
 
@@ -223,22 +248,26 @@ def check_kappa_covariance(
         rep.ok("KAPPA_MAP_INVERTIBLE")
     except NotInvertible:
         rep.fail("KAPPA_MAP_INVERTIBLE", {"reason": "twisting map is singular"})
-        raise NotKappaCovariant("twisting map is not bijective")
+        raise NotKappaCovariant("twisting map is not bijective", kernels_agree=True)
     rep.check_eq("EQ_52", c.d @ kap, vk @ c.d)
     rep.check_eq("EQ_53", vk @ ir, compose(il, tensor(kap, kap), sm2))
 
     if flips is not None:
         K = shift_range
+        left, right = flips["left"], flips["right"]
+        once = Verdicts(rep)
         for n_s in range(-K, K + 1):
-            rep.check_eq(
+            once.check(
                 f"EQ_55_n{n_s}",
-                flips["left"][n_s].map @ tensor(vk, I),
-                tensor(I, vk) @ flips["left"][-n_s].map,
+                "EQ_55",
+                (left[n_s].map, left[-n_s].map),
+                lambda key: rep.check_eq(key, left[n_s].map @ tensor(vk, I), tensor(I, vk) @ left[-n_s].map),
             )
-            rep.check_eq(
+            once.check(
                 f"EQ_57_n{n_s}",
-                flips["right"][n_s].map @ tensor(I, vk),
-                tensor(vk, I) @ flips["right"][-n_s].map,
+                "EQ_57",
+                (right[n_s].map, right[-n_s].map),
+                lambda key: rep.check_eq(key, right[n_s].map @ tensor(I, vk), tensor(vk, I) @ right[-n_s].map),
             )
         rep.check_eq("EQ_56", vk @ c.mgr, compose(c.mgl, tensor(kap, vk), flips["left"][-2].map))
         rep.check_eq("EQ_58", vk @ c.mgl, compose(c.mgr, tensor(vk, kap), flips["right"][-2].map))
@@ -289,16 +318,14 @@ def kappa_iff_bicovariant(
     lcd: LeftCovariantData | None,
     rcd: RightCovariantData | None,
     rep: Report,
+    kappa_cov: bool,
 ) -> Report:
     """Assert that antipodal covariance and bicovariance agree, given the solved
-    actions (None where the calculus is not covariant on that side)."""
+    actions (None where the calculus is not covariant on that side) and the
+    kernel decision `kappa_cov` of `check_kappa_covariance`."""
     if lcd is None:
         rep.skip("KAPPA_IFF_BICOVARIANT", note="calculus is not left-covariant; equivalence not applicable")
         return rep
-    il, ir = iota_l(c), iota_r(c)
-    g = c.group
-    twisted = compose(ir, tensor(g.antipode, g.antipode), g.sigma_n(-2))
-    kappa_cov = il.kernel() == twisted.kernel()
     bicov = rcd is not None
     rep.check_true(
         "KAPPA_IFF_BICOVARIANT",

@@ -23,7 +23,7 @@ from .linalg import (
     identity,
     tensor,
 )
-from .reporting import Report
+from .reporting import Report, Verdicts
 
 
 class NotCovariant(ValueError):
@@ -133,13 +133,22 @@ def solve_flips(c: FirstOrderCalculus, shift_range: int = 2) -> dict:
     """Left and right flips of every shifted braiding sigma_n.
 
     The table spans [-2K, 2K] so that identities indexed by sums of two
-    shifts in [-K, K] stay inside the table.
+    shifts in [-K, K] stay inside the table.  Equal shifts are one braid
+    object, and each distinct one is solved once per side, at its first
+    shift in ascending order, so a NotCovariant or NotBijective message
+    names that shift.  Every entry is labelled with its own shift, and the
+    entries of one braid share its `map` and `inverse`.
     """
     table = {"left": {}, "right": {}}
+    solved: dict = {}
     for n in range(-2 * shift_range, 2 * shift_range + 1):
         braid = c.group.sigma_n(n)
-        table["left"][n] = solve_flip(c, braid, "left", label=n)
-        table["right"][n] = solve_flip(c, braid, "right", label=n)
+        for side in ("left", "right"):
+            key = (side, id(braid))
+            if key not in solved:
+                solved[key] = solve_flip(c, braid, side, label=n)
+            first = solved[key]
+            table[side][n] = first if first.label == n else FlipOver(side, n, first.map, first.inverse)
     return table
 
 
@@ -272,62 +281,99 @@ def check_multi_covariance(
     left, right = flips["left"], flips["right"]
     K = shift_range
 
+    once = Verdicts(rep)
     for a in range(-1, 2):
         for b in range(-1, 2):
             for cc in range(-1, 2):
                 if a - b + cc not in left:
                     continue
-                rep.check_eq(
+                la, lb, lc, lsum = left[a], left[b], left[cc], left[a - b + cc]
+                once.check(
                     f"EQ_234_a{a}_b{b}_c{cc}",
-                    compose(left[a].map, left[b].inverse, left[cc].map),
-                    left[a - b + cc].map,
+                    "EQ_234",
+                    (la.map, lb.inverse, lc.map, lsum.map),
+                    lambda key: rep.check_eq(key, compose(la.map, lb.inverse, lc.map), lsum.map),
                 )
-                rep.check_eq(
+                ra, rb, rc, rsum = right[a], right[b], right[cc], right[a - b + cc]
+                once.check(
                     f"EQ_236_a{a}_b{b}_c{cc}",
-                    compose(right[a].map, right[b].inverse, right[cc].map),
-                    right[a - b + cc].map,
+                    "EQ_236",
+                    (ra.map, rb.inverse, rc.map, rsum.map),
+                    lambda key: rep.check_eq(key, compose(ra.map, rb.inverse, rc.map), rsum.map),
                 )
     # The identity-padded legs of the shift loops, each built once.
     shifts = range(-K, K + 1)
+    sigma = {k: g.sigma_n(k) for k in shifts}
     I_left = {k: tensor(I, left[k].map) for k in shifts}
     left_I = {k: tensor(left[k].map, I) for k in shifts}
     I_right = {k: tensor(I, right[k].map) for k in shifts}
     right_I = {k: tensor(right[k].map, I) for k in shifts}
-    Ig_sigma = {k: tensor(Ig, g.sigma_n(k)) for k in shifts}
-    sigma_Ig = {k: tensor(g.sigma_n(k), Ig) for k in shifts}
+    Ig_sigma = {k: tensor(Ig, sigma[k]) for k in shifts}
+    sigma_Ig = {k: tensor(sigma[k], Ig) for k in shifts}
     for p in shifts:
         for q in shifts:
             for r in shifts:
-                rep.check_eq(
+                once.check(
                     f"EQ_235_a{p}_b{q}_c{r}",
-                    compose(I_left[p], left_I[q], Ig_sigma[r]),
-                    compose(sigma_Ig[r], I_left[q], left_I[p]),
+                    "EQ_235",
+                    (left[p].map, left[q].map, sigma[r]),
+                    lambda key: rep.check_eq(
+                        key,
+                        compose(I_left[p], left_I[q], Ig_sigma[r]),
+                        compose(sigma_Ig[r], I_left[q], left_I[p]),
+                    ),
                 )
-                rep.check_eq(
+                once.check(
                     f"EQ_237_a{p}_b{q}_c{r}",
-                    compose(Ig_sigma[p], right_I[q], I_right[r]),
-                    compose(right_I[r], I_right[q], sigma_Ig[p]),
+                    "EQ_237",
+                    (sigma[p], right[q].map, right[r].map),
+                    lambda key: rep.check_eq(
+                        key,
+                        compose(Ig_sigma[p], right_I[q], I_right[r]),
+                        compose(right_I[r], I_right[q], sigma_Ig[p]),
+                    ),
                 )
-                rep.check_eq(
+                once.check(
                     f"EQ_238_a{p}_b{q}_c{r}",
-                    compose(I_right[p], sigma_Ig[q], I_left[r]),
-                    compose(left_I[r], Ig_sigma[q], right_I[p]),
+                    "EQ_238",
+                    (right[p].map, sigma[q], left[r].map),
+                    lambda key: rep.check_eq(
+                        key,
+                        compose(I_right[p], sigma_Ig[q], I_left[r]),
+                        compose(left_I[r], Ig_sigma[q], right_I[p]),
+                    ),
                 )
     Ig_phi, phi_Ig = tensor(Ig, phi), tensor(phi, Ig)
     for m_s in shifts:
         for n_s in shifts:
-            rep.check_eq(
+            once.check(
                 f"EQ_242_n{n_s}_m{m_s}",
-                compose(I_left[n_s], left_I[m_s], Ig_phi),
-                phi_Ig @ left[m_s + n_s].map,
+                "EQ_242",
+                (left[n_s].map, left[m_s].map, left[m_s + n_s].map),
+                lambda key: rep.check_eq(
+                    key, compose(I_left[n_s], left_I[m_s], Ig_phi), phi_Ig @ left[m_s + n_s].map
+                ),
             )
-            rep.check_eq(
+            once.check(
                 f"EQ_246_n{n_s}_m{m_s}",
-                compose(right_I[n_s], I_right[m_s], phi_Ig),
-                Ig_phi @ right[n_s + m_s].map,
+                "EQ_246",
+                (right[n_s].map, right[m_s].map, right[n_s + m_s].map),
+                lambda key: rep.check_eq(
+                    key, compose(right_I[n_s], I_right[m_s], phi_Ig), Ig_phi @ right[n_s + m_s].map
+                ),
             )
     Ig_kap, kap_Ig = tensor(Ig, kap), tensor(kap, Ig)
     for n_s in shifts:
-        rep.check_eq(f"EQ_247_n{n_s}", left[n_s].map @ Ig_kap, kap_Ig @ left[-n_s].map)
-        rep.check_eq(f"EQ_248_n{n_s}", right[n_s].map @ kap_Ig, Ig_kap @ right[-n_s].map)
+        once.check(
+            f"EQ_247_n{n_s}",
+            "EQ_247",
+            (left[n_s].map, left[-n_s].map),
+            lambda key: rep.check_eq(key, left[n_s].map @ Ig_kap, kap_Ig @ left[-n_s].map),
+        )
+        once.check(
+            f"EQ_248_n{n_s}",
+            "EQ_248",
+            (right[n_s].map, right[-n_s].map),
+            lambda key: rep.check_eq(key, right[n_s].map @ kap_Ig, Ig_kap @ right[-n_s].map),
+        )
     return rep

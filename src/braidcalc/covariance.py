@@ -38,7 +38,7 @@ from .linalg import (
     solve_right,
     tensor,
 )
-from .reporting import Report
+from .reporting import Report, Verdicts
 
 
 class NotLeftCovariant(ValueError):
@@ -345,12 +345,15 @@ def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Rep
     sigma_Ig = {k: tensor(g.sigma_n(k), Ig) for k in shifts}
     I_left = {k: tensor(I, flips["left"][k].map) for k in shifts}
     act_I, I_act = tensor(act, I), tensor(I, act)
+    once = Verdicts(rep)
     for p in shifts:
         for r in shifts:
-            rep.check_eq(
+            lsum = flips["left"][p + r].map
+            once.check(
                 f"EQ_310_n{p}_m{r}",
-                compose(sigma_Ig[p], I_left[r], act_I),
-                I_act @ flips["left"][p + r].map,
+                "EQ_310",
+                (g.sigma_n(p), flips["left"][r].map, lsum),
+                lambda key: rep.check_eq(key, compose(sigma_Ig[p], I_left[r], act_I), I_act @ lsum),
             )
     rep.check_eq(
         "EQ_311",
@@ -378,12 +381,15 @@ def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, repor
     Ig_sigma = {k: tensor(Ig, g.sigma_n(k)) for k in shifts}
     right_I = {k: tensor(flips["right"][k].map, I) for k in shifts}
     act_I, I_act = tensor(act, I), tensor(I, act)
+    once = Verdicts(rep)
     for p in shifts:
         for r in shifts:
-            rep.check_eq(
+            rsum = flips["right"][p + r].map
+            once.check(
                 f"EQ_A8_n{p}_m{r}",
-                act_I @ flips["right"][p + r].map,
-                compose(Ig_sigma[p], right_I[r], I_act),
+                "EQ_A8",
+                (g.sigma_n(p), flips["right"][r].map, rsum),
+                lambda key: rep.check_eq(key, act_I @ rsum, compose(Ig_sigma[p], right_I[r], I_act)),
             )
     return FlipOver("right", 1, built, built.inverse())
 

@@ -3,9 +3,12 @@
 A group record holds the algebra plus coproduct, counit, antipode and the
 intrinsic braiding.  From these the secondary braiding tau, the shift
 family sigma_n = (sigma tau^-1)^(n-1) sigma, the simplified product
-m0 = m tau^-1 sigma with its antipode kappa0, and the adjoint action are
-derived and cached (a paranoid verification pass recomputes everything on
-a fresh clone and compares).
+m0 = m tau^-1 sigma and the adjoint action are derived and cached (a
+paranoid verification pass recomputes tau and the shifts on a fresh clone
+and compares); kappa0, the antipode of m0, is derived on each call.
+Equal shifts are one object: sigma_n returns the earlier cached sigma_m
+it equals, so the checks over the shift family key their verdicts by map
+identity and decide each distinct one once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .linalg import (
     identity,
     tensor,
 )
-from .reporting import Report
+from .reporting import Report, Verdicts
 
 
 class TauMismatch(ValueError):
@@ -109,7 +112,14 @@ class MultiBraidedGroup:
     def sigma_n(self, n: int) -> LinMap:
         if abs(n) > SIGMA_CAP:
             raise ValueError(f"shift {n} beyond the bound {SIGMA_CAP}")
-        return self._derived(("sigma_n", n), lambda: _sigma_n_raw(self, n))
+        return self._derived(("sigma_n", n), lambda: self._shared_shift(_sigma_n_raw(self, n)))
+
+    def _shared_shift(self, f: LinMap) -> LinMap:
+        "The earlier cached shift equal to f, or f when there is none."
+        for key, earlier in self._cache.items():
+            if isinstance(key, tuple) and key[0] == "sigma_n" and earlier == f:
+                return earlier
+        return f
 
     def uncached_clone(self) -> "MultiBraidedGroup":
         return MultiBraidedGroup(self.alg, self.coproduct, self.counit, self.antipode, self.braiding)
@@ -173,15 +183,17 @@ def kappa0(g: MultiBraidedGroup) -> LinMap:
 
 
 def adjoint_action(g: MultiBraidedGroup) -> LinMap:
-    "The adjoint action of the group on itself, as a map dim -> dim^2."
-    n = g.dim
-    I = identity(n)
-    return compose(
-        tensor(I, g.mult),
-        tensor(I, g.antipode, I),
-        tensor(g.tau, I),
-        tensor(I, g.coproduct),
-        g.coproduct,
+    "The adjoint action of the group on itself, as a map dim -> dim^2; cached on the record."
+    I = identity(g.dim)
+    return g._derived(
+        "ad",
+        lambda: compose(
+            tensor(I, g.mult),
+            tensor(I, g.antipode, I),
+            tensor(g.tau, I),
+            tensor(I, g.coproduct),
+            g.coproduct,
+        ),
     )
 
 
@@ -206,17 +218,21 @@ def check_adjoint(g: MultiBraidedGroup, report: Report | None = None, shift_rang
     sigma = {k: g.sigma_n(k) for k in shifts}
     sigma_I = {k: tensor(sigma[k], I) for k in shifts}
     I_sigma = {k: tensor(I, sigma[k]) for k in shifts}
+    once = Verdicts(rep)
     for m_shift in shifts:
         for n_shift in shifts:
-            rep.check_eq(
+            sm, sn = sigma[m_shift], sigma[n_shift]
+            once.check(
                 f"EQ_B7_n{n_shift}_m{m_shift}",
-                compose(I_ad, sigma[m_shift]),
-                compose(sigma_I[m_shift], I_sigma[n_shift], ad_I),
+                "EQ_B7",
+                (sm, sn),
+                lambda key: rep.check_eq(key, compose(I_ad, sm), compose(sigma_I[m_shift], I_sigma[n_shift], ad_I)),
             )
-            rep.check_eq(
+            once.check(
                 f"EQ_B8_n{n_shift}_m{m_shift}",
-                compose(ad_I, sigma[n_shift]),
-                compose(I_sigma[m_shift], sigma_I[n_shift], I_ad),
+                "EQ_B8",
+                (sm, sn),
+                lambda key: rep.check_eq(key, compose(ad_I, sn), compose(I_sigma[m_shift], sigma_I[n_shift], I_ad)),
             )
     return rep
 

@@ -168,6 +168,33 @@ class Report:
         return False
 
 
+class Verdicts:
+    """The verdicts of one call's shift loops, each distinct identity decided once.
+
+    A verdict is keyed by its equation and the `id`s of the flip and braid
+    maps that enter it.  Equal shifted braidings are one object, and so are
+    their flips, so the shifts that name one map share its verdicts.  A
+    repeat adds the stored entry under its own key without building either
+    side.  Only entries are stored, never the products of a check; the key
+    maps are held so that no `id` is reused while the memo lives.
+    """
+
+    def __init__(self, report: Report):
+        self.report = report
+        self._seen: dict = {}
+
+    def check(self, key: str, equation: str, maps: tuple, run):
+        "Add the entry `key` of `equation` on `maps`; on first sight `run(key)` adds it with one check."
+        ident = (equation, *map(id, maps))
+        seen = self._seen.get(ident)
+        if seen is None:
+            run(key)
+            self._seen[ident] = (self.report.entries[-1], maps)
+        else:
+            first = seen[0]
+            self.report.add(Entry(key, first.status, first.ctx, first.name, first.witness, first.note))
+
+
 def _vector_witness(vec, lhs_val, rhs_val) -> dict:
     return {
         "input": [str(x) for x in vec],

@@ -25,7 +25,7 @@ from .linalg import (
     permutation_map,
     tensor,
 )
-from .reporting import Report
+from .reporting import Report, Verdicts
 
 
 class NotStarCovariant(ValueError):
@@ -65,9 +65,12 @@ def check_star_group(sg: StarGroup, report: Report | None = None, shift_range: i
     rep.check_eq("EQ_B35", g.kappa_inv, star_kappa @ star)
     rep.check_eq("EQ_B36", g.braiding @ ss, ss @ compose(psi, g.sigma_inv, psi))
     rep.check_eq("EQ_B37", g.tau @ ss, ss @ compose(psi, g.tau_inv, psi))
+    once = Verdicts(rep)
     for k in range(-shift_range, shift_range + 1):
         sk = g.sigma_n(k)
-        rep.check_eq(f"EQ_62_n{k}", ss @ sk, compose(psi, sk.inverse(), psi) @ ss)
+        once.check(
+            f"EQ_62_n{k}", "EQ_62", (sk,), lambda key: rep.check_eq(key, ss @ sk, compose(psi, sk.inverse(), psi) @ ss)
+        )
     return rep
 
 
@@ -156,23 +159,34 @@ def check_star_flip_compat(
     n, gd = g.dim, c.gdim
     psi = permutation_map([1, 0], [n, n])
     star = sg.star
+    # the flips of each distinct shift's conjugate, keyed by the cached shift and
+    # solved once; a failure names its shift, so each shift that meets it solves again
+    conj_flips: dict = {}
+    once = Verdicts(rep)
     for k in range(-shift_range, shift_range + 1):
-        conj_braid = compose(psi, g.sigma_n(k).inverse(), psi)
-        try:
-            lb = solve_flip(c, conj_braid, "left", label=("conj", k))
-            rb = solve_flip(c, conj_braid, "right", label=("conj", k))
-        except (NotCovariant, NotBijective) as exc:
-            rep.fail(f"EQ_69_n{k}", {"reason": str(exc)})
-            rep.fail(f"EQ_610_n{k}", {"reason": str(exc)})
-            continue
-        rep.check_eq(
+        sk = g.sigma_n(k)
+        if id(sk) not in conj_flips:
+            conj_braid = compose(psi, sk.inverse(), psi)
+            try:
+                lb = solve_flip(c, conj_braid, "left", label=("conj", k))
+                rb = solve_flip(c, conj_braid, "right", label=("conj", k))
+            except (NotCovariant, NotBijective) as exc:
+                rep.fail(f"EQ_69_n{k}", {"reason": str(exc)})
+                rep.fail(f"EQ_610_n{k}", {"reason": str(exc)})
+                continue
+            conj_flips[id(sk)] = (lb.map, rb.map)
+        lb_map, rb_map = conj_flips[id(sk)]
+        ls, rs = flips["left"][k].map, flips["right"][k].map
+        once.check(
             f"EQ_69_n{k}",
-            flips["left"][k].map @ star_gamma.tensor(star),
-            star.tensor(star_gamma) @ lb.map,
+            "EQ_69",
+            (ls, lb_map),
+            lambda key: rep.check_eq(key, ls @ star_gamma.tensor(star), star.tensor(star_gamma) @ lb_map),
         )
-        rep.check_eq(
+        once.check(
             f"EQ_610_n{k}",
-            flips["right"][k].map @ star.tensor(star_gamma),
-            star_gamma.tensor(star) @ rb.map,
+            "EQ_610",
+            (rs, rb_map),
+            lambda key: rep.check_eq(key, rs @ star.tensor(star_gamma), star_gamma.tensor(star) @ rb_map),
         )
     return rep

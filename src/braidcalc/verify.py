@@ -118,11 +118,12 @@ def verify_calculus_section(bundle: Bundle, c: FirstOrderCalculus, shift_range: 
             rep.fail("AD_NOT_DESCENDING", {"reason": str(exc)})
     kd = None
     if lcd is not None:
+        kappa_cov = True
         try:
             kd = check_kappa_covariance(c, rep, lcd=lcd, rcd=rcd, flips=flips, shift_range=shift_range)
-        except NotKappaCovariant:
-            pass  # the decision entry already records the failure and witness
-        kappa_iff_bicovariant(c, lcd, rcd, rep)
+        except NotKappaCovariant as exc:  # the decision entry already records the failure and witness
+            kappa_cov = exc.kernels_agree
+        kappa_iff_bicovariant(c, lcd, rcd, rep, kappa_cov)
     if bundle.star is not None and lcd is not None:
         sg = StarGroup(g, bundle.star)
         try:
@@ -280,13 +281,14 @@ def _covariance_one(bundle: Bundle, c: FirstOrderCalculus, mode: str, shift_rang
                 sub.fail("NOT_SIGMA_COVARIANT", {"reason": str(exc)})
             ideal_bicovariance_test(g, lcd.ideal, sub)
     elif mode == "kappa":
+        kappa_cov = True
         try:
             check_kappa_covariance(c, sub, shift_range=shift_range)
-        except NotKappaCovariant:
-            pass
+        except NotKappaCovariant as exc:
+            kappa_cov = exc.kernels_agree
         lcd = _solve_action(c, "left", Report())
         rcd = _solve_action(c, "right", Report()) if lcd is not None else None
-        kappa_iff_bicovariant(c, lcd, rcd, sub)
+        kappa_iff_bicovariant(c, lcd, rcd, sub, kappa_cov)
     elif mode == "star":
         lcd = _solve_action(c, "left", sub)
         if lcd is not None:

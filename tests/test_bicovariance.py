@@ -141,8 +141,9 @@ def test_kappa_covariance_negative(k2_universal, k2):
     broken = FirstOrderCalculus(k2, 2, LinMap.from_entries(2, 4, rows),
                                 k2_universal.mgr, k2_universal.d, name="broken")
     rep = Report()
-    with pytest.raises(NotKappaCovariant):
+    with pytest.raises(NotKappaCovariant) as caught:
         check_kappa_covariance(broken, rep)
+    assert caught.value.kernels_agree is False
     assert rep["KAPPA_COV_DECISION"].status == "fail"
     assert "kernel_witness" in rep["KAPPA_COV_DECISION"].witness
 
@@ -157,12 +158,30 @@ def _right_action_or_none(c):
         return None
 
 
+def _kappa_decision(c) -> bool:
+    "The kernel decision of check_kappa_covariance, as the verification pipeline reads it."
+    try:
+        check_kappa_covariance(c, Report())
+        return True
+    except NotKappaCovariant as exc:
+        return exc.kernels_agree
+
+
 def test_kappa_iff_bicovariant_positive(k2_universal, gr_universal, k2_zero_calc, k4_d1_calc):
     for c in (k2_universal, gr_universal, k2_zero_calc, k4_d1_calc):
         rep = Report()
-        kappa_iff_bicovariant(c, solve_left_action(c, Report()), _right_action_or_none(c), rep)
+        kappa_iff_bicovariant(c, solve_left_action(c, Report()), _right_action_or_none(c), rep, _kappa_decision(c))
         entry = rep["KAPPA_IFF_BICOVARIANT"]
         assert entry.status == "pass", entry.note
+
+
+def test_kappa_iff_bicovariant_reports_the_given_decision(k2_universal, k2_lcd, k2_rcd):
+    for kappa_cov, status in ((True, "pass"), (False, "fail")):
+        rep = Report()
+        kappa_iff_bicovariant(k2_universal, k2_lcd, k2_rcd, rep, kappa_cov)
+        entry = rep["KAPPA_IFF_BICOVARIANT"]
+        assert entry.status == status
+        assert entry.note == f"kappa-covariant: {kappa_cov}; bicovariant: True"
 
 
 def test_kappa_iff_bicovariant_skips_non_left_covariant(k2_universal, k2):
@@ -173,7 +192,7 @@ def test_kappa_iff_bicovariant_skips_non_left_covariant(k2_universal, k2):
     with pytest.raises(NotLeftCovariant):
         solve_left_action(broken, Report())
     rep = Report()
-    kappa_iff_bicovariant(broken, None, None, rep)
+    kappa_iff_bicovariant(broken, None, None, rep, _kappa_decision(broken))
     assert rep["KAPPA_IFF_BICOVARIANT"].status == "skipped"
 
 
@@ -191,7 +210,7 @@ def test_anyon_t2_is_left_but_not_bicovariant(anyon, anyon_t2_calc):
     with pytest.raises(NotRightCovariant):
         solve_right_action(c, Report())
     rep2 = Report()
-    kappa_iff_bicovariant(c, lcd, None, rep2)
+    kappa_iff_bicovariant(c, lcd, None, rep2, _kappa_decision(c))
     entry = rep2["KAPPA_IFF_BICOVARIANT"]
     assert entry.status == "pass"
     assert "kappa-covariant: False; bicovariant: False" in entry.note

@@ -1,6 +1,9 @@
+import pytest
+
 from braidcalc.calculi import (
     FirstOrderCalculus,
     FlipOver,
+    NotCovariant,
     check_calculus,
     check_flip_identities,
     check_multi_covariance,
@@ -10,8 +13,12 @@ from braidcalc.calculi import (
     solve_flip,
     solve_flips,
 )
+from braidcalc import calculi
+from braidcalc.covariance import reconstruct_from_ideal, universal_ideals
+from braidcalc.fixtures import _delta_group, u_basis_flip_k2
+from braidcalc.groups import MultiBraidedGroup
 from braidcalc.linalg import LinMap, identity, permutation_map, tensor
-from braidcalc.reporting import Report
+from braidcalc.reporting import Report, Verdicts
 from braidcalc.scalars import Q
 
 
@@ -75,6 +82,67 @@ def test_solve_flip_satisfies_defining_equation(k2_universal, k2_flips):
         rep = Report()
         check_flip_identities(c, f, g.braiding, rep, counterpart=k2_flips["right" if direction == "left" else "left"][1])
         assert rep.ok_all, [e.id for e in rep.failures()]
+
+
+def _counting_solve_flip(monkeypatch) -> list:
+    "Wrap `solve_flip` as `solve_flips` calls it; the list collects (side, label) per call."
+    calls = []
+    raw = calculi.solve_flip
+
+    def counted(c, braid, direction="left", label=None):
+        calls.append((direction, label))
+        return raw(c, braid, direction, label)
+
+    monkeypatch.setattr(calculi, "solve_flip", counted)
+    return calls
+
+
+def _k2_sigma_ne_tau(k2, k2_universal) -> FirstOrderCalculus:
+    "K2's universal calculus over K2 with the braiding u_basis_flip_k2, whose shifts take two values."
+    g = MultiBraidedGroup(k2.alg, k2.coproduct, k2.counit, k2.antipode, u_basis_flip_k2())
+    c = k2_universal
+    return FirstOrderCalculus(g, c.gdim, c.mgl, c.mgr, c.d, name="universal")
+
+
+def test_solve_flips_solves_each_distinct_shift_once(monkeypatch, k2, k2_universal):
+    z3 = _delta_group(3, ("d_0", "d_1", "d_2"))
+    z3_universal = reconstruct_from_ideal(z3, universal_ideals(z3)["zero"], Report(), name="universal")
+    k2_braided = _k2_sigma_ne_tau(k2, k2_universal)
+    for c, distinct in ((z3_universal, 1), (k2_braided, 2)):
+        calls = _counting_solve_flip(monkeypatch)
+        table = solve_flips(c, 2)
+        assert len(calls) == 2 * distinct
+        fresh = c.group.uncached_clone()
+        for side in ("left", "right"):
+            assert sorted(table[side]) == list(range(-4, 5))
+            for n, flip in table[side].items():
+                assert flip.label == n and flip.direction == side
+                assert flip == solve_flip(c, fresh.sigma_n(n), side, label=n)
+            assert len({id(f.map) for f in table[side].values()}) == distinct
+            assert len({id(f.inverse) for f in table[side].values()}) == distinct
+
+
+def _perturbed(c: FirstOrderCalculus, field: str, i: int, j: int) -> FirstOrderCalculus:
+    "c with 1 added to entry (i, j) of its map `field`."
+    f = getattr(c, field)
+    rows = [[f.entry(a, b) for b in range(f.dom)] for a in range(f.cod)]
+    rows[i][j] = rows[i][j] + Q(1)
+    maps = {"mgl": c.mgl, "mgr": c.mgr, "d": c.d, field: LinMap.from_entries(f.cod, f.dom, rows)}
+    return FirstOrderCalculus(c.group, c.gdim, name="broken", **maps)
+
+
+def test_solve_flips_failure_names_the_first_failing_shift(k2, k2_universal):
+    # shifts are solved in ascending order, left before right; on K2 every
+    # shift is one braid, and under u_basis_flip_k2 the odd shifts share the
+    # second braid, whose left flip is the one that fails here
+    cases = (
+        (_perturbed(k2_universal, "mgr", 0, 3), "right flip for -4:"),
+        (_perturbed(_k2_sigma_ne_tau(k2, k2_universal), "mgl", 0, 0), "left flip for -3:"),
+    )
+    for c, message in cases:
+        with pytest.raises(NotCovariant) as caught:
+            solve_flips(c, 2)
+        assert str(caught.value).startswith(message), str(caught.value)
 
 
 def test_zero_calculus_flips_trivial(k2_zero_calc):
@@ -153,6 +221,34 @@ def test_corrupted_flip_table_fails_coproduct_twisting(gr_universal, gr_flips):
     check_multi_covariance(gr_universal, flips, rep, 2)
     assert not rep.passed("EQ_242_n1_m1")
     assert rep["EQ_242_n1_m1"].witness is not None
+
+
+def test_multi_covariance_verdicts_match_memo_free_checks(monkeypatch, k2_universal, k2_flips):
+    # every shift of K2 shares one flip; a perturbed flip at shift 1 makes some
+    # entries of each shared identity fail, so a memo keyed by the shift or by
+    # the equation alone would copy a wrong verdict
+    c = k2_universal
+    flips = {"left": dict(k2_flips["left"]), "right": dict(k2_flips["right"])}
+    orig = flips["left"][1]
+    flips["left"][1] = FlipOver("left", 1, orig.map.scale(Q(2)), orig.inverse.scale(Q(1) / Q(2)))
+    calls = []
+    raw = Report.check_eq
+
+    def counted(self, key, lhs, rhs, name="", note=""):
+        calls.append(key)
+        return raw(self, key, lhs, rhs, name, note)
+
+    monkeypatch.setattr(Report, "check_eq", counted)
+    memo = check_multi_covariance(c, flips, Report(), 2)
+    memo_calls = len(calls)
+    monkeypatch.setattr(Verdicts, "check", lambda self, key, equation, maps, run: run(key))
+    direct = check_multi_covariance(c, flips, Report(), 2)
+    assert memo.entries == direct.entries
+    assert memo_calls < len(calls) - memo_calls == len(direct.entries)
+    fails = {e.id for e in memo.failures()}
+    assert {"EQ_242_n1_m1", "EQ_234_a1_b0_c1", "EQ_247_n1"} <= fails
+    assert {"EQ_242_n0_m0", "EQ_234_a1_b1_c1", "EQ_247_n0"}.isdisjoint(fails)
+    assert all(e.witness is not None for e in memo.failures())
 
 
 def test_multi_covariance_vacuous_on_zero_calculus(k2_zero_calc):

@@ -66,6 +66,17 @@ def test_sigma_n_collapse_on_k2(k2):
         assert k2.sigma_n(n) == PSI2
 
 
+def test_equal_shifts_are_one_object(k2, gr):
+    second = MultiBraidedGroup(k2.alg, k2.coproduct, k2.counit, k2.antipode, u_basis_flip_k2())
+    for g in (k2, gr, second):
+        shifts = [g.sigma_n(n) for n in range(-8, 9)]
+        for a in shifts:
+            for b in shifts:
+                assert (a is b) == (a == b)
+    assert len({id(s) for s in (k2.sigma_n(n) for n in range(-8, 9))}) == 1
+    assert len({id(s) for s in (second.sigma_n(n) for n in range(-8, 9))}) == 2
+
+
 def test_sigma_minus_two_gr_is_graded_flip(gr):
     assert gr.sigma_n(-2) == graded_flip((0, 1))
 
@@ -135,6 +146,12 @@ def test_adjoint_matches_oracle(k2, gr, k4):
         ad = adjoint_action(g)
         for i in range(g.dim):
             assert list(ad.col(i)) == oracle_adjoint_column(g, i)
+
+
+def test_adjoint_action_is_cached(k2):
+    g = k2.uncached_clone()
+    assert adjoint_action(g) is adjoint_action(g)
+    assert adjoint_action(g) == adjoint_action(g.uncached_clone())
 
 
 def test_adjoint_frozen_values(k2, gr):

@@ -3,7 +3,9 @@
 The cases are `tools/report_diff.py`'s: every covariance mode, every
 `derive` map and `complete-system` on each shipped bundle,
 `build-calculus` on both sides for every ideal of `fix_k4` and `fix_a4`,
-two more `check` runs, and 16 seeded single-scalar mutants
+two more `check` runs, `check` on `fix_k2` with a braiding whose shifts
+take two values (sigma != tau), with and without its star, and 16 seeded
+single-scalar mutants
 of the shipped bundles through `check` and every covariance mode.  The
 digests in `tests/data/report_digests.json` are the tool's
 `--digests --mutants 16 --seed 0` output.

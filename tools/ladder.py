@@ -7,6 +7,8 @@ The rungs are fixed:
                    functions on Z/n, n = 8, 12, 16, 20, 24
   z{n}_universal   the universal calculus of functions on Z/n, n = 4, 6, 8
   fix_a4_range{k}  bundles/fix_a4.json with `--range k`, k = 2, 4, 8
+  fix_k2_range{k}  bundles/fix_k2.json with `--range k`, k = 2, 8: its
+                   calculus shift loops grow as (2k+1)^3
 
 Each rung runs `python -m braidcalc.cli check` once, in a fresh process
 with SRC (default: this tree's src) on PYTHONPATH, its address space
@@ -47,6 +49,7 @@ RUNGS = {
     **{f"z{n}_d1": (("d1", n), []) for n in (8, 12, 16, 20, 24)},
     **{f"z{n}_universal": (("universal", n), []) for n in (4, 6, 8)},
     **{f"fix_a4_range{k}": ("fix_a4.json", ["--range", str(k)]) for k in (2, 4, 8)},
+    **{f"fix_k2_range{k}": ("fix_k2.json", ["--range", str(k)]) for k in (2, 8)},
 }
 
 

@@ -6,8 +6,10 @@
 The command set is fixed: every covariance mode, every `derive` map
 (`sigma-n` at `-n -2`) and `complete-system` on each shipped bundle,
 `build-calculus` on both sides for every ideal of `fix_k4` and `fix_a4`,
-`check --range 1` on `fix_k2` and `check --range 3 --paranoid` on
-`fix_a4`.  On top of it, N seeded single-scalar mutants of the shipped
+`check --range 1` on `fix_k2`, `check --range 3 --paranoid` on
+`fix_a4`, and `check` on `fix_k2` with the braiding replaced by
+`fixtures.u_basis_flip_k2()` (sigma != tau, so the shift family holds two
+distinct maps), with and without its star.  On top of it, N seeded single-scalar mutants of the shipped
 bundles (default 400) each run `check` and every covariance mode; most of
 them fail, so they reach the witness and short-circuit paths that the
 passing bundles never do.
@@ -47,6 +49,13 @@ MODES = ("left", "right", "bi", "kappa", "star", "braided")
 DERIVED = ("tau", "a0", "kappa0", "ad")
 # a mutated scalar becomes one of these, other than its old value
 SCALARS = ("0", "1", "-1", "2", "1/2", "0+1 i")
+# the matrix of `braidcalc.fixtures.u_basis_flip_k2()`: the graded flip of K2's character basis
+U_BASIS_FLIP_K2 = [
+    ["1/2", "1/2", "1/2", "-1/2"],
+    ["1/2", "-1/2", "1/2", "1/2"],
+    ["1/2", "1/2", "-1/2", "1/2"],
+    ["-1/2", "1/2", "1/2", "1/2"],
+]
 
 
 def fixed_commands() -> list:
@@ -70,6 +79,16 @@ def fixed_commands() -> list:
     out.append(("fix_k2: check --range 1", "fix_k2", ["check", "--range", "1"], ["report.json"]))
     out.append(("fix_a4: check --range 3 --paranoid", "fix_a4", ["check", "--range", "3", "--paranoid"], ["report.json"]))
     return out
+
+
+def sigma_ne_tau_k2(star: bool) -> str:
+    "fix_k2 with the braiding U_BASIS_FLIP_K2, its universal and zero calculi and no ideal; the star if `star`."
+    data = json.loads((BUNDLE_DIR / "fix_k2.json").read_text())
+    data["group"]["sigma"] = U_BASIS_FLIP_K2
+    data["ideals"] = []
+    if not star:
+        del data["group"]["star"]
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 MUTANT_COMMANDS = [("check", ["check"])] + [(f"covariance --mode {mode}", ["covariance", "--mode", mode]) for mode in MODES]
@@ -138,6 +157,9 @@ def cases(count: int, seed: int) -> list:
     "(label, bundle text, argv, output file names) of the fixed command set and of `count` mutants."
     out = [(label, (BUNDLE_DIR / f"{name}.json").read_text(), argv, outputs)
            for label, name, argv, outputs in fixed_commands()]
+    for star in (False, True):
+        label = "fix_k2 sigma=u_basis_flip_k2" + (" with star" if star else "") + ": check"
+        out.append((label, sigma_ne_tau_k2(star), ["check"], ["report.json"]))
     for label, text in mutants(count, seed):
         out.extend((f"{label}: {command}", text, argv, ["report.json"]) for command, argv in MUTANT_COMMANDS)
     return out
