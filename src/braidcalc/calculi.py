@@ -161,74 +161,62 @@ def _kernel_is_subbimodule(c: FirstOrderCalculus, ker) -> bool:
     return ker.contains_space(left.image()) and ker.contains_space(right.image())
 
 
-def check_flip_identities(
-    c: FirstOrderCalculus,
-    flip: FlipOver,
-    braid: LinMap,
-    report: Report | None = None,
-    counterpart: FlipOver | None = None,
-) -> Report:
-    """The general flip-over identity battery for one braiding.
+def check_flip_identities(c: FirstOrderCalculus, left: FlipOver, right: FlipOver, braid: LinMap, rep: Report) -> Report:
+    """The flip-over identity battery for one braiding and its two flips.
 
-    `counterpart` is the flip of the same braiding in the opposite
-    direction, enabling the two-sided compatibility check.
+    The left flip's identities, the two-sided compatibility EQ_232, then
+    the right flip's identities.  FLIP_INV_L (FLIP_INV_R) asks that the
+    inverse of the left (right) flip be the right (left) flip of the
+    inverse braid; that flip is solved here, labelled ("inv", label), so a
+    failed solve's reason names the flip's shift.
     """
-    rep = report if report is not None else Report()
     n = c.group.dim
     I, Ig = identity(n), identity(c.gdim)
     m, unit, d, mgl, mgr = c.group.mult, c.group.unit, c.d, c.mgl, c.mgr
-    s = braid
-    if flip.direction == "left":
-        ls = flip.map
-        rep.check_eq("EQ_216", ls @ tensor(iota_l(c), I), compose(tensor(I, iota_l(c)), tensor(s, I), tensor(I, s)))
-        rep.check_eq("EQ_218A", ls @ tensor(Ig, unit), tensor(unit, Ig))
-        rep.check_eq("EQ_218B", ls @ tensor(d, I), tensor(I, d) @ s)
-        rep.check_eq(
-            "EQ_220",
-            compose(tensor(I, ls), tensor(ls, I), tensor(Ig, s)),
-            compose(tensor(s, Ig), tensor(I, ls), tensor(ls, I)),
-        )
-        rep.check_eq("EQ_221", compose(tensor(I, mgl), tensor(s, Ig), tensor(I, ls)), ls @ tensor(mgl, I))
-        rep.check_eq("EQ_222", compose(tensor(I, mgr), tensor(ls, I), tensor(Ig, s)), ls @ tensor(mgr, I))
-        rep.check_eq("EQ_223", compose(tensor(m, Ig), tensor(I, ls), tensor(ls, I)), ls @ tensor(Ig, m))
-        rep.check_surjective("LFLIP_SURJ", ls)
-        rep.check_true(
-            "LFLIP_KER_SUBBIMODULE",
-            _kernel_is_subbimodule(c, ls.kernel()),
-            {"reason": "kernel of the left flip is not a sub-bimodule"},
-        )
-        try:
-            opposite = solve_flip(c, s.inverse(), "right", label=("inv", flip.label))
-            rep.check_eq("FLIP_INV_L", flip.inverse, opposite.map)
-        except (NotCovariant, NotBijective) as exc:
-            rep.fail("FLIP_INV_L", {"reason": str(exc)})
-    else:
-        rs = flip.map
-        rep.check_eq("EQ_217", rs @ tensor(I, iota_r(c)), compose(tensor(iota_r(c), I), tensor(I, s), tensor(s, I)))
-        rep.check_eq("EQ_226A", rs @ tensor(unit, Ig), tensor(Ig, unit))
-        rep.check_eq("EQ_226B", rs @ tensor(I, d), tensor(d, I) @ s)
-        rep.check_eq(
-            "EQ_227",
-            compose(tensor(Ig, s), tensor(rs, I), tensor(I, rs)),
-            compose(tensor(rs, I), tensor(I, rs), tensor(s, Ig)),
-        )
-        rep.check_eq("EQ_228", compose(tensor(Ig, m), tensor(rs, I), tensor(I, rs)), rs @ tensor(m, Ig))
-        rep.check_eq("EQ_229", compose(tensor(mgr, I), tensor(Ig, s), tensor(rs, I)), rs @ tensor(I, mgr))
-        rep.check_eq("EQ_230", compose(tensor(mgl, I), tensor(I, rs), tensor(s, Ig)), rs @ tensor(I, mgl))
-        rep.check_surjective("RFLIP_SURJ", rs)
-        try:
-            opposite = solve_flip(c, s.inverse(), "left", label=("inv", flip.label))
-            rep.check_eq("FLIP_INV_R", flip.inverse, opposite.map)
-        except (NotCovariant, NotBijective) as exc:
-            rep.fail("FLIP_INV_R", {"reason": str(exc)})
-    if counterpart is not None:
-        ls = flip.map if flip.direction == "left" else counterpart.map
-        rs = counterpart.map if flip.direction == "left" else flip.map
-        rep.check_eq(
-            "EQ_232",
-            compose(tensor(I, rs), tensor(s, Ig), tensor(I, ls)),
-            compose(tensor(ls, I), tensor(Ig, s), tensor(rs, I)),
-        )
+    s, ls, rs, il, ir = braid, left.map, right.map, iota_l(c), iota_r(c)
+    rep.check_eq("EQ_216", ls @ tensor(il, I), compose(tensor(I, il), tensor(s, I), tensor(I, s)))
+    rep.check_eq("EQ_218A", ls @ tensor(Ig, unit), tensor(unit, Ig))
+    rep.check_eq("EQ_218B", ls @ tensor(d, I), tensor(I, d) @ s)
+    rep.check_eq(
+        "EQ_220",
+        compose(tensor(I, ls), tensor(ls, I), tensor(Ig, s)),
+        compose(tensor(s, Ig), tensor(I, ls), tensor(ls, I)),
+    )
+    rep.check_eq("EQ_221", compose(tensor(I, mgl), tensor(s, Ig), tensor(I, ls)), ls @ tensor(mgl, I))
+    rep.check_eq("EQ_222", compose(tensor(I, mgr), tensor(ls, I), tensor(Ig, s)), ls @ tensor(mgr, I))
+    rep.check_eq("EQ_223", compose(tensor(m, Ig), tensor(I, ls), tensor(ls, I)), ls @ tensor(Ig, m))
+    rep.check_surjective("LFLIP_SURJ", ls)
+    rep.check_true(
+        "LFLIP_KER_SUBBIMODULE",
+        _kernel_is_subbimodule(c, ls.kernel()),
+        {"reason": "kernel of the left flip is not a sub-bimodule"},
+    )
+    s_inv = s.inverse()
+    try:
+        rep.check_eq("FLIP_INV_L", left.inverse, solve_flip(c, s_inv, "right", label=("inv", left.label)).map)
+    except (NotCovariant, NotBijective) as exc:
+        rep.fail("FLIP_INV_L", {"reason": str(exc)})
+    rep.check_eq(
+        "EQ_232",
+        compose(tensor(I, rs), tensor(s, Ig), tensor(I, ls)),
+        compose(tensor(ls, I), tensor(Ig, s), tensor(rs, I)),
+    )
+    rep.check_eq("EQ_217", rs @ tensor(I, ir), compose(tensor(ir, I), tensor(I, s), tensor(s, I)))
+    rep.check_eq("EQ_226A", rs @ tensor(unit, Ig), tensor(Ig, unit))
+    rep.check_eq("EQ_226B", rs @ tensor(I, d), tensor(d, I) @ s)
+    rep.check_eq(
+        "EQ_227",
+        compose(tensor(Ig, s), tensor(rs, I), tensor(I, rs)),
+        compose(tensor(rs, I), tensor(I, rs), tensor(s, Ig)),
+    )
+    rep.check_eq("EQ_228", compose(tensor(Ig, m), tensor(rs, I), tensor(I, rs)), rs @ tensor(m, Ig))
+    rep.check_eq("EQ_229", compose(tensor(mgr, I), tensor(Ig, s), tensor(rs, I)), rs @ tensor(I, mgr))
+    rep.check_eq("EQ_230", compose(tensor(mgl, I), tensor(I, rs), tensor(s, Ig)), rs @ tensor(I, mgl))
+    rep.check_surjective("RFLIP_SURJ", rs)
+    try:
+        rep.check_eq("FLIP_INV_R", right.inverse, solve_flip(c, s_inv, "left", label=("inv", right.label)).map)
+    except (NotCovariant, NotBijective) as exc:
+        rep.fail("FLIP_INV_R", {"reason": str(exc)})
     return rep
 
 

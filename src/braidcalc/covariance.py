@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .calculi import (
     FirstOrderCalculus,
-    FlipOver,
     check_calculus,
     iota_l,
     iota_r,
@@ -327,7 +326,7 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     return RightCovariantData(c, act, proj, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet)
 
 
-def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None, flips: dict) -> FlipOver:
+def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None, flips: dict) -> LinMap:
     "The sigma flip rebuilt out of the left action; checked against the solved flip table."
     rep = report if report is not None else Report()
     g = c.group
@@ -360,10 +359,10 @@ def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Rep
         flips["left"][0].map,
         compose(tensor(eps, I, Ig), tensor(g.sigma_inv, Ig), I_act, ls),
     )
-    return FlipOver("left", 1, built, built.inverse())
+    return built
 
 
-def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, report: Report | None, flips: dict) -> FlipOver:
+def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, report: Report | None, flips: dict) -> LinMap:
     "Mirror construction of the right flip out of the right action."
     rep = report if report is not None else Report()
     g = c.group
@@ -391,7 +390,7 @@ def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, repor
                 (g.sigma_n(p), flips["right"][r].map, rsum),
                 lambda key: rep.check_eq(key, act_I @ rsum, compose(Ig_sigma[p], right_I[r], I_act)),
             )
-    return FlipOver("right", 1, built, built.inverse())
+    return built
 
 
 def left_trivialization(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None = None) -> tuple[LinMap, LinMap]:

@@ -78,11 +78,7 @@ def verify_group_section(bundle: Bundle, shift_range: int = 2, paranoid: bool = 
         return rep
     check_kappa0(g, rep)
     check_adjoint(g, rep, shift_range=shift_range)
-    shifts = explore_antipode_shifts(g, shift_range)
-    rep.skip(
-        "ANTIPODE_BRAID_SHIFTS",
-        note="exploratory, nothing asserted: " + "; ".join(f"n={k} matches m in {v}" for k, v in shifts.items()),
-    )
+    _antipode_shifts(g, shift_range, rep)
     if bundle.star is not None:
         check_star_group(StarGroup(g, bundle.star), rep, shift_range=shift_range)
     return rep
@@ -136,7 +132,15 @@ def verify_calculus_section(bundle: Bundle, c: FirstOrderCalculus, shift_range: 
 
 
 def _flip_battery(c: FirstOrderCalculus, rep: Report, shift_range: int, note: str = ""):
-    "Solve the flip table and check every flip identity; the table, or None when a flip is missing."
+    """Solve the flip table and check every flip identity; the table, or None when a flip is missing.
+
+    The battery of a shift is checked once per distinct braiding and pair
+    of flips, keyed by the `id`s of their maps (the table and the group's
+    shift cache hold them, so no `id` is reused), and its entries, which
+    name no shift, are added again at each shift that shares them.  A
+    failing FLIP_INV entry may name its shift, so its block is checked at
+    every shift.
+    """
     g = c.group
     try:
         flips = solve_flips(c, shift_range)
@@ -147,9 +151,16 @@ def _flip_battery(c: FirstOrderCalculus, rep: Report, shift_range: int, note: st
         rep.fail("FLIP_NOT_BIJECTIVE", {"reason": str(exc)})
         return None
     rep.ok("FLIPS_SOLVED", note=note)
+    blocks: dict = {}
     for k in range(-shift_range, shift_range + 1):
-        check_flip_identities(c, flips["left"][k], g.sigma_n(k), rep, counterpart=flips["right"][k])
-        check_flip_identities(c, flips["right"][k], g.sigma_n(k), rep)
+        left, right, sk = flips["left"][k], flips["right"][k], g.sigma_n(k)
+        key = tuple(map(id, (sk, left.map, left.inverse, right.map, right.inverse)))
+        block = blocks.get(key)
+        if block is None:
+            block = check_flip_identities(c, left, right, sk, Report(ctx=rep.ctx))
+            if block.passed("FLIP_INV_L") and block.passed("FLIP_INV_R"):
+                blocks[key] = block
+        rep.extend(block)
     flip_tau_from_sigma(c, flips["left"][1], rep)
     flip_tau_from_sigma(c, flips["right"][1], rep)
     check_multi_covariance(c, flips, rep, shift_range)
@@ -250,12 +261,12 @@ def run_covariance_mode(bundle: Bundle, mode: str, shift_range: int = 2) -> Repo
         sub = _guarded(f"covariance:{mode}:{c.name}", lambda c=c: _covariance_one(bundle, c, mode, shift_range))
         rep.extend(sub)
     if mode == "braided":
-        rep.extend(_guarded(rep.ctx, lambda: _antipode_shifts(g, shift_range, rep.ctx)))
+        rep.extend(_guarded(rep.ctx, lambda: _antipode_shifts(g, shift_range, Report(ctx=rep.ctx))))
     return rep
 
 
-def _antipode_shifts(g: MultiBraidedGroup, shift_range: int, ctx: str) -> Report:
-    rep = Report(ctx=ctx)
+def _antipode_shifts(g: MultiBraidedGroup, shift_range: int, rep: Report) -> Report:
+    "Add the exploratory ANTIPODE_BRAID_SHIFTS entry to `rep`."
     shifts = explore_antipode_shifts(g, shift_range)
     rep.skip(
         "ANTIPODE_BRAID_SHIFTS",

@@ -13,9 +13,10 @@ from braidcalc.calculi import (
     solve_flip,
     solve_flips,
 )
-from braidcalc import calculi
+from braidcalc import calculi, verify
+from braidcalc.bundles import Bundle
 from braidcalc.covariance import reconstruct_from_ideal, universal_ideals
-from braidcalc.fixtures import _delta_group, u_basis_flip_k2
+from braidcalc.fixtures import _delta_group, conjugation_star, u_basis_flip_k2
 from braidcalc.groups import MultiBraidedGroup
 from braidcalc.linalg import LinMap, identity, permutation_map, tensor
 from braidcalc.reporting import Report, Verdicts
@@ -76,12 +77,9 @@ def test_iota_l_expansion_on_k2(k2_universal):
 
 def test_solve_flip_satisfies_defining_equation(k2_universal, k2_flips):
     c = k2_universal
-    g = c.group
-    for direction in ("left", "right"):
-        f = k2_flips[direction][1]
-        rep = Report()
-        check_flip_identities(c, f, g.braiding, rep, counterpart=k2_flips["right" if direction == "left" else "left"][1])
-        assert rep.ok_all, [e.id for e in rep.failures()]
+    rep = check_flip_identities(c, k2_flips["left"][1], k2_flips["right"][1], c.group.braiding, Report())
+    assert rep.ok_all, [e.id for e in rep.failures()]
+    assert rep.passed("EQ_216") and rep.passed("EQ_232") and rep.passed("EQ_217")
 
 
 def _counting_solve_flip(monkeypatch) -> list:
@@ -97,6 +95,12 @@ def _counting_solve_flip(monkeypatch) -> list:
     return calls
 
 
+def _z3_universal() -> FirstOrderCalculus:
+    "The universal calculus of functions on Z/3, whose shifted braidings are all one."
+    z3 = _delta_group(3, ("d_0", "d_1", "d_2"))
+    return reconstruct_from_ideal(z3, universal_ideals(z3)["zero"], Report(), name="universal")
+
+
 def _k2_sigma_ne_tau(k2, k2_universal) -> FirstOrderCalculus:
     "K2's universal calculus over K2 with the braiding u_basis_flip_k2, whose shifts take two values."
     g = MultiBraidedGroup(k2.alg, k2.coproduct, k2.counit, k2.antipode, u_basis_flip_k2())
@@ -105,10 +109,8 @@ def _k2_sigma_ne_tau(k2, k2_universal) -> FirstOrderCalculus:
 
 
 def test_solve_flips_solves_each_distinct_shift_once(monkeypatch, k2, k2_universal):
-    z3 = _delta_group(3, ("d_0", "d_1", "d_2"))
-    z3_universal = reconstruct_from_ideal(z3, universal_ideals(z3)["zero"], Report(), name="universal")
     k2_braided = _k2_sigma_ne_tau(k2, k2_universal)
-    for c, distinct in ((z3_universal, 1), (k2_braided, 2)):
+    for c, distinct in ((_z3_universal(), 1), (k2_braided, 2)):
         calls = _counting_solve_flip(monkeypatch)
         table = solve_flips(c, 2)
         assert len(calls) == 2 * distinct
@@ -146,10 +148,13 @@ def test_solve_flips_failure_names_the_first_failing_shift(k2, k2_universal):
 
 
 def test_zero_calculus_flips_trivial(k2_zero_calc):
-    f = solve_flip(k2_zero_calc, k2_zero_calc.group.braiding, "left", 1)
+    s = k2_zero_calc.group.braiding
+    f = solve_flip(k2_zero_calc, s, "left", 1)
+    r = solve_flip(k2_zero_calc, s, "right", 1)
     assert f.map.dom == 0 and f.map.cod == 0
+    assert r.map.dom == 0 and r.map.cod == 0
     rep = Report()
-    check_flip_identities(k2_zero_calc, f, k2_zero_calc.group.braiding, rep)
+    check_flip_identities(k2_zero_calc, f, r, s, rep)
     assert rep.ok_all
 
 
@@ -163,7 +168,7 @@ def test_fake_transposition_flip_fails_battery(gr_universal, gr_flips):
     fake_map = permutation_map([1, 0], [c.gdim, 2])
     fake = FlipOver("left", 1, fake_map, fake_map.inverse())
     rep = Report()
-    check_flip_identities(c, fake, c.group.braiding, rep, counterpart=gr_flips["right"][1])
+    check_flip_identities(c, fake, gr_flips["right"][1], c.group.braiding, rep)
     fails = {e.id for e in rep.failures()}
     assert "EQ_221" in fails
     assert rep["EQ_221"].witness is not None
@@ -173,9 +178,82 @@ def test_flip_identities_full_range(k2_universal, k2_flips, gr_universal, gr_fli
     for c, flips in ((k2_universal, k2_flips), (gr_universal, gr_flips)):
         rep = Report()
         for n in range(-2, 3):
-            check_flip_identities(c, flips["left"][n], c.group.sigma_n(n), rep, counterpart=flips["right"][n])
-            check_flip_identities(c, flips["right"][n], c.group.sigma_n(n), rep)
+            check_flip_identities(c, flips["left"][n], flips["right"][n], c.group.sigma_n(n), rep)
         assert rep.ok_all, [e.id for e in rep.failures()]
+
+
+def _counting_battery(monkeypatch) -> list:
+    "Wrap `check_flip_identities` as `_flip_battery` calls it; the list collects the left flip's label per call."
+    calls = []
+    raw = verify.check_flip_identities
+
+    def counted(c, left, right, braid, rep):
+        calls.append(left.label)
+        return raw(c, left, right, braid, rep)
+
+    monkeypatch.setattr(verify, "check_flip_identities", counted)
+    return calls
+
+
+def _inverse_solves(calls: list) -> list:
+    return [label for _, label in calls if isinstance(label, tuple) and label[0] == "inv"]
+
+
+def test_flip_battery_runs_once_per_distinct_shift(monkeypatch, k2, k2_universal):
+    # Z/3: every shift is one braid with one pair of flips; K2 under
+    # u_basis_flip_k2: the even and the odd shifts are two braids
+    z3_universal = _z3_universal()
+    batteries, solves = _counting_battery(monkeypatch), _counting_solve_flip(monkeypatch)
+    verify.verify_bundle(Bundle(z3_universal.group, conjugation_star(z3_universal.group), [z3_universal], []))
+    assert batteries == [-2]
+    assert _inverse_solves(solves) == [("inv", -2), ("inv", -2)]
+    batteries.clear()
+    solves.clear()
+    rep = Report(ctx="calculus:universal")
+    verify._flip_battery(_k2_sigma_ne_tau(k2, k2_universal), rep, 2)
+    assert batteries == [-2, -1]
+    assert len(_inverse_solves(solves)) == 4
+    assert [e.id for e in rep.entries].count("EQ_232") == 5
+
+
+def test_flip_battery_shares_only_equal_blocks(monkeypatch, k2_universal, k2_flips):
+    # every shift of K2 shares one braid and one pair of flips; a perturbed left
+    # flip at shift 1 fails its block, so a block keyed by the braid alone
+    # would copy passing verdicts to it
+    c = k2_universal
+    flips = {"left": dict(k2_flips["left"]), "right": dict(k2_flips["right"])}
+    orig = flips["left"][1]
+    flips["left"][1] = FlipOver("left", 1, orig.map.scale(Q(2)), orig.inverse.scale(Q(1) / Q(2)))
+    monkeypatch.setattr(verify, "solve_flips", lambda c, shift_range: flips)
+    batteries = _counting_battery(monkeypatch)
+    shared = Report(ctx="calculus:universal")
+    verify._flip_battery(c, shared, 2)
+    assert batteries == [-2, 1]
+    direct = Report(ctx="calculus:universal")
+    for k in range(-2, 3):
+        check_flip_identities(c, flips["left"][k], flips["right"][k], c.group.sigma_n(k), direct)
+    block = len(direct.entries) // 5
+    assert shared.entries[1 : 1 + len(direct.entries)] == direct.entries
+    assert not Report(entries=direct.entries[3 * block : 4 * block]).ok_all
+    assert Report(entries=direct.entries[: 3 * block] + direct.entries[4 * block :]).ok_all
+
+
+def test_flip_battery_inverse_failure_names_each_shift(monkeypatch, k2_universal):
+    raw = calculi.solve_flip
+
+    def failing(c, braid, direction="left", label=None):
+        if isinstance(label, tuple) and label[0] == "inv":
+            raise NotCovariant(f"{direction} flip for {label!r}: no factorization")
+        return raw(c, braid, direction, label)
+
+    monkeypatch.setattr(calculi, "solve_flip", failing)
+    batteries = _counting_battery(monkeypatch)
+    rep = Report(ctx="calculus:universal")
+    verify._flip_battery(k2_universal, rep, 2)
+    assert batteries == [-2, -1, 0, 1, 2]
+    for key, side in (("FLIP_INV_L", "right"), ("FLIP_INV_R", "left")):
+        reasons = [e.witness["reason"] for e in rep.entries if e.id == key]
+        assert reasons == [f"{side} flip for ('inv', {k}): no factorization" for k in range(-2, 3)]
 
 
 # -- tau flip -----------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_flip_from_actions_zero_calculus(k2_zero_calc):
     lcd = solve_left_action(k2_zero_calc, Report())
     rep = Report()
     flip = flip_from_actions(k2_zero_calc, lcd, rep, flips=solve_flips(k2_zero_calc))
-    assert rep.ok_all and flip.map.cod == 0
+    assert rep.ok_all and flip.cod == 0
 
 
 # -- trivializations -------------------------------------------------------------
