@@ -5,6 +5,13 @@ Matrices are row-major arrays of exact scalar strings ("a/b" or
 (sorted keys, reduced scalars, fixed indentation), so parse -> emit is
 idempotent byte for byte and reports can be keyed by a digest of the
 canonical text.
+
+One writer, `emit_json`, writes every JSON text braidcalc emits: bundles,
+reports and the CLI's matrices.  Its output equals
+`json.dumps(obj, sort_keys=True, indent=2)` byte for byte, but each string
+goes through the C string encoder, where any `indent` sends `json.dumps`
+through its pure-Python encoder.  A report entry is written straight from
+its fields.
 """
 
 from __future__ import annotations
@@ -12,12 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebras import FiniteDimAlgebra
 from .calculi import FirstOrderCalculus
 from .groups import MultiBraidedGroup
 from .linalg import AntilinMap, LinMap
-from .reporting import Report
+from .reporting import Entry, Report
 from .scalars import Q, ScalarParseError
 
 FORMAT_VERSION = 1
@@ -68,7 +76,7 @@ def _parse_matrix(value, cod: int, dom: int, path: str) -> LinMap:
         raise ParseError(path, "expected a list of rows")
     if len(value) != cod:
         raise DimensionError(path, f"expected {cod} rows, got {len(value)}")
-    scalars: dict = {}  # scalar string -> Q, so each distinct string is parsed once
+    scalars: dict = {}  # scalar string -> Q (or 0), so each distinct string is parsed once
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dom:
@@ -81,7 +89,7 @@ def _parse_matrix(value, cod: int, dom: int, path: str) -> LinMap:
                 q = scalars.get(x) if type(x) is str else None
                 if q is None:
                     try:
-                        q = _scalar(x)
+                        q = _scalar(x) or 0  # a zero cell as the int 0, which LinMap.from_entries skips at once
                     except ScalarParseError as exc:
                         raise ParseError(f"{path}[{i}][{j}]", str(exc)) from exc
                     if type(x) is str:
@@ -231,7 +239,7 @@ def emit_bundle(b: Bundle) -> str:
             {"name": name, "generators": [[str(x) for x in vec] for vec in vectors]}
             for name, vectors in b.ideals
         ]
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return emit_json(data) + "\n"
 
 
 def bundle_digest(b: Bundle) -> str:
@@ -239,10 +247,58 @@ def bundle_digest(b: Bundle) -> str:
 
 
 def emit_report(report: Report, engine_version: str, input_digest: str = "") -> str:
-    data = {
-        "engine": {"name": "braidcalc", "version": engine_version},
-        "input_digest": input_digest,
-        "entries": [e.as_dict() for e in report.entries],
-        "summary": report.counts(),
-    }
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    entries = ",\n    ".join(map(_entry_json, report.entries))
+    return (
+        '{\n  "engine": ' + emit_json({"name": "braidcalc", "version": engine_version}, "  ")
+        + ',\n  "entries": ' + (f"[\n    {entries}\n  ]" if entries else "[]")
+        + ',\n  "input_digest": ' + _quote(input_digest)
+        + ',\n  "summary": ' + emit_json(report.counts(), "  ")
+        + "\n}\n"
+    )
+
+
+def _entry_json(e: Entry) -> str:
+    "A report entry as it sits in the entries list: its fields in sorted key order, the empty ones left out."
+    out = '{\n      "ctx": ' + _quote(e.ctx) + ',\n      "id": ' if e.ctx else '{\n      "id": '
+    out += _quote(e.id)
+    if e.name:
+        out += ',\n      "name": ' + _quote(e.name)
+    if e.note:
+        out += ',\n      "note": ' + _quote(e.note)
+    out += ',\n      "status": ' + _quote(e.status)
+    if e.witness is not None:
+        out += ',\n      "witness": ' + emit_json(e.witness, "      ")
+    return out + "\n    }"
+
+
+def emit_json(obj, indent: str = "") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, each line after the first
+    prefixed by `indent`, so the text can be placed at that depth.  Takes
+    str, int, bool, None, list, tuple and dicts with str keys; any other
+    value raises TypeError."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:  # a list of strings, such as a matrix row or a witness vector, in one C pass
+            body = sep.join(map(_quote, obj))
+        except TypeError:
+            body = sep.join([emit_json(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join([_quote(k) + ": " + emit_json(obj[k], inner) for k in sorted(obj)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

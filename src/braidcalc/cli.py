@@ -8,13 +8,12 @@ A machine-readable report is always written for outcomes 0 and 1.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .bundles import Bundle, ParseError, bundle_digest, emit_bundle, emit_report, matrix_rows, parse_bundle
+from .bundles import Bundle, ParseError, bundle_digest, emit_bundle, emit_json, emit_report, matrix_rows, parse_bundle
 from .covariance import IdealInvalid
 from .groups import SIGMA_CAP
 from .linalg import LinMap
@@ -138,7 +137,7 @@ def _run(args, bundle: Bundle) -> int:
             return 0 if report.ok_all else 1
         if args.command == "derive":
             f = derive_map(bundle, args.what, args.n)
-            print(json.dumps(_matrix_json(f), sort_keys=True, indent=2))
+            print(emit_json(_matrix_json(f)))
             return 0
         if args.command == "build-calculus":
             out_bundle, report = build_calculus(bundle, args.ideal, args.side)
@@ -159,14 +158,12 @@ def _run(args, bundle: Bundle) -> int:
         if args.command == "complete-system":
             completion = complete_system(bundle, args.max_elems)
             print(
-                json.dumps(
+                emit_json(
                     {
                         "closed": not completion.truncated,
                         "size": len(completion.system.elements),
                         "elements": [_matrix_json(f) for f in completion.system.elements],
-                    },
-                    sort_keys=True,
-                    indent=2,
+                    }
                 )
             )
             return 0

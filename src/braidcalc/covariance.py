@@ -150,28 +150,29 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
     q = pi.cod
     Iq = identity(q)
     if flips is not None:
-        restrictions = []
+        restrictions = {}  # id of a distinct flip map -> its restriction, solved at its first shift
         ok_rest = True
         I_incl, incl_I = tensor(I, incl), tensor(incl, I)
         pi_hat_I, I_pi_hat_tau = tensor(pi_hat, I), tensor(I, pi_hat) @ g.tau
+        once = Verdicts(rep)
         for k in sorted(flips["left"]):
             lsk = flips["left"][k].map
-            x = solve_right(I_incl, lsk @ incl_I)
-            if x is None:
+            if id(lsk) not in restrictions:
+                restrictions[id(lsk)] = solve_right(I_incl, lsk @ incl_I)
+            if restrictions[id(lsk)] is None:
                 rep.fail(f"SIGMA_STAR_RESTRICT_n{k}", {"reason": "flip does not preserve the invariant subspace"})
                 ok_rest = False
                 continue
-            restrictions.append(x)
-            rep.check_eq(f"EQ_315_n{k}", lsk @ pi_hat_I, I_pi_hat_tau)
+            once.check(f"EQ_315_n{k}", "EQ_315", (lsk,), lambda key: rep.check_eq(key, lsk @ pi_hat_I, I_pi_hat_tau))
         if not ok_rest or not restrictions:
             raise NotLeftCovariant("invariant restriction of the flip family missing")
+        sigma_star, *others = restrictions.values()
         rep.check_true(
             "SIGMA_STAR_COMMON",
-            all(x == restrictions[0] for x in restrictions),
+            all(x == sigma_star for x in others),
             {"reason": "restrictions of shifted flips to invariant forms differ"},
             note="restriction is independent of the shift",
         )
-        sigma_star = restrictions[0]
     else:
         try:
             sigma_star = factor_through(tensor(pi, I), tensor(I, pi) @ g.tau)
@@ -279,27 +280,28 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
 
     q = zeta.cod
     if flips is not None:
-        restrictions = []
+        restrictions = {}  # id of a distinct flip map -> its restriction, solved at its first shift
         ok_rest = True
         incl_I, I_incl = tensor(incl, I), tensor(I, incl)
         I_zeta_hat, zeta_hat_I_tau = tensor(I, zeta_hat), tensor(zeta_hat, I) @ g.tau
+        once = Verdicts(rep)
         for k in sorted(flips["right"]):
             rsk = flips["right"][k].map
-            x = solve_right(incl_I, rsk @ I_incl)
-            if x is None:
+            if id(rsk) not in restrictions:
+                restrictions[id(rsk)] = solve_right(incl_I, rsk @ I_incl)
+            if restrictions[id(rsk)] is None:
                 rep.fail(f"STAR_SIGMA_RESTRICT_n{k}", {"reason": "flip does not preserve the invariant subspace"})
                 ok_rest = False
                 continue
-            restrictions.append(x)
-            rep.check_eq(f"EQ_A12_n{k}", rsk @ I_zeta_hat, zeta_hat_I_tau)
+            once.check(f"EQ_A12_n{k}", "EQ_A12", (rsk,), lambda key: rep.check_eq(key, rsk @ I_zeta_hat, zeta_hat_I_tau))
         if not ok_rest or not restrictions:
             raise NotRightCovariant("invariant restriction of the right flip family missing")
+        star_sigma, *others = restrictions.values()
         rep.check_true(
             "STAR_SIGMA_COMMON",
-            all(x == restrictions[0] for x in restrictions),
+            all(x == star_sigma for x in others),
             {"reason": "restrictions of shifted right flips differ"},
         )
-        star_sigma = restrictions[0]
     else:
         try:
             star_sigma = factor_through(tensor(I, zeta), tensor(zeta, I) @ g.tau)

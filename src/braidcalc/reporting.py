@@ -27,18 +27,6 @@ class Entry:
     witness: dict | None = None
     note: str = ""
 
-    def as_dict(self) -> dict:
-        d = {"id": self.id, "status": self.status}
-        if self.ctx:
-            d["ctx"] = self.ctx
-        if self.name:
-            d["name"] = self.name
-        if self.witness is not None:
-            d["witness"] = self.witness
-        if self.note:
-            d["note"] = self.note
-        return d
-
 
 @dataclass
 class Report:

@@ -5,6 +5,8 @@ index loops; none of the engine's composition or elimination machinery is
 used, so these can serve as independent cross-checks of derived maps.
 """
 
+import json
+
 from braidcalc.algebras import FiniteDimAlgebra
 from braidcalc.groups import MultiBraidedGroup
 from braidcalc.linalg import LinMap
@@ -217,3 +219,26 @@ def mirror(g):
     braiding = LinMap.from_entries(n * n, n * n, [[g.braiding.entry(flip(r), flip(c)) for c in nn] for r in nn])
     alg = FiniteDimAlgebra(n, g.unit, mult, g.alg.labels)
     return MultiBraidedGroup(alg, cop, g.counit, g.antipode, braiding)
+
+
+def emit_report(report, engine_version, input_digest=""):
+    "A report as `json.dumps(..., sort_keys=True, indent=2)` writes it, from one dict per entry."
+    entries = []
+    for e in report.entries:
+        d = {"id": e.id, "status": e.status}
+        if e.ctx:
+            d["ctx"] = e.ctx
+        if e.name:
+            d["name"] = e.name
+        if e.witness is not None:
+            d["witness"] = e.witness
+        if e.note:
+            d["note"] = e.note
+        entries.append(d)
+    data = {
+        "engine": {"name": "braidcalc", "version": engine_version},
+        "input_digest": input_digest,
+        "entries": entries,
+        "summary": report.counts(),
+    }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"

@@ -3,16 +3,20 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from braidcalc.bundles import (
     DimensionError,
     ParseError,
     bundle_digest,
     emit_bundle,
+    emit_json,
     emit_report,
     parse_bundle,
 )
-from braidcalc.reporting import Report
+from braidcalc.reporting import FAIL, PASS, SKIP, Entry, Report
 
 BUNDLE_DIR = Path(__file__).resolve().parent.parent / "bundles"
 
@@ -181,3 +185,96 @@ def test_integer_cells_parse_among_strings():
     data = json.loads(text)
     data["group"]["antipode"] = [["1", 0], [0, 1]]
     assert parse_bundle(json.dumps(data)).group.antipode == parse_bundle(text).group.antipode
+
+
+# Strings that stress the escaping: quotes, backslashes, control characters,
+# non-ASCII text, characters outside the BMP and lone surrogates.
+_SPECIAL = st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9", "\u2028", "\ud800", "\udfff", "\U0001f600"])
+_TEXT = st.lists(st.one_of(_SPECIAL, st.characters(codec=None, categories=None)), max_size=8).map("".join)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+_PROPS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@_PROPS
+@given(_JSON)
+def test_emit_json_equals_json_dumps(obj):
+    assert emit_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@_PROPS
+@given(st.lists(_TEXT, min_size=1, max_size=6), _TEXT)
+def test_emit_json_writes_string_lists_as_json_dumps_does(items, other):
+    # a list that holds a non-string after strings leaves the one-pass path
+    for obj in (items, items + [1], items + [[other]], [{other: items}]):
+        assert emit_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_emit_json_indent_prefixes_every_later_line():
+    obj = {"a": [["1", "0"], []], "b": {}}
+    assert emit_json(obj, "    ") == json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n    ")
+
+
+@pytest.mark.parametrize("obj", [1.5, {1, 2}, object(), [b"x"], {"k": 0.5}, {1: "x"}], ids=repr)
+def test_emit_json_rejects_what_it_cannot_write(obj):
+    with pytest.raises(TypeError):
+        emit_json(obj)
+
+
+_WITNESS = st.one_of(
+    st.none(),
+    st.builds(lambda a, b, c: {"input": a, "lhs": b, "rhs": c}, *[st.lists(_TEXT, max_size=3)] * 3),
+    st.builds(lambda r: {"reason": r}, _TEXT),
+)
+_ENTRY = st.builds(Entry, _TEXT, st.sampled_from([PASS, FAIL, SKIP]), _TEXT, _TEXT, _WITNESS, _TEXT)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(_ENTRY, max_size=4), _TEXT, _TEXT)
+def test_emit_report_equals_json_dumps_of_entry_dicts(entries, version, digest):
+    report = Report(entries=entries)
+    assert emit_report(report, version, digest) == oracles.emit_report(report, version, digest)
+
+
+def test_emit_report_of_an_empty_report():
+    assert emit_report(Report(), "0.1.0") == oracles.emit_report(Report(), "0.1.0")
+    assert '"entries": [],' in emit_report(Report(), "0.1.0")
+
+
+def test_emit_report_equals_json_dumps_on_both_witness_shapes():
+    rep = Report(ctx='calc:"\\\x01\u00e9\ud800')
+    rep.ok("A", name="n\u2028", note="\t")
+    rep.fail("B", {"input": ["1", "-1/2+3 i"], "lhs": ["2"], "rhs": ["1"]}, note="\U0001f600")
+    rep.fail("C", {"reason": "shape mismatch 2x2 vs 1x2"})
+    rep.fail("D", {})
+    rep.skip("E")
+    assert emit_report(rep, "0.1.0", "sha256:abc") == oracles.emit_report(rep, "0.1.0", "sha256:abc")
+
+
+def test_zero_cells_parse_to_int_zero(monkeypatch):
+    "Zero cells reach LinMap.from_entries as the int 0, and the map is unchanged."
+    import braidcalc.bundles as bundles
+
+    seen = []
+    raw = bundles.LinMap.from_entries
+
+    def spy(cod, dom, rows):
+        rows = [list(r) for r in rows]
+        seen.extend(x for r in rows for x in r if not x)
+        return raw(cod, dom, rows)
+
+    text = (BUNDLE_DIR / "fix_k2.json").read_text()
+    data = json.loads(text)
+    data["group"]["antipode"] = [["1", "0/3"], [0, "1"]]
+    monkeypatch.setattr(bundles.LinMap, "from_entries", staticmethod(spy))
+    b = parse_bundle(json.dumps(data))
+    assert seen and all(type(x) is int for x in seen)
+    monkeypatch.undo()
+    assert b.group.antipode == parse_bundle(text).group.antipode

@@ -1,5 +1,6 @@
 import pytest
 
+from braidcalc import covariance
 from braidcalc.calculi import FirstOrderCalculus, check_calculus, iota_l, solve_flips
 from braidcalc.covariance import (
     IdealInvalid,
@@ -18,7 +19,8 @@ from braidcalc.covariance import (
     solve_right_action,
     universal_ideals,
 )
-from braidcalc.fixtures import _delta_group
+from braidcalc.fixtures import _delta_group, u_basis_flip_k2
+from braidcalc.groups import MultiBraidedGroup
 from braidcalc.linalg import LinMap, Subspace, compose, identity, quotient, solve_right, tensor
 from braidcalc.reporting import Report
 from braidcalc.scalars import Q
@@ -69,6 +71,32 @@ def test_right_action_on_fixtures(k2_universal, k2_flips, gr_universal, gr_flips
 
 
 # -- flips rebuilt from actions -------------------------------------------------
+
+
+def _restriction_solves(monkeypatch, solve, c: FirstOrderCalculus, flips: dict) -> int:
+    """The `solve_right` calls `solve` makes to restrict the flips to invariant
+    forms: its calls with the flip table less its calls without one."""
+    calls = []
+    raw = covariance.solve_right
+    monkeypatch.setattr(covariance, "solve_right", lambda a, b: calls.append(1) or raw(a, b))
+    solve(c, Report())
+    without = len(calls)
+    rep = Report()
+    solve(c, rep, flips=flips)
+    assert not [e.id for e in rep.failures() if "RESTRICT" in e.id]
+    return len(calls) - 2 * without
+
+
+def test_flip_restrictions_are_solved_once_per_distinct_flip(monkeypatch, k2, k2_universal):
+    z3 = _delta_group(3, ("d_0", "d_1", "d_2"))
+    z3_universal = reconstruct_from_ideal(z3, universal_ideals(z3)["zero"], Report(), name="universal")
+    # under u_basis_flip_k2 the even and the odd shifts are two braids
+    braided = MultiBraidedGroup(k2.alg, k2.coproduct, k2.counit, k2.antipode, u_basis_flip_k2())
+    k2_braided = FirstOrderCalculus(braided, k2_universal.gdim, k2_universal.mgl, k2_universal.mgr, k2_universal.d)
+    for c, distinct in ((z3_universal, 1), (k2_braided, 2)):
+        flips = solve_flips(c, 2)
+        for solve in (solve_left_action, solve_right_action):
+            assert _restriction_solves(monkeypatch, solve, c, flips) == distinct
 
 
 def test_flip_from_actions_agrees_with_solver(k2_universal, k2_flips, k2_lcd,
