@@ -93,30 +93,24 @@ def check_bicovariance(
         act_l @ rcd.zeta_hat,
         compose(tensor(I, rcd.zeta_hat), tau, tensor(kap, kap), ad, g.kappa_inv),
     )
-    # The identity-padded legs of the shift loop, each built once.
     shifts = range(-K, K + 1)
     left, right = flips["left"], flips["right"]
     sigma = {k: g.sigma_n(k) for k in shifts}
     I_act_l, act_r_I = tensor(I, act_l), tensor(act_r, I)
-    I_right = {k: tensor(I, right[k].map) for k in shifts}
-    left_I = {k: tensor(left[k].map, I) for k in shifts}
-    sigma_Ig = {k: tensor(sigma[k], Ig) for k in shifts}
-    Ig_sigma = {k: tensor(Ig, sigma[k]) for k in shifts}
     once = Verdicts(rep)
     for n_s in shifts:
         for m_s in shifts:
             rsum, lsum = right[n_s + m_s].map, left[n_s + m_s].map
+            rm, lm, sn = right[m_s].map, left[m_s].map, sigma[n_s]
             once.check(
                 f"EQ_44A_n{n_s}_m{m_s}",
-                "EQ_44A",
-                (rsum, right[m_s].map, sigma[n_s]),
-                lambda key: rep.check_eq(key, act_l_I @ rsum, compose(I_right[m_s], sigma_Ig[n_s], I_act_l)),
+                (rsum, rm, sn),
+                lambda key: rep.check_eq(key, act_l_I @ rsum, compose(tensor(I, rm), tensor(sn, Ig), I_act_l)),
             )
             once.check(
                 f"EQ_44B_n{n_s}_m{m_s}",
-                "EQ_44B",
-                (lsum, left[m_s].map, sigma[n_s]),
-                lambda key: rep.check_eq(key, I_act_r @ lsum, compose(left_I[m_s], Ig_sigma[n_s], act_r_I)),
+                (lsum, lm, sn),
+                lambda key: rep.check_eq(key, I_act_r @ lsum, compose(tensor(lm, I), tensor(Ig, sn), act_r_I)),
             )
     inv_l = tensor(lcd.incl, I).image()
     inv_r_amb = tensor(I, lcd.incl).image()
@@ -124,21 +118,15 @@ def check_bicovariance(
     rinv_r_amb = tensor(I, rcd.incl).image()
     for n_s in shifts:
         rs, ls = right[n_s].map, left[n_s].map
-        once.check(
-            f"EQ_45A_n{n_s}", "EQ_45A", (rs,), lambda key: rep.check_space_eq(key, inv_r_amb.map_by(rs), inv_l)
-        )
-        once.check(
-            f"EQ_45B_n{n_s}", "EQ_45B", (ls,), lambda key: rep.check_space_eq(key, rinv_l.map_by(ls), rinv_r_amb)
-        )
+        once.check(f"EQ_45A_n{n_s}", (rs,), lambda key: rep.check_space_eq(key, inv_r_amb.map_by(rs), inv_l))
+        once.check(f"EQ_45B_n{n_s}", (ls,), lambda key: rep.check_space_eq(key, rinv_l.map_by(ls), rinv_r_amb))
         once.check(
             f"EQ_46A_n{n_s}",
-            "EQ_46A",
             (rs,),
             lambda key: rep.check_eq(key, rs @ tensor(I, lcd.pi_hat), tensor(lcd.pi_hat, I) @ tau),
         )
         once.check(
             f"EQ_46B_n{n_s}",
-            "EQ_46B",
             (ls,),
             lambda key: rep.check_eq(key, ls @ tensor(rcd.zeta_hat, I), tensor(I, rcd.zeta_hat) @ tau),
         )
@@ -259,13 +247,11 @@ def check_kappa_covariance(
         for n_s in range(-K, K + 1):
             once.check(
                 f"EQ_55_n{n_s}",
-                "EQ_55",
                 (left[n_s].map, left[-n_s].map),
                 lambda key: rep.check_eq(key, left[n_s].map @ tensor(vk, I), tensor(I, vk) @ left[-n_s].map),
             )
             once.check(
                 f"EQ_57_n{n_s}",
-                "EQ_57",
                 (right[n_s].map, right[-n_s].map),
                 lambda key: rep.check_eq(key, right[n_s].map @ tensor(I, vk), tensor(vk, I) @ right[-n_s].map),
             )

@@ -278,89 +278,74 @@ def check_multi_covariance(
                 la, lb, lc, lsum = left[a], left[b], left[cc], left[a - b + cc]
                 once.check(
                     f"EQ_234_a{a}_b{b}_c{cc}",
-                    "EQ_234",
                     (la.map, lb.inverse, lc.map, lsum.map),
                     lambda key: rep.check_eq(key, compose(la.map, lb.inverse, lc.map), lsum.map),
                 )
                 ra, rb, rc, rsum = right[a], right[b], right[cc], right[a - b + cc]
                 once.check(
                     f"EQ_236_a{a}_b{b}_c{cc}",
-                    "EQ_236",
                     (ra.map, rb.inverse, rc.map, rsum.map),
                     lambda key: rep.check_eq(key, compose(ra.map, rb.inverse, rc.map), rsum.map),
                 )
-    # The identity-padded legs of the shift loops, each built once.
     shifts = range(-K, K + 1)
     sigma = {k: g.sigma_n(k) for k in shifts}
-    I_left = {k: tensor(I, left[k].map) for k in shifts}
-    left_I = {k: tensor(left[k].map, I) for k in shifts}
-    I_right = {k: tensor(I, right[k].map) for k in shifts}
-    right_I = {k: tensor(right[k].map, I) for k in shifts}
-    Ig_sigma = {k: tensor(Ig, sigma[k]) for k in shifts}
-    sigma_Ig = {k: tensor(sigma[k], Ig) for k in shifts}
     for p in shifts:
         for q in shifts:
             for r in shifts:
+                lp, lq, sr = left[p].map, left[q].map, sigma[r]
                 once.check(
                     f"EQ_235_a{p}_b{q}_c{r}",
-                    "EQ_235",
-                    (left[p].map, left[q].map, sigma[r]),
+                    (lp, lq, sr),
                     lambda key: rep.check_eq(
                         key,
-                        compose(I_left[p], left_I[q], Ig_sigma[r]),
-                        compose(sigma_Ig[r], I_left[q], left_I[p]),
+                        compose(tensor(I, lp), tensor(lq, I), tensor(Ig, sr)),
+                        compose(tensor(sr, Ig), tensor(I, lq), tensor(lp, I)),
                     ),
                 )
+                sp, rq, rr = sigma[p], right[q].map, right[r].map
                 once.check(
                     f"EQ_237_a{p}_b{q}_c{r}",
-                    "EQ_237",
-                    (sigma[p], right[q].map, right[r].map),
+                    (sp, rq, rr),
                     lambda key: rep.check_eq(
                         key,
-                        compose(Ig_sigma[p], right_I[q], I_right[r]),
-                        compose(right_I[r], I_right[q], sigma_Ig[p]),
+                        compose(tensor(Ig, sp), tensor(rq, I), tensor(I, rr)),
+                        compose(tensor(rr, I), tensor(I, rq), tensor(sp, Ig)),
                     ),
                 )
+                rp, sq, lr = right[p].map, sigma[q], left[r].map
                 once.check(
                     f"EQ_238_a{p}_b{q}_c{r}",
-                    "EQ_238",
-                    (right[p].map, sigma[q], left[r].map),
+                    (rp, sq, lr),
                     lambda key: rep.check_eq(
                         key,
-                        compose(I_right[p], sigma_Ig[q], I_left[r]),
-                        compose(left_I[r], Ig_sigma[q], right_I[p]),
+                        compose(tensor(I, rp), tensor(sq, Ig), tensor(I, lr)),
+                        compose(tensor(lr, I), tensor(Ig, sq), tensor(rp, I)),
                     ),
                 )
     Ig_phi, phi_Ig = tensor(Ig, phi), tensor(phi, Ig)
     for m_s in shifts:
         for n_s in shifts:
+            ln, lm, rn, rm = left[n_s].map, left[m_s].map, right[n_s].map, right[m_s].map
+            lsum, rsum = left[m_s + n_s].map, right[n_s + m_s].map
             once.check(
                 f"EQ_242_n{n_s}_m{m_s}",
-                "EQ_242",
-                (left[n_s].map, left[m_s].map, left[m_s + n_s].map),
-                lambda key: rep.check_eq(
-                    key, compose(I_left[n_s], left_I[m_s], Ig_phi), phi_Ig @ left[m_s + n_s].map
-                ),
+                (ln, lm, lsum),
+                lambda key: rep.check_eq(key, compose(tensor(I, ln), tensor(lm, I), Ig_phi), phi_Ig @ lsum),
             )
             once.check(
                 f"EQ_246_n{n_s}_m{m_s}",
-                "EQ_246",
-                (right[n_s].map, right[m_s].map, right[n_s + m_s].map),
-                lambda key: rep.check_eq(
-                    key, compose(right_I[n_s], I_right[m_s], phi_Ig), Ig_phi @ right[n_s + m_s].map
-                ),
+                (rn, rm, rsum),
+                lambda key: rep.check_eq(key, compose(tensor(rn, I), tensor(I, rm), phi_Ig), Ig_phi @ rsum),
             )
     Ig_kap, kap_Ig = tensor(Ig, kap), tensor(kap, Ig)
     for n_s in shifts:
         once.check(
             f"EQ_247_n{n_s}",
-            "EQ_247",
             (left[n_s].map, left[-n_s].map),
             lambda key: rep.check_eq(key, left[n_s].map @ Ig_kap, kap_Ig @ left[-n_s].map),
         )
         once.check(
             f"EQ_248_n{n_s}",
-            "EQ_248",
             (right[n_s].map, right[-n_s].map),
             lambda key: rep.check_eq(key, right[n_s].map @ kap_Ig, Ig_kap @ right[-n_s].map),
         )

@@ -8,9 +8,11 @@ the common invariant flip restriction sigma_star and the invariant right
 multiplication circ, together with both module trivializations and the
 ideal-to-calculus reconstruction (and all their mirror versions).
 
-The ideal conditions and the reconstruction are written once, for the left
-side, through `sided_tensor`; the other mirror versions stay twins because
-their report entries differ in set, order, notes or sides of an equation.
+The ideal conditions, the invariant flip restriction and the reconstruction
+are written once, for the left side, through `sided_tensor`, and the left
+action and the reconstruction share one copy of the circ laws EQ_332-EQ_334;
+the other mirror versions stay twins because their report entries differ
+in set, order, notes or sides of an equation.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ def coords_in(incl: LinMap, target: LinMap) -> LinMap:
 class LeftCovariantData:
     calculus: FirstOrderCalculus
     action: LinMap
-    projector: LinMap
     inv_space: Subspace
     incl: LinMap
     proj_coords: LinMap
@@ -87,7 +88,6 @@ class LeftCovariantData:
 class RightCovariantData:
     calculus: FirstOrderCalculus
     action: LinMap
-    projector: LinMap
     inv_space: Subspace
     incl: LinMap
     proj_coords: LinMap
@@ -148,61 +148,15 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
     )
 
     q = pi.cod
-    Iq = identity(q)
-    if flips is not None:
-        restrictions = {}  # id of a distinct flip map -> its restriction, solved at its first shift
-        ok_rest = True
-        I_incl, incl_I = tensor(I, incl), tensor(incl, I)
-        pi_hat_I, I_pi_hat_tau = tensor(pi_hat, I), tensor(I, pi_hat) @ g.tau
-        once = Verdicts(rep)
-        for k in sorted(flips["left"]):
-            lsk = flips["left"][k].map
-            if id(lsk) not in restrictions:
-                restrictions[id(lsk)] = solve_right(I_incl, lsk @ incl_I)
-            if restrictions[id(lsk)] is None:
-                rep.fail(f"SIGMA_STAR_RESTRICT_n{k}", {"reason": "flip does not preserve the invariant subspace"})
-                ok_rest = False
-                continue
-            once.check(f"EQ_315_n{k}", "EQ_315", (lsk,), lambda key: rep.check_eq(key, lsk @ pi_hat_I, I_pi_hat_tau))
-        if not ok_rest or not restrictions:
-            raise NotLeftCovariant("invariant restriction of the flip family missing")
-        sigma_star, *others = restrictions.values()
-        rep.check_true(
-            "SIGMA_STAR_COMMON",
-            all(x == sigma_star for x in others),
-            {"reason": "restrictions of shifted flips to invariant forms differ"},
-            note="restriction is independent of the shift",
-        )
-    else:
-        try:
-            sigma_star = factor_through(tensor(pi, I), tensor(I, pi) @ g.tau)
-        except NoFactor as exc:
-            raise NotLeftCovariant(f"invariant flip restriction undefined: {exc}") from exc
-        rep.check_eq("EQ_315", sigma_star @ tensor(pi, I), tensor(I, pi) @ g.tau)
-    rep.check_invertible("SIGMA_STAR_INVERTIBLE", sigma_star)
-
+    sigma_star = _restrict_flips(g, "left", incl, pi, pi_hat, flips, rep)
     circ = compose(proj_coords, mgr, tensor(incl, I))
     ik = kere.inclusion()
     rep.check_eq("EQ_321", compose(circ, tensor(pi, I), tensor(ik, I)), compose(pi, m0, tensor(ik, I)))
-    rep.check_eq(
-        "EQ_332",
-        sigma_star @ tensor(circ, I),
-        compose(tensor(I, circ), tensor(sigma_star, I), tensor(Iq, g.tau)),
-    )
-    rep.check_eq(
-        "EQ_333",
-        compose(tensor(m, Iq), tensor(I, sigma_star), tensor(sigma_star, I)),
-        sigma_star @ tensor(Iq, m),
-    )
-    rep.check_eq(
-        "EQ_334",
-        pi @ m,
-        compose(tensor(eps, pi) + circ @ tensor(pi, I), g.sigma_inv, g.tau),
-    )
+    _check_circ_laws(g, pi, sigma_star, circ, rep)
     rep.check_eq(
         "P_MODULE_LAW",
         compose(proj, mgl, tensor(I, incl)),
-        compose(incl, tensor(eps, Iq)),
+        compose(incl, tensor(eps, identity(q))),
         note="P(a theta) = eps(a) theta on invariant forms",
     )
     rep.check_true(
@@ -213,7 +167,73 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
     )
     rep.check_space_eq("PI_KERNEL", pi.kernel(), ideal.sum_with(g.unit.image()))
     _check_ideal_conditions(g, ideal, "left", rep)
-    return LeftCovariantData(c, act, proj, inv_space, incl, proj_coords, pi, pi_hat, ideal, sigma_star, circ)
+    return LeftCovariantData(c, act, inv_space, incl, proj_coords, pi, pi_hat, ideal, sigma_star, circ)
+
+
+# side -> (the restriction's key stem, the equation of the flip family, the error raised without a
+# restriction, its name for the family, the reason and the note of the COMMON entry)
+_FLIP_RESTRICTIONS = {
+    "left": ("SIGMA_STAR", "EQ_315", NotLeftCovariant, "flip family",
+             "restrictions of shifted flips to invariant forms differ", "restriction is independent of the shift"),
+    "right": ("STAR_SIGMA", "EQ_A12", NotRightCovariant, "right flip family", "restrictions of shifted right flips differ", ""),
+}
+
+
+def _restrict_flips(g: MultiBraidedGroup, side: str, incl: LinMap, pi: LinMap, pi_hat: LinMap,
+                    flips: dict | None, rep: Report) -> LinMap:
+    """The invariant flip restriction, sigma_star on the left and star_sigma on
+    the right, written for the left.  With a flip table each distinct flip is
+    restricted once, every shift's flip is checked against tau, and the
+    restrictions must agree; without one it is factored through pi (x) id."""
+    name, eq, error, family, differ, note = _FLIP_RESTRICTIONS[side]
+    t = sided_tensor(side)
+    I = identity(g.dim)
+    if flips is None:
+        rhs = t(I, pi) @ g.tau
+        try:
+            restricted = factor_through(t(pi, I), rhs)
+        except NoFactor as exc:
+            raise error(f"invariant flip restriction undefined: {exc}") from exc
+        rep.check_eq(eq, restricted @ t(pi, I), rhs)
+    else:
+        restrictions = {}  # id of a distinct flip map -> its restriction, solved at its first shift
+        I_incl, incl_I = t(I, incl), t(incl, I)
+        pi_hat_I, I_pi_hat_tau = t(pi_hat, I), t(I, pi_hat) @ g.tau
+        once = Verdicts(rep)
+        for k in sorted(flips[side]):
+            flip = flips[side][k].map
+            if id(flip) not in restrictions:
+                restrictions[id(flip)] = solve_right(I_incl, flip @ incl_I)
+            if restrictions[id(flip)] is None:
+                rep.fail(f"{name}_RESTRICT_n{k}", {"reason": "flip does not preserve the invariant subspace"})
+                continue
+            once.check(f"{eq}_n{k}", (flip,), lambda key: rep.check_eq(key, flip @ pi_hat_I, I_pi_hat_tau))
+        if not restrictions or any(x is None for x in restrictions.values()):
+            raise error(f"invariant restriction of the {family} missing")
+        restricted, *others = restrictions.values()
+        rep.check_true(f"{name}_COMMON", all(x == restricted for x in others), {"reason": differ}, note=note)
+    rep.check_invertible(f"{name}_INVERTIBLE", restricted)
+    return restricted
+
+
+def _check_circ_laws(g: MultiBraidedGroup, pi: LinMap, sigma_star: LinMap, circ: LinMap, rep: Report):
+    "EQ_332-EQ_334: sigma_star and circ against tau and the product, on the invariant forms pi(A)."
+    I, Iq = identity(g.dim), identity(pi.cod)
+    rep.check_eq(
+        "EQ_332",
+        sigma_star @ tensor(circ, I),
+        compose(tensor(I, circ), tensor(sigma_star, I), tensor(Iq, g.tau)),
+    )
+    rep.check_eq(
+        "EQ_333",
+        compose(tensor(g.mult, Iq), tensor(I, sigma_star), tensor(sigma_star, I)),
+        sigma_star @ tensor(Iq, g.mult),
+    )
+    rep.check_eq(
+        "EQ_334",
+        pi @ g.mult,
+        compose(tensor(g.counit, pi) + circ @ tensor(pi, I), g.sigma_inv, g.tau),
+    )
 
 
 # side of the calculus -> (the ideal's other side, its key, its note, the tau-stability key):
@@ -279,37 +299,7 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     rep.check_eq("EQ_A10", proj @ ir, compose(tensor(zeta_hat, eps), g.sigma_inv, g.tau))
 
     q = zeta.cod
-    if flips is not None:
-        restrictions = {}  # id of a distinct flip map -> its restriction, solved at its first shift
-        ok_rest = True
-        incl_I, I_incl = tensor(incl, I), tensor(I, incl)
-        I_zeta_hat, zeta_hat_I_tau = tensor(I, zeta_hat), tensor(zeta_hat, I) @ g.tau
-        once = Verdicts(rep)
-        for k in sorted(flips["right"]):
-            rsk = flips["right"][k].map
-            if id(rsk) not in restrictions:
-                restrictions[id(rsk)] = solve_right(incl_I, rsk @ I_incl)
-            if restrictions[id(rsk)] is None:
-                rep.fail(f"STAR_SIGMA_RESTRICT_n{k}", {"reason": "flip does not preserve the invariant subspace"})
-                ok_rest = False
-                continue
-            once.check(f"EQ_A12_n{k}", "EQ_A12", (rsk,), lambda key: rep.check_eq(key, rsk @ I_zeta_hat, zeta_hat_I_tau))
-        if not ok_rest or not restrictions:
-            raise NotRightCovariant("invariant restriction of the right flip family missing")
-        star_sigma, *others = restrictions.values()
-        rep.check_true(
-            "STAR_SIGMA_COMMON",
-            all(x == star_sigma for x in others),
-            {"reason": "restrictions of shifted right flips differ"},
-        )
-    else:
-        try:
-            star_sigma = factor_through(tensor(I, zeta), tensor(zeta, I) @ g.tau)
-        except NoFactor as exc:
-            raise NotRightCovariant(f"invariant flip restriction undefined: {exc}") from exc
-        rep.check_eq("EQ_A12", star_sigma @ tensor(I, zeta), tensor(zeta, I) @ g.tau)
-    rep.check_invertible("STAR_SIGMA_INVERTIBLE", star_sigma)
-
+    star_sigma = _restrict_flips(g, "right", incl, zeta, zeta_hat, flips, rep)
     bullet = compose(proj_coords, mgl, tensor(I, incl))
     rep.check_eq(
         "EQ_A19",
@@ -325,11 +315,15 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     )
     rep.check_space_eq("ZETA_KERNEL", zeta.kernel(), ideal.sum_with(g.unit.image()))
     _check_ideal_conditions(g, ideal, "right", rep)
-    return RightCovariantData(c, act, proj, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet)
+    return RightCovariantData(c, act, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet)
 
 
 def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None, flips: dict) -> LinMap:
-    "The sigma flip rebuilt out of the left action; checked against the solved flip table."
+    """The sigma flip rebuilt out of the left action; checked against the solved flip table.
+
+    The two agree on every valid group record.  On a record that fails a
+    non-fatal group check (PHI_MULT, EPS_SIGMA, ...) they can differ, and
+    then InternalInconsistency is raised, as for any failed self-check."""
     rep = report if report is not None else Report()
     g = c.group
     n = g.dim
@@ -343,18 +337,15 @@ def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Rep
     rep.check_eq("EQ_39", act @ mgr, compose(tensor(m, mgr), tensor(I, ls, I), tensor(act, phi)))
     half = max(flips["left"]) // 2
     shifts = range(-half, half + 1)
-    sigma_Ig = {k: tensor(g.sigma_n(k), Ig) for k in shifts}
-    I_left = {k: tensor(I, flips["left"][k].map) for k in shifts}
     act_I, I_act = tensor(act, I), tensor(I, act)
     once = Verdicts(rep)
     for p in shifts:
         for r in shifts:
-            lsum = flips["left"][p + r].map
+            sp, lr, lsum = g.sigma_n(p), flips["left"][r].map, flips["left"][p + r].map
             once.check(
                 f"EQ_310_n{p}_m{r}",
-                "EQ_310",
-                (g.sigma_n(p), flips["left"][r].map, lsum),
-                lambda key: rep.check_eq(key, compose(sigma_Ig[p], I_left[r], act_I), I_act @ lsum),
+                (sp, lr, lsum),
+                lambda key: rep.check_eq(key, compose(tensor(sp, Ig), tensor(I, lr), act_I), I_act @ lsum),
             )
     rep.check_eq(
         "EQ_311",
@@ -365,7 +356,9 @@ def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Rep
 
 
 def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, report: Report | None, flips: dict) -> LinMap:
-    "Mirror construction of the right flip out of the right action."
+    """Mirror construction of the right flip out of the right action; as in
+    flip_from_actions, a disagreement raises InternalInconsistency, which on
+    a record failing a non-fatal group check is not a solver bug."""
     rep = report if report is not None else Report()
     g = c.group
     n = g.dim
@@ -379,18 +372,15 @@ def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, repor
     rep.check_eq("EQ_A7", act @ mgl, compose(tensor(mgl, m), tensor(I, rs, I), tensor(phi, act)))
     half = max(flips["right"]) // 2
     shifts = range(-half, half + 1)
-    Ig_sigma = {k: tensor(Ig, g.sigma_n(k)) for k in shifts}
-    right_I = {k: tensor(flips["right"][k].map, I) for k in shifts}
     act_I, I_act = tensor(act, I), tensor(I, act)
     once = Verdicts(rep)
     for p in shifts:
         for r in shifts:
-            rsum = flips["right"][p + r].map
+            sp, rr, rsum = g.sigma_n(p), flips["right"][r].map, flips["right"][p + r].map
             once.check(
                 f"EQ_A8_n{p}_m{r}",
-                "EQ_A8",
-                (g.sigma_n(p), flips["right"][r].map, rsum),
-                lambda key: rep.check_eq(key, act_I @ rsum, compose(Ig_sigma[p], right_I[r], I_act)),
+                (sp, rr, rsum),
+                lambda key: rep.check_eq(key, act_I @ rsum, compose(tensor(Ig, sp), tensor(rr, I), I_act)),
             )
     return built
 
@@ -587,21 +577,7 @@ def _reconstruct(g: MultiBraidedGroup, r: Subspace, side: str, report: Report | 
         raise IdealInvalid(f"quotient structure does not descend: {exc}") from exc
     rep.check_eq("EQ_315" if side == "left" else "EQ_A12", sigma_star @ t(pi, I), t(I, pi) @ g.tau)
     if side == "left":
-        rep.check_eq(
-            "EQ_332",
-            sigma_star @ tensor(circ, I),
-            compose(tensor(I, circ), tensor(sigma_star, I), tensor(Iq, g.tau)),
-        )
-        rep.check_eq(
-            "EQ_333",
-            compose(tensor(g.mult, Iq), tensor(I, sigma_star), tensor(sigma_star, I)),
-            sigma_star @ tensor(Iq, g.mult),
-        )
-        rep.check_eq(
-            "EQ_334",
-            pi @ g.mult,
-            compose(tensor(g.counit, pi) + circ @ tensor(pi, I), g.sigma_inv, g.tau),
-        )
+        _check_circ_laws(g, pi, sigma_star, circ, rep)
     else:
         rep.check_eq("EQ_A20", circ @ t(pi, I), circ_rhs)
     d = t(I, pi) @ g.coproduct

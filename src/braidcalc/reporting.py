@@ -159,21 +159,26 @@ class Report:
 class Verdicts:
     """The verdicts of one call's shift loops, each distinct identity decided once.
 
-    A verdict is keyed by its equation and the `id`s of the flip and braid
-    maps that enter it.  Equal shifted braidings are one object, and so are
-    their flips, so the shifts that name one map share its verdicts.  A
-    repeat adds the stored entry under its own key without building either
-    side.  Only entries are stored, never the products of a check; the key
-    maps are held so that no `id` is reused while the memo lives.
+    A verdict is keyed by its equation, which the entry key `EQ_<id>_<shifts>`
+    (as `EQ_242_n1_m-1`) carries before its second `_`, and the `id`s of the
+    flip and braid maps that enter it.  Equal shifted braidings are one
+    object, and so are their flips, so the shifts that name one map share
+    its verdicts.  A repeat adds the stored entry under its own key without
+    building either side.  Only entries are stored, never the products of a
+    check; the key maps are held so that no `id` is reused while the memo
+    lives.
     """
 
     def __init__(self, report: Report):
         self.report = report
         self._seen: dict = {}
 
-    def check(self, key: str, equation: str, maps: tuple, run):
-        "Add the entry `key` of `equation` on `maps`; on first sight `run(key)` adds it with one check."
-        ident = (equation, *map(id, maps))
+    def check(self, key: str, maps: tuple, run):
+        "Add the entry `key` on `maps`; on first sight of its equation on them `run(key)` adds it with one check."
+        parts = key.split("_", 2)
+        if len(parts) < 3:
+            raise ValueError(f"verdict key {key!r} has no shift suffix")
+        ident = (f"{parts[0]}_{parts[1]}", *map(id, maps))
         seen = self._seen.get(ident)
         if seen is None:
             run(key)

@@ -53,18 +53,6 @@ class Q:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def zero() -> "Q":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "Q":
-        return _ONE
-
-    @staticmethod
-    def i() -> "Q":
-        return _I
-
-    @staticmethod
     def parse(text: str) -> "Q":
         """Parse the exact text form ("3", "-1/2", "1/2-3/4 i", "i")."""
         if not isinstance(text, str):
@@ -172,6 +160,4 @@ class Q:
         return f"Q({str(self)!r})"
 
 
-_ZERO = Q(0)
 _ONE = Q(1)
-_I = Q(0, 1)

@@ -68,9 +68,7 @@ def check_star_group(sg: StarGroup, report: Report | None = None, shift_range: i
     once = Verdicts(rep)
     for k in range(-shift_range, shift_range + 1):
         sk = g.sigma_n(k)
-        once.check(
-            f"EQ_62_n{k}", "EQ_62", (sk,), lambda key: rep.check_eq(key, ss @ sk, compose(psi, sk.inverse(), psi) @ ss)
-        )
+        once.check(f"EQ_62_n{k}", (sk,), lambda key: rep.check_eq(key, ss @ sk, compose(psi, sk.inverse(), psi) @ ss))
     return rep
 
 
@@ -179,13 +177,11 @@ def check_star_flip_compat(
         ls, rs = flips["left"][k].map, flips["right"][k].map
         once.check(
             f"EQ_69_n{k}",
-            "EQ_69",
             (ls, lb_map),
             lambda key: rep.check_eq(key, ls @ star_gamma.tensor(star), star.tensor(star_gamma) @ lb_map),
         )
         once.check(
             f"EQ_610_n{k}",
-            "EQ_610",
             (rs, rb_map),
             lambda key: rep.check_eq(key, rs @ star.tensor(star_gamma), star_gamma.tensor(star) @ rb_map),
         )

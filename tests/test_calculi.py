@@ -319,7 +319,7 @@ def test_multi_covariance_verdicts_match_memo_free_checks(monkeypatch, k2_univer
     monkeypatch.setattr(Report, "check_eq", counted)
     memo = check_multi_covariance(c, flips, Report(), 2)
     memo_calls = len(calls)
-    monkeypatch.setattr(Verdicts, "check", lambda self, key, equation, maps, run: run(key))
+    monkeypatch.setattr(Verdicts, "check", lambda self, key, maps, run: run(key))
     direct = check_multi_covariance(c, flips, Report(), 2)
     assert memo.entries == direct.entries
     assert memo_calls < len(calls) - memo_calls == len(direct.entries)

@@ -1,10 +1,11 @@
 import pytest
 
 from braidcalc import covariance
-from braidcalc.calculi import FirstOrderCalculus, check_calculus, iota_l, solve_flips
+from braidcalc.calculi import FirstOrderCalculus, FlipOver, check_calculus, iota_l, solve_flips
 from braidcalc.covariance import (
     IdealInvalid,
     NotLeftCovariant,
+    NotRightCovariant,
     calculi_isomorphic,
     close_right_ideal,
     extract_ideal,
@@ -97,6 +98,57 @@ def test_flip_restrictions_are_solved_once_per_distinct_flip(monkeypatch, k2, k2
         flips = solve_flips(c, 2)
         for solve in (solve_left_action, solve_right_action):
             assert _restriction_solves(monkeypatch, solve, c, flips) == distinct
+
+
+def _perturbed_shift1(flips: dict, side: str, how: str) -> dict:
+    "The flip table with the shift-1 flip on `side` replaced by the identity or by twice itself."
+    table = {"left": dict(flips["left"]), "right": dict(flips["right"])}
+    flip = table[side][1].map
+    bad = identity(flip.cod) if how == "identity" else flip.scale(2)
+    table[side][1] = FlipOver(side, 1, bad, bad)
+    return table
+
+
+def _failures(rep: Report) -> list:
+    return [(e.id, e.witness, e.note) for e in rep.failures()]
+
+
+@pytest.mark.parametrize(
+    "side, solve, error, message",
+    [
+        ("left", solve_left_action, NotLeftCovariant, "invariant restriction of the flip family missing"),
+        ("right", solve_right_action, NotRightCovariant, "invariant restriction of the right flip family missing"),
+    ],
+)
+def test_flip_not_preserving_invariant_forms_is_not_covariant(k2_universal, k2_flips, side, solve, error, message):
+    rep = Report()
+    with pytest.raises(error) as exc:
+        solve(k2_universal, rep, flips=_perturbed_shift1(k2_flips, side, "identity"))
+    assert str(exc.value) == message
+    key = "SIGMA_STAR_RESTRICT_n1" if side == "left" else "STAR_SIGMA_RESTRICT_n1"
+    assert _failures(rep) == [(key, {"reason": "flip does not preserve the invariant subspace"}, "")]
+
+
+def test_scaled_left_flip_fails_its_restriction_identity_and_the_common_restriction(k2_universal, k2_flips):
+    rep = Report()
+    solve_left_action(k2_universal, rep, flips=_perturbed_shift1(k2_flips, "left", "scale"))
+    assert _failures(rep) == [
+        ("EQ_315_n1", {"input": ["1", "0", "0", "0"], "lhs": ["-2", "-2", "0", "0"], "rhs": ["-1", "-1", "0", "0"]}, ""),
+        (
+            "SIGMA_STAR_COMMON",
+            {"reason": "restrictions of shifted flips to invariant forms differ"},
+            "restriction is independent of the shift",
+        ),
+    ]
+
+
+def test_scaled_right_flip_fails_its_restriction_identity_and_the_common_restriction(k2_universal, k2_flips):
+    rep = Report()
+    solve_right_action(k2_universal, rep, flips=_perturbed_shift1(k2_flips, "right", "scale"))
+    assert _failures(rep) == [
+        ("EQ_A12_n1", {"input": ["1", "0", "0", "0"], "lhs": ["2", "0", "2", "0"], "rhs": ["1", "0", "1", "0"]}, ""),
+        ("STAR_SIGMA_COMMON", {"reason": "restrictions of shifted right flips differ"}, ""),
+    ]
 
 
 def test_flip_from_actions_agrees_with_solver(k2_universal, k2_flips, k2_lcd,

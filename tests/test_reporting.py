@@ -1,7 +1,9 @@
 from fractions import Fraction
 
-from braidcalc.linalg import AntilinMap, LinMap, Subspace
-from braidcalc.reporting import FAIL, PASS, Report
+import pytest
+
+from braidcalc.linalg import AntilinMap, LinMap, Subspace, identity
+from braidcalc.reporting import FAIL, PASS, Report, Verdicts
 from braidcalc.scalars import Q
 
 A = LinMap.from_entries(2, 3, [[1, 0, Fraction(1, 2)], [0, -2, 3]])
@@ -89,3 +91,32 @@ def test_space_checks_name_a_vector_on_the_wrong_side():
     assert rep["NOT_LE"].witness == {"vector_outside": ["0", "1", "0+1 i"]}
     assert rep["EQ_L"].witness == {"vector_in_left_only": ["0", "1", "0+1 i"]}
     assert rep["EQ_R"].witness == {"vector_in_right_only": ["0", "0", "1"]}
+
+
+def _run_verdicts(keys, maps):
+    "Run `Verdicts.check` on each key over the same maps; the keys whose check ran, and the report."
+    rep = Report(ctx="t")
+    once = Verdicts(rep)
+    ran = []
+    for key in keys:
+        once.check(key, maps, lambda k: ran.append(k) or rep.check_eq(k, A, with_column(A, 1, [0, 5])))
+    return ran, rep
+
+
+def test_verdicts_share_one_equation_across_shifts_on_the_same_maps():
+    ran, rep = _run_verdicts(["EQ_B7_n0_m1", "EQ_B7_n1_m0"], (A, identity(2)))
+    assert ran == ["EQ_B7_n0_m1"]
+    assert rep.ids() == ["EQ_B7_n0_m1", "EQ_B7_n1_m0"]
+    first, second = rep.entries
+    assert second.status == FAIL and (second.ctx, second.witness) == (first.ctx, first.witness)
+
+
+def test_verdicts_never_share_between_equations_on_the_same_maps():
+    ran, rep = _run_verdicts(["EQ_B7_n0_m1", "EQ_B8_n0_m1", "EQ_B8_n1_m0"], (A, identity(2)))
+    assert ran == ["EQ_B7_n0_m1", "EQ_B8_n0_m1"]
+    assert rep.ids() == ["EQ_B7_n0_m1", "EQ_B8_n0_m1", "EQ_B8_n1_m0"]
+
+
+def test_verdicts_reject_a_key_without_a_shift_suffix():
+    with pytest.raises(ValueError, match="EQ_B7"):
+        _run_verdicts(["EQ_B7"], (A,))
