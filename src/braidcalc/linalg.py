@@ -6,7 +6,9 @@ vector.  Internally a map keeps its nonzeros only: real and imaginary
 integer numerators as one {col: int} dict per row, over one common
 positive denominator, so composition is a row-by-row sparse product
 (Gustavson) in integer arithmetic and a Kronecker product writes out
-products of nonzeros only; entries are exposed as Q values.
+products of nonzeros only; entries are exposed as Q values.  A product or
+Kronecker product of two complex maps accumulates the real and imaginary
+rows together, in one pass.
 
 Rows built inside this module are zero-free by construction: a Kronecker
 row is a product of nonzeros, a one-term product row reuses or scales a
@@ -30,12 +32,12 @@ Tensor products follow the row-major index convention: the composite
 index of i (x) j in V (x) W is i*dim(W) + j, and kron satisfies the
 mixed-product law with composition.
 
-A leg is a padded factor I_a (x) f (x) I_b with f real, stored as
-(a, f, b).  identity(n) returns one (f the 1x1 identity), so tensor()
-spots identities at once, and tensor() returns one whenever every factor
-but one real map is an identity or a leg.  Any other product of two real
-factors is a lazy product A (x) B (below); a complex factor, or three
-factors that make no leg, are built by kron.  Multiplying by a leg does
+A leg is a padded factor I_a (x) f (x) I_b, stored as (a, f, b).
+identity(n) returns one (f the 1x1 identity), so tensor() spots
+identities at once, and tensor() returns one whenever every factor but
+one plain map is an identity or a real leg.  Any other product of two
+factors is a lazy product A (x) B (below); three factors that make no
+leg are built by kron.  Multiplying by a leg does
 not build its rows.  Row (i, r, k) of the leg is row r of f with each
 column s moved to (i, s, k), so leg @ B sums B's rows (i, s, k) times f's
 entries.  When every row of f holds one entry, the leg's rows come in
@@ -47,7 +49,14 @@ of a leg's rows (equality, hashing, elimination, sums, a further kron,
 A @ leg for any other f) builds them once, on the leg itself.  Results are
 the same canonical maps as with the leg built.
 
-A lazy product A (x) B holds its two real factors.  X @ (A (x) B) makes
+A complex f makes a complex leg, a type of its own, so real legs keep
+their paths.  When every row of f holds one column across its real and
+imaginary parts, leg @ B gathers B's row pairs times each block's
+Gaussian-integer entry, and A @ leg moves A's columns with it; any other
+product builds the leg.
+
+A lazy product A (x) B holds its two factors; with a complex factor it
+is a type of its own.  X @ (A (x) B) makes
 row t = i * B.cod + k of the product from row i of A and row k of B only
 when a row of X uses it, inside the Gustavson loop, and keeps none of
 them; X may be complex.  Any other read of its rows or denominator
@@ -120,6 +129,88 @@ def _mul(A, B):
 def _kron(A, B, n2):
     "Sparse integer Kronecker product; only products of nonzeros are written."
     return [{j1 * n2 + j2: a * b for j1, a in Ai.items() for j2, b in Bi.items()} for Ai in A for Bi in B]
+
+
+def _zero_free(row):
+    "The row without the entries that cancelled."
+    return row if all(row.values()) else {j: x for j, x in row.items() if x}
+
+
+def _scaled(row, c):
+    "c * row for a nonzero integer c; 1 * row shares it, as rows are never mutated."
+    return row if c == 1 else {j: c * x for j, x in row.items()}
+
+
+def _cscale(p, q, x, y):
+    "The rows (re, im) of (p + q i)(x + y i), for zero-free rows x and y (y may be empty or None)."
+    if not q:
+        return _scaled(x, p), (_scaled(y, p) if y else {})
+    if not p:
+        return (_scaled(y, -q) if y else {}), _scaled(x, q)
+    re, im = {j: p * v for j, v in x.items()}, {j: q * v for j, v in x.items()}
+    if y:
+        _addmul(re, y, -q)
+        _addmul(im, y, p)
+    return re, im
+
+
+def _cmul(Ar, Ai, Br, Bi):
+    "Rows (re, im) of the complex product (Ar + i Ai) @ (Br + i Bi), both parts in one pass (Gustavson)."
+    cr, ci = [], []
+    for x, y in zip(Ar, Ai):
+        if len(x) + len(y) == 1:  # a multiple of one row pair of B
+            if x:
+                [(t, a)] = x.items()
+                re, im = _cscale(a, 0, Br[t], Bi[t])
+            else:
+                [(t, a)] = y.items()
+                re, im = _cscale(0, a, Br[t], Bi[t])
+        else:
+            re, im = {}, {}
+            gr, gi = re.get, im.get
+            for t, a in x.items():
+                for j, b in Br[t].items():
+                    re[j] = gr(j, 0) + a * b
+                for j, b in Bi[t].items():
+                    im[j] = gi(j, 0) + a * b
+            for t, a in y.items():
+                for j, b in Br[t].items():
+                    im[j] = gi(j, 0) + a * b
+                for j, b in Bi[t].items():
+                    re[j] = gr(j, 0) - a * b
+            re, im = _zero_free(re), _zero_free(im)
+        cr.append(re)
+        ci.append(im)
+    return cr, ci
+
+
+def _add_kron_pair(re, im, x, y, u, v, n2):
+    "Add the row pair (x + y i) (x) (u + v i) to the rows re and im, both parts in one pass."
+    gr, gi = re.get, im.get
+    for j1, a in x.items():
+        off = j1 * n2
+        for j2, b in u.items():
+            re[off + j2] = gr(off + j2, 0) + a * b
+        for j2, b in v.items():
+            im[off + j2] = gi(off + j2, 0) + a * b
+    for j1, a in y.items():
+        off = j1 * n2
+        for j2, b in u.items():
+            im[off + j2] = gi(off + j2, 0) + a * b
+        for j2, b in v.items():
+            re[off + j2] = gr(off + j2, 0) - a * b
+
+
+def _ckron(Ar, Ai, Br, Bi, n2):
+    "Rows (re, im) of the complex Kronecker product (Ar + i Ai) (x) (Br + i Bi)."
+    cr, ci = [], []
+    for x, y in zip(Ar, Ai):
+        for u, v in zip(Br, Bi):
+            re, im = {}, {}
+            _add_kron_pair(re, im, x, y, u, v, n2)
+            cr.append(_zero_free(re))
+            ci.append(_zero_free(im))
+    return cr, ci
 
 
 def _lincomb(A, sa, B, sb):
@@ -253,27 +344,35 @@ class LinMap:
             return NotImplemented
         if other.cod != self.dom:
             raise DimensionMismatch(f"compose: {self.cod}x{self.dom} after {other.cod}x{other.dom}")
-        if type(self) is _Leg:  # a real leg: apply it to each part of other
+        kind, other_kind = type(self), type(other)
+        if kind is _Leg:  # a real leg: apply it to each part of other
             cr, bi = self._apply(other._re), other._im
             ci = None if bi is None else self._apply(bi)
-        elif type(other) is _Kron:  # a lazy product: combine the rows of its factors that self uses
+        elif other_kind is _Kron:  # a lazy product: combine the rows of its factors that self uses
             cr, ai = other._rmul(self._re), self._im
             ci = None if ai is None else other._rmul(ai)
             return LinMap(self.cod, other.dom, cr, ci, self._den * other._A._den * other._B._den, _clean=True)
-        elif type(other) is _Leg and (other._f is _ONE or other._columns()):  # a monomial real leg: move self's columns
+        elif other_kind is _Leg and (other._f is _ONE or other._columns()):  # a monomial real leg: move self's columns
             cr, ai = other._reindex(self._re), self._im
             ci = None if ai is None else other._reindex(ai)
+        elif kind is _CLeg and self._blocks():  # a monomial complex leg: gather other's row pairs
+            cr, ci = self._gather(other._re, other._im)
+        elif other_kind is _CKron:  # a complex lazy product: combine the row pairs self uses
+            cr, ci = other._crmul(self._re, self._im)
+            return LinMap(self.cod, other.dom, cr, ci, self._den * other._A._den * other._B._den, _clean=True)
+        elif other_kind is _CLeg and other._blocks():  # a monomial complex leg: move self's columns
+            cr, ci = other._creindex(self._re, self._im)
         else:
             ar, ai, br, bi = self._re, self._im, other._re, other._im
-            cr = _mul(ar, br)
-            ci = None
             if ai is not None and bi is not None:
-                cr = _lincomb(cr, 1, _mul(ai, bi), -1)
-                ci = _lincomb(_mul(ar, bi), 1, _mul(ai, br), 1)
-            elif ai is not None:
-                ci = _mul(ai, br)
-            elif bi is not None:
-                ci = _mul(ar, bi)
+                cr, ci = _cmul(ar, ai, br, bi)
+            else:
+                cr = _mul(ar, br)
+                ci = None
+                if ai is not None:
+                    ci = _mul(ai, br)
+                elif bi is not None:
+                    ci = _mul(ar, bi)
         return LinMap(self.cod, other.dom, cr, ci, self._den * other._den, _clean=True)
 
     def __add__(self, other):
@@ -315,15 +414,15 @@ class LinMap:
         "Kronecker product; (i (x) j) -> i*other.dim + j indexing."
         n2 = other.dom
         ar, ai, br, bi = self._re, self._im, other._re, other._im
-        cr = _kron(ar, br, n2)
-        ci = None
         if ai is not None and bi is not None:
-            cr = _lincomb(cr, 1, _kron(ai, bi, n2), -1)
-            ci = _lincomb(_kron(ar, bi, n2), 1, _kron(ai, br, n2), 1)
-        elif ai is not None:
-            ci = _kron(ai, br, n2)
-        elif bi is not None:
-            ci = _kron(ar, bi, n2)
+            cr, ci = _ckron(ar, ai, br, bi, n2)
+        else:
+            cr = _kron(ar, br, n2)
+            ci = None
+            if ai is not None:
+                ci = _kron(ai, br, n2)
+            elif bi is not None:
+                ci = _kron(ar, bi, n2)
         return LinMap(self.cod * other.cod, self.dom * n2, cr, ci, self._den * other._den, _clean=True)
 
     # -- predicates --------------------------------------------------
@@ -412,14 +511,24 @@ class _Leg(LinMap):
     def _re(self):
         "The numerator rows, built on first read."
         if self._built is None:
-            b, step = self._b, self._f.dom * self._b
-            self._built = tuple([
-                {i * step + s * b + k: c for s, c in frow.items()}
-                for i in range(self._a)
-                for frow in self._f._re
-                for k in range(b)
-            ])
+            self._built = self._pad(self._f._re)
         return self._built
+
+    def _pad(self, frows):
+        "The leg's rows made from the rows frows of f."
+        b, step = self._b, self._f.dom * self._b
+        return tuple([
+            {i * step + s * b + k: c for s, c in frow.items()} for i in range(self._a) for frow in frows for k in range(b)
+        ])
+
+    def _entries(self):
+        "(column, entry) of each row of f when every row holds one entry, else None."
+        entries: list = []
+        for r in self._f._re:
+            if len(r) != 1:
+                return None
+            entries += r.items()
+        return entries
 
     def _blocks(self):
         """(starts, coefs) when every row of f holds one entry, else ().  The
@@ -427,12 +536,10 @@ class _Leg(LinMap):
         row k of block t holds coefs[t] (coefs None when every entry is 1) at
         column starts[t] + k."""
         if self._blocking is None:
-            entries: list = []  # (column, entry) of each row of f
-            for r in self._f._re:
-                if len(r) != 1:
-                    self._blocking = ()
-                    return ()
-                entries += r.items()
+            entries = self._entries()
+            if entries is None:
+                self._blocking = ()
+                return ()
             b, step = self._b, self._f.dom * self._b
             starts = [i * step + s * b for i in range(self._a) for s, _ in entries]
             coefs = None if all(c == 1 for _, c in entries) else [c for _, c in entries] * self._a
@@ -505,6 +612,80 @@ class _Leg(LinMap):
         return out
 
 
+class _CLeg(_Leg):
+    """I_a (x) f (x) I_b for a complex map f: see the module docstring.
+
+    When every row of f holds one column across its two parts, the blocks'
+    entries are Gaussian integers (p, q); any other read builds both parts
+    of the rows once, kept as the pair _built.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, a: int, f: LinMap, b: int):
+        self._a, self._f, self._b = a, f, b
+        self.cod, self.dom = a * f.cod * b, a * f.dom * b
+        self._den = f._den
+        self._built = self._blocking = self._colmap = None
+
+    def _build(self):
+        if self._built is None:
+            self._built = self._pad(self._f._re), self._pad(self._f._im)
+        return self._built
+
+    @property
+    def _re(self):
+        "The real numerator rows, built on first read."
+        return self._build()[0]
+
+    @property
+    def _im(self):
+        "The imaginary numerator rows, built on first read."
+        return self._build()[1]
+
+    def _entries(self):
+        "(column, (re, im)) of each row of f when every row holds one column across its parts, else None."
+        entries = []
+        for r, s in zip(self._f._re, self._f._im):
+            cols = r.keys() | s.keys()
+            if len(cols) != 1:
+                return None
+            [j] = cols
+            entries.append((j, (r.get(j, 0), s.get(j, 0))))
+        return entries
+
+    def _gather(self, Br, Bi):
+        """Row pairs of this leg times the rows Br + i Bi (Bi may be None), without
+        this leg's rows: row k of block t is coefs[t] times B's row starts[t] + k."""
+        starts, coefs = self._blocks()
+        b = self._b
+        cr, ci = [], []
+        for st, (p, q) in zip(starts, coefs):
+            for j in range(st, st + b):
+                re, im = _cscale(p, q, Br[j], None if Bi is None else Bi[j])
+                cr.append(re)
+                ci.append(im)
+        return cr, ci
+
+    def _creindex(self, Xr, Xi):
+        """Row pairs of the rows Xr + i Xi (Xi may be None) times this leg: column
+        t = q * b + k of X moves to column starts[q] + k, times coefs[q]."""
+        starts, coefs = self._blocks()
+        b = self._b
+        cr, ci = [], []
+        for x, y in zip(Xr, Xi or [{}] * len(Xr)):
+            re, im = {}, {}
+            gr, gi = re.get, im.get
+            for t in x.keys() | y.keys():  # (u + v i)(p + s i) moves to column j
+                q, k = divmod(t, b)
+                j, (p, s), u, v = starts[q] + k, coefs[q], x.get(t, 0), y.get(t, 0)
+                re[j] = gr(j, 0) + u * p - v * s
+                im[j] = gi(j, 0) + u * s + v * p
+            cr.append(_zero_free(re))
+            ci.append(_zero_free(im))
+        return cr, ci
+
+
 class _Kron(LinMap):
     """A (x) B for real maps A and B, held unbuilt: see the module docstring.
 
@@ -562,6 +743,38 @@ class _Kron(LinMap):
         return out
 
 
+class _CKron(_Kron):
+    """A (x) B with a complex factor, held unbuilt: see the module docstring."""
+
+    __slots__ = ()
+
+    def __init__(self, A: LinMap, B: LinMap):
+        self._A, self._B = A, B
+        self.cod, self.dom = A.cod * B.cod, A.dom * B.dom
+        self._built = None
+
+    @property
+    def _im(self):
+        "The imaginary numerator rows, which need the built map."
+        return self._build()._im
+
+    def _crmul(self, Xr, Xi):
+        """Row pairs of the rows Xr + i Xi (Xi may be None) times this product, over
+        A's and B's denominators: row t = i * B.cod + k of A (x) B is the product
+        of A's row pair i and B's row pair k, made only where X uses it."""
+        Ar, Ai, Br, Bi = self._A._re, self._A._im_rows(), self._B._re, self._B._im_rows()
+        q, n = self._B.cod, self._B.dom
+        cr, ci = [], []
+        for x, y in zip(Xr, Xi or [{}] * len(Xr)):
+            re, im = {}, {}
+            for t in x.keys() | y.keys():  # (u + v i) times A's row pair i, then (x) B's row pair k
+                i, k = divmod(t, q)
+                _add_kron_pair(re, im, *_cscale(x.get(t, 0), y.get(t, 0), Ar[i], Ai[i]), Br[k], Bi[k], n)
+            cr.append(_zero_free(re))
+            ci.append(_zero_free(im))
+        return cr, ci
+
+
 def _monomial_inverse(rows, den):
     """The inverse of the real square map with numerator rows `rows` over
     `den` when each row and each column holds one entry, else None: row i's
@@ -587,8 +800,10 @@ def _nnz_estimate(f: LinMap) -> int:
     kind = type(f)
     if kind is _Leg:  # f._f is a plain real map
         return f._a * f._b * sum(map(len, f._f._re))
-    if kind is _Kron:
+    if kind is _Kron or kind is _CKron:
         return _nnz_estimate(f._A) * _nnz_estimate(f._B)
+    if kind is _CLeg:
+        return f._a * f._b * _nnz_estimate(f._f)
     return sum(map(len, f._re)) + (sum(map(len, f._im)) if f._im is not None else 0)
 
 
@@ -646,9 +861,10 @@ def _chain(maps, plan, i, j):
 def tensor(*maps: LinMap) -> LinMap:
     """The Kronecker product of the maps, left to right.
 
-    When every factor but one real map is an identity or a leg, the
-    product is a leg; any other product of two real factors is a lazy
-    product (see the module docstring); otherwise it is built.
+    When every factor but one plain map is an identity or a real leg, the
+    product is a leg, complex when that map is; any other product of two
+    factors is a lazy product (see the module docstring); otherwise it is
+    built.
     """
     if not maps:
         raise ValueError("tensor() needs at least one map")
@@ -662,7 +878,7 @@ def tensor(*maps: LinMap) -> LinMap:
                 a *= ma * mb
             else:
                 b *= ma * mb
-        elif f is _ONE and type(mf) is LinMap and mf._im is None:
+        elif f is _ONE and type(mf) is LinMap:
             a, f, b = a * ma, mf, mb
         else:
             break
@@ -673,11 +889,11 @@ def tensor(*maps: LinMap) -> LinMap:
             return f
         if not (a * b * f.cod * f.dom):  # no entries: the plain zero map is cheaper to use
             return LinMap.zero(a * f.cod * b, a * f.dom * b)
-        return _Leg(a, f, b)
+        return _Leg(a, f, b) if f._im is None else _CLeg(a, f, b)
     if len(maps) == 2:
         A, B = maps
-        if isinstance(A, LinMap) and isinstance(B, LinMap) and A._im is None and B._im is None:
-            return _Kron(A, B)
+        if isinstance(A, LinMap) and isinstance(B, LinMap):  # a complex leg or lazy factor is built here
+            return _Kron(A, B) if A._im is None and B._im is None else _CKron(A, B)
     out = maps[0]
     for f in maps[1:]:
         out = out.tensor(f)

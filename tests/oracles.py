@@ -8,8 +8,10 @@ used, so these can serve as independent cross-checks of derived maps.
 import json
 
 from braidcalc.algebras import FiniteDimAlgebra
+from braidcalc.bundles import Bundle
+from braidcalc.calculi import FirstOrderCalculus
 from braidcalc.groups import MultiBraidedGroup
-from braidcalc.linalg import LinMap
+from braidcalc.linalg import AntilinMap, LinMap
 from braidcalc.scalars import Q
 
 
@@ -219,6 +221,67 @@ def mirror(g):
     braiding = LinMap.from_entries(n * n, n * n, [[g.braiding.entry(flip(r), flip(c)) for c in nn] for r in nn])
     alg = FiniteDimAlgebra(n, g.unit, mult, g.alg.labels)
     return MultiBraidedGroup(alg, cop, g.counit, g.antipode, braiding)
+
+
+_POWERS_OF_I = (Q(1), Q(0, 1), Q(-1), Q(0, -1))
+
+
+def _phase(index, slots):
+    "k with D's entry i^k at a composite index: the sum of its digits in the slots that D acts on."
+    k = 0
+    for size, acted in reversed(slots):
+        index, digit = divmod(index, size)
+        k += digit if acted else 0
+    return k
+
+
+def _phased_map(f, out_slots, in_slots, sign=-1):
+    "Every entry (r, c) of f times i^(phase(r) + sign * phase(c)), so D f D^-1 for sign -1."
+    rows = [[Q(0)] * f.dom for _ in range(f.cod)]
+    for r in range(f.cod):
+        for c in f.support(r):
+            rows[r][c] = f.entry(r, c) * _POWERS_OF_I[(_phase(r, out_slots) + sign * _phase(c, in_slots)) % 4]
+    return LinMap.from_entries(f.cod, f.dom, rows)
+
+
+def phased(bundle):
+    """The bundle in the basis D e_k, D = diag(i^k): the metamorphic phase oracle.
+
+    Every structure map is conjugated by D on each group slot (m becomes
+    D m (D^-1 (x) D^-1), and so on), a calculus keeps its module basis (only
+    the group slots of mgl, mgr and d change), an ideal generator v becomes
+    D v, and the star lin carries over as D lin conj(D)^-1 = D lin D.  The
+    maps are scaled entry by entry, with no composition.  D commutes with
+    the flip, so a flip braiding stays real; the unit and the product
+    become complex, and the other maps may.
+    """
+    g = bundle.group
+    n = g.dim
+    one, a, aa = ((1, False),), ((n, True),), ((n, True), (n, True))
+    alg = FiniteDimAlgebra(n, _phased_map(g.unit, a, one), _phased_map(g.mult, a, aa), g.alg.labels)
+    group = MultiBraidedGroup(
+        alg,
+        _phased_map(g.coproduct, aa, a),
+        _phased_map(g.counit, one, a),
+        _phased_map(g.antipode, a, a),
+        _phased_map(g.braiding, aa, aa),
+    )
+    star = None if bundle.star is None else AntilinMap(_phased_map(bundle.star.lin, a, a, sign=1))
+    calculi = []
+    for c in bundle.calculi:
+        m = ((c.gdim, False),)
+        calculi.append(
+            FirstOrderCalculus(
+                group,
+                c.gdim,
+                _phased_map(c.mgl, m, ((n, True), (c.gdim, False))),
+                _phased_map(c.mgr, m, ((c.gdim, False), (n, True))),
+                _phased_map(c.d, m, a),
+                name=c.name,
+            )
+        )
+    ideals = [(name, [[x * _POWERS_OF_I[k % 4] for k, x in enumerate(v)] for v in vectors]) for name, vectors in bundle.ideals]
+    return Bundle(group, star, calculi, ideals)
 
 
 def emit_report(report, engine_version, input_digest=""):

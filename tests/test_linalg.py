@@ -23,7 +23,10 @@ from braidcalc.linalg import (
     solve_right,
     tensor,
     transpose,
+    _CKron,
+    _CLeg,
     _Kron,
+    _Leg,
 )
 from braidcalc.scalars import Q
 
@@ -271,18 +274,24 @@ def test_compose_matches_oracle():
 # a nonzero denominator, mostly zero; the reference is the same matrix as
 # dense rows of Q entries, operated on with plain index loops.
 
-_NUMERATORS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+_NUMERATORS = (0, 0, 0, 0, 1, -1, 2, -3)
 _PROPS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 @st.composite
 def gaussian_maps(draw, cod=None, dom=None):
-    "(LinMap built from dense numerator rows, the same map as dense Q rows)."
+    """(LinMap built from dense numerator rows, the same map as dense Q rows).
+
+    The shape, then whether the map is complex, then the numerators in one
+    draw: a byte string of fixed size, each byte picking from _NUMERATORS,
+    for the real rows followed by the imaginary rows if any."""
     cod = draw(st.integers(0, 4)) if cod is None else cod
     dom = draw(st.integers(0, 4)) if dom is None else dom
-    rows = st.lists(st.lists(_NUMERATORS, min_size=dom, max_size=dom), min_size=cod, max_size=cod)
-    re = draw(rows)
-    im = draw(st.none() | rows)
+    parts = 1 + draw(st.booleans())
+    size = parts * cod * dom
+    flat = [_NUMERATORS[x % len(_NUMERATORS)] for x in draw(st.binary(min_size=size, max_size=size))]
+    rows = [flat[i * dom : (i + 1) * dom] for i in range(parts * cod)]
+    re, im = rows[:cod], rows[cod:] if parts == 2 else None
     den = draw(st.integers(-6, 6).filter(bool))
     ref = [
         [Q(Fraction(re[i][j], den), Fraction(im[i][j] if im else 0, den)) for j in range(dom)]
@@ -694,7 +703,7 @@ def test_equality_is_a_zero_difference(shaped, pairs, k):
 
 # -- padded Kronecker legs against the eager product --------------------------
 #
-# tensor() returns I_a (x) f (x) I_b unbuilt when every factor but one real f is
+# tensor() returns I_a (x) f (x) I_b unbuilt when every factor but one map f is
 # an identity.  Products with it, and every read of its rows, must give exactly
 # the maps the Kronecker chain LinMap.tensor builds from plain identities.
 
@@ -711,7 +720,10 @@ def eager_tensor(*maps):
     return out
 
 
-LEG_KINDS = ("general", "monomial", "permutation")
+REAL_KINDS = ("general", "monomial", "permutation")
+COMPLEX_KINDS = ("phased", "gaussian")
+LEG_KINDS = REAL_KINDS + COMPLEX_KINDS
+MONOMIAL_KINDS = ("monomial", "permutation", "phased")
 
 
 @st.composite
@@ -730,13 +742,38 @@ def real_maps(draw, kind):
     return LinMap(p, q, draw(rows), den=den)
 
 
+@st.composite
+def complex_maps(draw, kind):
+    """A complex map of the kind, expanded from one drawn seed, over a denominator:
+    "phased" has one entry per row, a phase (1, i, -1 or -i) times a small
+    integer, columns may repeat; "gaussian" has Gaussian-integer entries,
+    mostly zero.  Its first row always holds an imaginary entry."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p, q = rng.randint(1, 3), rng.randint(1, 3)
+    re, im = [{} for _ in range(p)], [{} for _ in range(p)]
+    for i in range(p):
+        if kind == "phased":  # the phase i^k, k = 1 or 3 in the first row
+            k = rng.randrange(4) if i else rng.choice([1, 3])
+            (im if k % 2 else re)[i][rng.randrange(q)] = rng.choice([1, 1, 2, 3]) * (1 if k < 2 else -1)
+        else:
+            for j in range(q):
+                re[i][j], im[i][j] = rng.choice([0, 0, 1, -1, 2]), rng.choice([0, 0, 1, -2])
+    if not any(im[0].values()):
+        im[0][rng.randrange(q)] = 1
+    return LinMap(p, q, re, im, rng.choice([1, 2, -3, 6]))
+
+
+def leg_factors(kind):
+    return complex_maps(kind) if kind in COMPLEX_KINDS else real_maps(kind)
+
+
 _LEG_PROPS = settings(derandomize=True, max_examples=100, deadline=None)
 
 
 @st.composite
 def legs_with_neighbours(draw, kind):
     "(a, f, b, A, B) with f of the kind and A @ (I_a (x) f (x) I_b) @ B defined; A and B may be complex."
-    f = draw(real_maps(kind))
+    f = draw(leg_factors(kind))
     a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     (A, _), (B, _) = draw(gaussian_maps(m, a * f.cod * b)), draw(gaussian_maps(a * f.dom * b, n))
@@ -753,9 +790,12 @@ def test_padded_leg_products_match_the_eager_product(kind, data):
     def leg():  # a new, unbuilt leg for each use
         return tensor(identity(a), f, identity(b))
 
+    left, right = leg(), leg()
+    if a * b > 1 and f.cod * f.dom:
+        assert type(left) is (_Leg if f.is_real() else _CLeg)
     for got, want in [
-        (leg() @ B, eager @ B),
-        (A @ leg(), A @ eager),
+        (left @ B, eager @ B),
+        (A @ right, A @ eager),
         (compose(A, leg(), B), compose(A, eager, B)),
         (leg() @ identity(eager.dom), eager),
         (identity(eager.cod) @ leg(), eager),
@@ -764,6 +804,10 @@ def test_padded_leg_products_match_the_eager_product(kind, data):
     ]:
         assert got == want
         assert_canonical(got)
+    if isinstance(left, _Leg) and kind != "gaussian":  # a complex leg is applied unbuilt only when monomial
+        assert left._built is None, "leg @ B built the leg"
+    if isinstance(right, _Leg) and kind in MONOMIAL_KINDS:
+        assert right._built is None, "A @ leg built the leg"
 
 
 @pytest.mark.parametrize("kind", LEG_KINDS)
@@ -815,15 +859,20 @@ def test_monomial_inverse_matches_elimination(f):
 
 # -- lazy Kronecker products against the eager product ------------------------
 #
-# tensor() returns A (x) B unbuilt for two real factors that make no leg.
+# tensor() returns A (x) B unbuilt for two factors that make no leg.
 # X @ K reads only the rows of A and B that X uses; every other read builds K
 # once, through LinMap.tensor.  Results must be exactly the eager product's.
 
 
 @st.composite
-def lazy_factors(draw):
-    "Real (A, B), general, monomial or permutations, possibly zero-dimensional."
-    return tuple(draw(real_maps(draw(st.sampled_from(LEG_KINDS)))) for _ in range(2))
+def lazy_factors(draw, complex_):
+    """(A, B), general, monomial or permutations, real ones possibly
+    zero-dimensional; with complex_ one of them is complex."""
+    A, B = (draw(real_maps(draw(st.sampled_from(REAL_KINDS)))) for _ in range(2))
+    if complex_:
+        f = draw(complex_maps(draw(st.sampled_from(COMPLEX_KINDS))))
+        A, B = (f, B) if draw(st.booleans()) else (A, f)
+    return A, B
 
 
 @st.composite
@@ -833,25 +882,27 @@ def real_gaussian_maps(draw, cod, dom):
     return f + f.conj()
 
 
-@given(lazy_factors(), st.integers(0, 3), st.data())
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@given(m=st.integers(0, 3), data=st.data())
 @_LEG_PROPS
-def test_lazy_product_times_a_left_factor_matches_the_eager_product(factors, m, data):
-    A, B = factors
+def test_lazy_product_times_a_left_factor_matches_the_eager_product(complex_, m, data):
+    A, B = data.draw(lazy_factors(complex_))
     eager = A.tensor(B)
     X, _ = data.draw(gaussian_maps(m, eager.cod))
     for left in (X + X.conj(), X.scale(Q(1, 1))):  # real, and complex unless X is zero
         K = tensor(A, B)
-        assert type(K) is _Kron
+        assert type(K) is (_CKron if complex_ else _Kron)
         got = left @ K
         assert K._built is None, "X @ K built K"
         assert got == left @ eager
         assert_canonical(got)
 
 
-@given(lazy_factors(), st.integers(0, 3), st.data())
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@given(n=st.integers(0, 3), data=st.data())
 @_LEG_PROPS
-def test_lazy_product_reads_as_its_eager_twin(factors, n, data):
-    A, B = factors
+def test_lazy_product_reads_as_its_eager_twin(complex_, n, data):
+    A, B = data.draw(lazy_factors(complex_))
     eager = A.tensor(B)
 
     def lazy():  # a new, unbuilt product for each read

@@ -5,6 +5,8 @@
 The rungs are fixed:
   z{n}_d1          the d1 ideal (generated by the delta function at 1) of
                    functions on Z/n, n = 8, 12, 16, 20, 24
+  z16_d1_phased    z16_d1 in the basis i^k e_k (tests/oracles.py `phased`):
+                   the same verdicts from a complex unit and product
   z{n}_universal   the universal calculus of functions on Z/n, n = 4, 6, 8
   fix_a4_range{k}  bundles/fix_a4.json with `--range k`, k = 2, 4, 8
   fix_k2_range{k}  bundles/fix_k2.json with `--range k`, k = 2, 8: its
@@ -44,9 +46,10 @@ ROOT = Path(__file__).resolve().parent.parent
 MEM_CAP_MB = 1024
 TIMEOUT_S = 300
 
-# name -> (bundle: ("d1" | "universal", n) or a bundle file name, extra check arguments)
+# name -> (bundle: ("d1" | "d1_phased" | "universal", n) or a bundle file name, extra check arguments)
 RUNGS = {
     **{f"z{n}_d1": (("d1", n), []) for n in (8, 12, 16, 20, 24)},
+    "z16_d1_phased": (("d1_phased", 16), []),
     **{f"z{n}_universal": (("universal", n), []) for n in (4, 6, 8)},
     **{f"fix_a4_range{k}": ("fix_a4.json", ["--range", str(k)]) for k in (2, 4, 8)},
     **{f"fix_k2_range{k}": ("fix_k2.json", ["--range", str(k)]) for k in (2, 8)},
@@ -59,13 +62,19 @@ def generate(kind: str, n: int, path: str):
     from braidcalc.covariance import reconstruct_from_ideal, universal_ideals
     from braidcalc.fixtures import _delta_group, conjugation_star
     from braidcalc.reporting import Report
+    from braidcalc.scalars import Q
 
     g = _delta_group(n, tuple(f"d_{i}" for i in range(n)))
-    if kind == "d1":
-        bundle = Bundle(g, conjugation_star(g), [], [("d1", [["1" if j == 1 else "0" for j in range(n)]])])
-    else:
+    if kind == "universal":
         universal = reconstruct_from_ideal(g, universal_ideals(g)["zero"], Report(), name="universal")
         bundle = Bundle(g, conjugation_star(g), [universal], [])
+    else:
+        bundle = Bundle(g, conjugation_star(g), [], [("d1", [[Q(int(j == 1)) for j in range(n)]])])
+        if kind == "d1_phased":
+            sys.path.insert(0, str(ROOT / "tests"))
+            from oracles import phased
+
+            bundle = phased(bundle)
     Path(path).write_text(emit_bundle(bundle))
 
 
