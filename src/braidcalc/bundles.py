@@ -147,7 +147,7 @@ def parse_bundle(text: str) -> Bundle:
     if not isinstance(data, dict):
         raise ParseError("<document>", "bundle must be a JSON object")
     version = data.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # JSON true equals 1 but is no version
         raise ParseError("format_version", f"unsupported version {version}")
     gobj = _require(data, "group", "<document>")
     dim = _require(gobj, "dim", "group")

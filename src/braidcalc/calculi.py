@@ -10,7 +10,7 @@ factoring through iota and verifies the full identity battery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .groups import MultiBraidedGroup
 from .linalg import (
@@ -42,6 +42,8 @@ class FirstOrderCalculus:
     mgr: LinMap
     d: LinMap
     name: str = "calculus"
+    # (side, braid) -> the solved flip, filled by flip_for
+    _flips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.group.dim
@@ -129,26 +131,34 @@ def solve_flip(c: FirstOrderCalculus, braid: LinMap, direction: str = "left", la
     return FlipOver(direction, label, x, inv)
 
 
+def flip_for(c: FirstOrderCalculus, braid: LinMap, side: str, label) -> FlipOver:
+    """The flip of `braid` on `side`, labelled `label`.
+
+    Each distinct braid, compared by value, is solved once per side and
+    calculus and kept on the calculus.  A failure is not kept, so the
+    NotCovariant or NotBijective message names the label it was asked under.
+    """
+    flip = c._flips.get((side, braid))
+    if flip is None:
+        flip = c._flips[side, braid] = solve_flip(c, braid, side, label)
+    return flip if flip.label == label else FlipOver(side, label, flip.map, flip.inverse)
+
+
 def solve_flips(c: FirstOrderCalculus, shift_range: int = 2) -> dict:
     """Left and right flips of every shifted braiding sigma_n.
 
     The table spans [-2K, 2K] so that identities indexed by sums of two
-    shifts in [-K, K] stay inside the table.  Equal shifts are one braid
-    object, and each distinct one is solved once per side, at its first
-    shift in ascending order, so a NotCovariant or NotBijective message
-    names that shift.  Every entry is labelled with its own shift, and the
-    entries of one braid share its `map` and `inverse`.
+    shifts in [-K, K] stay inside the table.  The shifts are taken in
+    ascending order, left before right, through flip_for, so a distinct
+    braid is solved at its first shift and a NotCovariant or NotBijective
+    message names that shift.  Every entry is labelled with its own shift,
+    and the entries of equal braids share their `map` and `inverse`.
     """
     table = {"left": {}, "right": {}}
-    solved: dict = {}
     for n in range(-2 * shift_range, 2 * shift_range + 1):
         braid = c.group.sigma_n(n)
         for side in ("left", "right"):
-            key = (side, id(braid))
-            if key not in solved:
-                solved[key] = solve_flip(c, braid, side, label=n)
-            first = solved[key]
-            table[side][n] = first if first.label == n else FlipOver(side, n, first.map, first.inverse)
+            table[side][n] = flip_for(c, braid, side, n)
     return table
 
 
@@ -167,8 +177,8 @@ def check_flip_identities(c: FirstOrderCalculus, left: FlipOver, right: FlipOver
     The left flip's identities, the two-sided compatibility EQ_232, then
     the right flip's identities.  FLIP_INV_L (FLIP_INV_R) asks that the
     inverse of the left (right) flip be the right (left) flip of the
-    inverse braid; that flip is solved here, labelled ("inv", label), so a
-    failed solve's reason names the flip's shift.
+    inverse braid; that flip is taken from flip_for, labelled
+    ("inv", label), so a failed solve's reason names the flip's shift.
     """
     n = c.group.dim
     I, Ig = identity(n), identity(c.gdim)
@@ -193,7 +203,7 @@ def check_flip_identities(c: FirstOrderCalculus, left: FlipOver, right: FlipOver
     )
     s_inv = s.inverse()
     try:
-        rep.check_eq("FLIP_INV_L", left.inverse, solve_flip(c, s_inv, "right", label=("inv", left.label)).map)
+        rep.check_eq("FLIP_INV_L", left.inverse, flip_for(c, s_inv, "right", ("inv", left.label)).map)
     except (NotCovariant, NotBijective) as exc:
         rep.fail("FLIP_INV_L", {"reason": str(exc)})
     rep.check_eq(
@@ -214,7 +224,7 @@ def check_flip_identities(c: FirstOrderCalculus, left: FlipOver, right: FlipOver
     rep.check_eq("EQ_230", compose(tensor(mgl, I), tensor(I, rs), tensor(s, Ig)), rs @ tensor(I, mgl))
     rep.check_surjective("RFLIP_SURJ", rs)
     try:
-        rep.check_eq("FLIP_INV_R", right.inverse, solve_flip(c, s_inv, "left", label=("inv", right.label)).map)
+        rep.check_eq("FLIP_INV_R", right.inverse, flip_for(c, s_inv, "left", ("inv", right.label)).map)
     except (NotCovariant, NotBijective) as exc:
         rep.fail("FLIP_INV_R", {"reason": str(exc)})
     return rep

@@ -196,15 +196,15 @@ def _restrict_flips(g: MultiBraidedGroup, side: str, incl: LinMap, pi: LinMap, p
             raise error(f"invariant flip restriction undefined: {exc}") from exc
         rep.check_eq(eq, restricted @ t(pi, I), rhs)
     else:
-        restrictions = {}  # id of a distinct flip map -> its restriction, solved at its first shift
+        restrictions = {}  # a distinct flip map -> its restriction, solved at its first shift
         I_incl, incl_I = t(I, incl), t(incl, I)
         pi_hat_I, I_pi_hat_tau = t(pi_hat, I), t(I, pi_hat) @ g.tau
         once = Verdicts(rep)
         for k in sorted(flips[side]):
             flip = flips[side][k].map
-            if id(flip) not in restrictions:
-                restrictions[id(flip)] = solve_right(I_incl, flip @ incl_I)
-            if restrictions[id(flip)] is None:
+            if flip not in restrictions:
+                restrictions[flip] = solve_right(I_incl, flip @ incl_I)
+            if restrictions[flip] is None:
                 rep.fail(f"{name}_RESTRICT_n{k}", {"reason": "flip does not preserve the invariant subspace"})
                 continue
             once.check(f"{eq}_n{k}", (flip,), lambda key: rep.check_eq(key, flip @ pi_hat_I, I_pi_hat_tau))

@@ -6,9 +6,8 @@ family sigma_n = (sigma tau^-1)^(n-1) sigma, the simplified product
 m0 = m tau^-1 sigma and the adjoint action are derived and cached (a
 paranoid verification pass recomputes tau and the shifts on a fresh clone
 and compares); kappa0, the antipode of m0, is derived on each call.
-Equal shifts are one object: sigma_n returns the earlier cached sigma_m
-it equals, so the checks over the shift family key their verdicts by map
-identity and decide each distinct one once.
+Equal shifts may be distinct objects: the checks over the shift family
+key their verdicts by the maps' values and decide each distinct one once.
 """
 
 from __future__ import annotations
@@ -114,14 +113,7 @@ class MultiBraidedGroup:
     def sigma_n(self, n: int) -> LinMap:
         if abs(n) > SIGMA_CAP:
             raise ValueError(f"shift {n} beyond the bound {SIGMA_CAP}")
-        return self._derived(("sigma_n", n), lambda: self._shared_shift(_sigma_n_raw(self, n)))
-
-    def _shared_shift(self, f: LinMap) -> LinMap:
-        "The earlier cached shift equal to f, or f when there is none."
-        for key, earlier in self._cache.items():
-            if isinstance(key, tuple) and key[0] == "sigma_n" and earlier == f:
-                return earlier
-        return f
+        return self._derived(("sigma_n", n), lambda: _sigma_n_raw(self, n))
 
     def uncached_clone(self) -> "MultiBraidedGroup":
         return MultiBraidedGroup(self.alg, self.coproduct, self.counit, self.antipode, self.braiding)
@@ -135,8 +127,7 @@ def derive_tau(g: MultiBraidedGroup) -> LinMap:
     """
     n = g.dim
     I = identity(n)
-    s = g.braiding
-    s_inv = s.inverse()
+    s, s_inv = g.braiding, g.sigma_inv
     left = compose(tensor(g.counit, I, I), tensor(s_inv, I), tensor(I, g.coproduct), s)
     right = compose(tensor(I, I, g.counit), tensor(I, s_inv), tensor(g.coproduct, I), s)
     if left != right:

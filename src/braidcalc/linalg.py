@@ -249,7 +249,7 @@ def _rows_key(rows):
 
 
 class LinMap:
-    __slots__ = ("dom", "cod", "_re", "_im", "_den")
+    __slots__ = ("dom", "cod", "_re", "_im", "_den", "_hash")
 
     def __init__(self, cod: int, dom: int, re_rows, im_rows=None, den: int = 1, *, _clean: bool = False):
         """Entries (re + i im)/den, rows given as dense integer sequences or as
@@ -449,8 +449,13 @@ class LinMap:
         )
 
     def __hash__(self):
-        im = None if self._im is None else _rows_key(self._im)
-        return hash((self.dom, self.cod, self._den, _rows_key(self._re), im))
+        "The hash of the entries, computed on the first call and kept: a map never changes."
+        try:
+            return self._hash
+        except AttributeError:
+            im = None if self._im is None else _rows_key(self._im)
+            self._hash = hash((self.dom, self.cod, self._den, _rows_key(self._re), im))
+            return self._hash
 
     def __repr__(self):
         return f"LinMap({self.cod}x{self.dom})"

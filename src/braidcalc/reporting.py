@@ -160,13 +160,11 @@ class Verdicts:
     """The verdicts of one call's shift loops, each distinct identity decided once.
 
     A verdict is keyed by its equation, which the entry key `EQ_<id>_<shifts>`
-    (as `EQ_242_n1_m-1`) carries before its second `_`, and the `id`s of the
-    flip and braid maps that enter it.  Equal shifted braidings are one
-    object, and so are their flips, so the shifts that name one map share
-    its verdicts.  A repeat adds the stored entry under its own key without
-    building either side.  Only entries are stored, never the products of a
-    check; the key maps are held so that no `id` is reused while the memo
-    lives.
+    (as `EQ_242_n1_m-1`) carries before its second `_`, and the flip and
+    braid maps that enter it, compared by value, so the shifts whose maps
+    are equal share its verdicts.  A repeat adds the stored entry under its
+    own key without building either side.  Only entries are stored, never
+    the products of a check.
     """
 
     def __init__(self, report: Report):
@@ -178,13 +176,12 @@ class Verdicts:
         parts = key.split("_", 2)
         if len(parts) < 3:
             raise ValueError(f"verdict key {key!r} has no shift suffix")
-        ident = (f"{parts[0]}_{parts[1]}", *map(id, maps))
-        seen = self._seen.get(ident)
-        if seen is None:
+        ident = (f"{parts[0]}_{parts[1]}", *maps)
+        first = self._seen.get(ident)
+        if first is None:
             run(key)
-            self._seen[ident] = (self.report.entries[-1], maps)
+            self._seen[ident] = self.report.entries[-1]
         else:
-            first = seen[0]
             self.report.add(Entry(key, first.status, first.ctx, first.name, first.witness, first.note))
 
 

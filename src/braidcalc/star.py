@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bicovariance import KappaData
-from .calculi import FirstOrderCalculus, NotBijective, NotCovariant, solve_flip
+from .calculi import FirstOrderCalculus, NotBijective, NotCovariant, flip_for
 from .covariance import LeftCovariantData, RightCovariantData
 from .groups import MultiBraidedGroup
 from .linalg import (
@@ -157,23 +157,16 @@ def check_star_flip_compat(
     n, gd = g.dim, c.gdim
     psi = permutation_map([1, 0], [n, n])
     star = sg.star
-    # the flips of each distinct shift's conjugate, keyed by the cached shift and
-    # solved once; a failure names its shift, so each shift that meets it solves again
-    conj_flips: dict = {}
     once = Verdicts(rep)
     for k in range(-shift_range, shift_range + 1):
-        sk = g.sigma_n(k)
-        if id(sk) not in conj_flips:
-            conj_braid = compose(psi, sk.inverse(), psi)
-            try:
-                lb = solve_flip(c, conj_braid, "left", label=("conj", k))
-                rb = solve_flip(c, conj_braid, "right", label=("conj", k))
-            except (NotCovariant, NotBijective) as exc:
-                rep.fail(f"EQ_69_n{k}", {"reason": str(exc)})
-                rep.fail(f"EQ_610_n{k}", {"reason": str(exc)})
-                continue
-            conj_flips[id(sk)] = (lb.map, rb.map)
-        lb_map, rb_map = conj_flips[id(sk)]
+        conj_braid = compose(psi, g.sigma_n(k).inverse(), psi)
+        try:
+            lb_map = flip_for(c, conj_braid, "left", ("conj", k)).map
+            rb_map = flip_for(c, conj_braid, "right", ("conj", k)).map
+        except (NotCovariant, NotBijective) as exc:
+            rep.fail(f"EQ_69_n{k}", {"reason": str(exc)})
+            rep.fail(f"EQ_610_n{k}", {"reason": str(exc)})
+            continue
         ls, rs = flips["left"][k].map, flips["right"][k].map
         once.check(
             f"EQ_69_n{k}",

@@ -135,11 +135,10 @@ def _flip_battery(c: FirstOrderCalculus, rep: Report, shift_range: int, note: st
     """Solve the flip table and check every flip identity; the table, or None when a flip is missing.
 
     The battery of a shift is checked once per distinct braiding and pair
-    of flips, keyed by the `id`s of their maps (the table and the group's
-    shift cache hold them, so no `id` is reused), and its entries, which
-    name no shift, are added again at each shift that shares them.  A
-    failing FLIP_INV entry may name its shift, so its block is checked at
-    every shift.
+    of flips, keyed by the values of the braid and of both flips and their
+    inverses, and its entries, which name no shift, are added again at each
+    shift that shares them.  A failing FLIP_INV entry may name its shift,
+    so its block is checked at every shift.
     """
     g = c.group
     try:
@@ -154,7 +153,7 @@ def _flip_battery(c: FirstOrderCalculus, rep: Report, shift_range: int, note: st
     blocks: dict = {}
     for k in range(-shift_range, shift_range + 1):
         left, right, sk = flips["left"][k], flips["right"][k], g.sigma_n(k)
-        key = tuple(map(id, (sk, left.map, left.inverse, right.map, right.inverse)))
+        key = (sk, left.map, left.inverse, right.map, right.inverse)
         block = blocks.get(key)
         if block is None:
             block = check_flip_identities(c, left, right, sk, Report(ctx=rep.ctx))

@@ -132,6 +132,8 @@ def test_zero_dim_calculus_roundtrip(gr):
         (lambda d: d["group"].update(basis_labels=5), "group.basis_labels"),
         (lambda d: d["ideals"][0].update(name=[1]), "ideals[0].name"),
         (lambda d: d["calculi"][0].update(name=5), "calculi[0].name"),
+        (lambda d: d.update(format_version=True), "format_version"),
+        (lambda d: d.update(format_version="1"), "format_version"),
         (lambda d: d["group"].update(dim=True), "group.dim"),
         (lambda d: d["calculi"][0].update(gdim=True), "calculi[0].gdim"),
         (lambda d: d["ideals"][1].update(name="zero"), "ideals[1].name"),
@@ -144,6 +146,8 @@ def test_zero_dim_calculus_roundtrip(gr):
         "labels-not-list",
         "ideal-name-not-string",
         "calculus-name-not-string",
+        "version-boolean",
+        "version-string",
         "dim-boolean",
         "gdim-boolean",
         "ideal-name-repeated",

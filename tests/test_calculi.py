@@ -83,7 +83,7 @@ def test_solve_flip_satisfies_defining_equation(k2_universal, k2_flips):
 
 
 def _counting_solve_flip(monkeypatch) -> list:
-    "Wrap `solve_flip` as `solve_flips` calls it; the list collects (side, label) per call."
+    "Wrap `solve_flip` as `flip_for` calls it; the list collects (side, label) per call."
     calls = []
     raw = calculi.solve_flip
 
@@ -201,18 +201,19 @@ def _inverse_solves(calls: list) -> list:
 
 def test_flip_battery_runs_once_per_distinct_shift(monkeypatch, k2, k2_universal):
     # Z/3: every shift is one braid with one pair of flips; K2 under
-    # u_basis_flip_k2: the even and the odd shifts are two braids
+    # u_basis_flip_k2: the even and the odd shifts are two braids; on both,
+    # every inverse braid is a shift, whose flips the calculus already holds
     z3_universal = _z3_universal()
     batteries, solves = _counting_battery(monkeypatch), _counting_solve_flip(monkeypatch)
     verify.verify_bundle(Bundle(z3_universal.group, conjugation_star(z3_universal.group), [z3_universal], []))
     assert batteries == [-2]
-    assert _inverse_solves(solves) == [("inv", -2), ("inv", -2)]
+    assert _inverse_solves(solves) == []
     batteries.clear()
     solves.clear()
     rep = Report(ctx="calculus:universal")
     verify._flip_battery(_k2_sigma_ne_tau(k2, k2_universal), rep, 2)
     assert batteries == [-2, -1]
-    assert len(_inverse_solves(solves)) == 4
+    assert _inverse_solves(solves) == []
     assert [e.id for e in rep.entries].count("EQ_232") == 5
 
 
@@ -239,14 +240,14 @@ def test_flip_battery_shares_only_equal_blocks(monkeypatch, k2_universal, k2_fli
 
 
 def test_flip_battery_inverse_failure_names_each_shift(monkeypatch, k2_universal):
-    raw = calculi.solve_flip
+    raw = calculi.flip_for
 
-    def failing(c, braid, direction="left", label=None):
+    def failing(c, braid, side, label):
         if isinstance(label, tuple) and label[0] == "inv":
-            raise NotCovariant(f"{direction} flip for {label!r}: no factorization")
-        return raw(c, braid, direction, label)
+            raise NotCovariant(f"{side} flip for {label!r}: no factorization")
+        return raw(c, braid, side, label)
 
-    monkeypatch.setattr(calculi, "solve_flip", failing)
+    monkeypatch.setattr(calculi, "flip_for", failing)
     batteries = _counting_battery(monkeypatch)
     rep = Report(ctx="calculus:universal")
     verify._flip_battery(k2_universal, rep, 2)
@@ -254,6 +255,16 @@ def test_flip_battery_inverse_failure_names_each_shift(monkeypatch, k2_universal
     for key, side in (("FLIP_INV_L", "right"), ("FLIP_INV_R", "left")):
         reasons = [e.witness["reason"] for e in rep.entries if e.id == key]
         assert reasons == [f"{side} flip for ('inv', {k}): no factorization" for k in range(-2, 3)]
+
+
+def test_calculus_section_solves_one_flip_per_side(monkeypatch):
+    # on Z/3 every shift, its inverse and its star conjugate are one braid, so
+    # the flip table, the FLIP_INV checks and the star battery share two solves
+    c = _z3_universal()
+    solves = _counting_solve_flip(monkeypatch)
+    rep = verify.verify_calculus_section(Bundle(c.group, conjugation_star(c.group), [c], []), c, 2)
+    assert {"FLIP_INV_L", "FLIP_INV_R", "EQ_69_n0", "EQ_610_n0"} <= set(rep.ids())
+    assert solves == [("left", -4), ("right", -4)]
 
 
 # -- tau flip -----------------------------------------------------------------

@@ -117,6 +117,19 @@ def test_verdicts_never_share_between_equations_on_the_same_maps():
     assert rep.ids() == ["EQ_B7_n0_m1", "EQ_B8_n0_m1", "EQ_B8_n1_m0"]
 
 
+def test_verdicts_share_between_distinct_equal_maps_only():
+    twin = with_column(A, 1, [0, -2])
+    assert twin is not A and twin == A
+    rep = Report(ctx="t")
+    once = Verdicts(rep)
+    ran = []
+    for key, f in (("EQ_B7_n0", A), ("EQ_B7_n1", twin), ("EQ_B7_n2", with_column(A, 1, [0, 5]))):
+        once.check(key, (f,), lambda k: ran.append(k) or rep.check_eq(k, f, A))
+    assert ran == ["EQ_B7_n0", "EQ_B7_n2"]
+    assert rep.ids() == ["EQ_B7_n0", "EQ_B7_n1", "EQ_B7_n2"]
+    assert [e.status for e in rep.entries] == [PASS, PASS, FAIL]
+
+
 def test_verdicts_reject_a_key_without_a_shift_suffix():
     with pytest.raises(ValueError, match="EQ_B7"):
         _run_verdicts(["EQ_B7"], (A,))
