@@ -1,7 +1,8 @@
 """Command-line surface: batch verification over bundle files.
 
 Exit codes: 0 all checks pass, 1 verification failures, 2 input errors,
-141 when the reader closes stdout early (as a SIGPIPE kill would).
+3 out of memory (one stderr line names the MemoryError; no report is
+written), 141 when the reader closes stdout early (as a SIGPIPE kill would).
 A machine-readable report is always written for outcomes 0 and 1.
 """
 
@@ -126,6 +127,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except MemoryError:
+        # Running out of memory is not a verdict on the input: no report, and
+        # an exit code of its own rather than a traceback and the failure code 1.
+        print(f"out of memory: MemoryError in {args.command}; no report written", file=sys.stderr)
+        return 3
 
 
 def _run(args, bundle: Bundle) -> int:

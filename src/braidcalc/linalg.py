@@ -20,7 +20,11 @@ Elimination (rank, kernel, image, solve, inverse, quotient, span and
 intersection) is fraction-free Gauss-Jordan over Z[i] on the same sparse
 integer rows.  The reduced row echelon form of a row space is unique, so
 echelon bases, least-structure solutions, inverses and quotient
-projections are exactly those of dense elimination over Q(i).
+projections are exactly those of dense elimination over Q(i).  A real
+map's rank, kernel, image and solve eliminate its {col: int} rows alone,
+with no imaginary part, and keep an index from each non-pivot column to
+the pivot rows that hold it: a new pivot clears its column from those
+rows only, so the work follows the nonzeros, not the rank squared.
 
 A Subspace is the elimination's own output: its primitive pivot rows over
 Z[i].  Membership, sums, intersections, images and quotients all run on
@@ -37,17 +41,21 @@ identity(n) returns one (f the 1x1 identity), so tensor() spots
 identities at once, and tensor() returns one whenever every factor but
 one plain map is an identity or a real leg.  Any other product of two
 factors is a lazy product A (x) B (below); three factors that make no
-leg are built by kron.  Multiplying by a leg does
-not build its rows.  Row (i, r, k) of the leg is row r of f with each
-column s moved to (i, s, k), so leg @ B sums B's rows (i, s, k) times f's
-entries.  When every row of f holds one entry, the leg's rows come in
-blocks that hand on B's rows as they are (times the entry, and 1 * row
-shares the row), found from one start column per block; and A @ leg moves
-column t of A to the one column of leg row t, found from its block's start
-for the columns A uses.  A leg computes its blocks once.  Any other read
-of a leg's rows (equality, hashing, elimination, sums, a further kron,
-A @ leg for any other f) builds them once, on the leg itself.  Results are
-the same canonical maps as with the leg built.
+leg are built by kron.  Multiplying by a leg does not build its rows, and
+an identity returns the other factor as it is.  Row (i, r, k) of the leg
+is row r of f with each column s moved to (i, s, k), so leg @ B sums B's
+rows (i, s, k) times f's entries, and X @ leg adds, for each entry x at
+column t = (i, r, k) of a row of X, x times that row of the leg: only the
+leg rows that X uses are read, from f.  When every row of f holds one
+entry, the leg's rows come in blocks that hand on B's rows as they are
+(times the entry, and 1 * row shares the row), found from one start column
+per block; and when those entries are 1 in distinct columns, X @ leg moves
+each column t of X to the one column of leg row t.  A leg computes its
+blocks once.  When B is itself an unbuilt real leg or lazy product, leg @ B
+makes each row of B when the leg reads it and keeps none.  Any other read
+of a leg's rows (equality, hashing, elimination, sums, a further kron)
+builds them once, on the leg itself, and later products use those rows.
+Results are the same canonical maps as with the leg built.
 
 A complex f makes a complex leg, a type of its own, so real legs keep
 their paths.  When every row of f holds one column across its real and
@@ -59,11 +67,13 @@ A lazy product A (x) B holds its two factors; with a complex factor it
 is a type of its own.  X @ (A (x) B) makes
 row t = i * B.cod + k of the product from row i of A and row k of B only
 when a row of X uses it, inside the Gustavson loop, and keeps none of
-them; X may be complex.  Any other read of its rows or denominator
-(equality, hashing, elimination, transpose, (A (x) B) @ Y, a leg applied
-to it, a further tensor factor) builds it once, on the object itself,
-through LinMap.tensor.  compose() orders a chain by estimated nonzeros,
-so a lazy product meets a thin left factor: see its docstring.
+them; X may be complex.  A real leg applied to it reads its rows the same
+way, over the factors' denominators.  Any other read of its rows or
+denominator (equality, hashing, elimination, transpose, (A (x) B) @ Y, a
+complex leg applied to it, a further tensor factor) builds it once, on the
+object itself, through LinMap.tensor.  compose() orders a chain by
+estimated nonzeros, so a lazy product meets a thin left factor: see its
+docstring.
 
 Zero-dimensional spaces are fully supported (maps with dom or cod 0);
 identities over them hold vacuously.
@@ -72,6 +82,7 @@ identities over them hold vacuously.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .scalars import Q
@@ -345,14 +356,21 @@ class LinMap:
         if other.cod != self.dom:
             raise DimensionMismatch(f"compose: {self.cod}x{self.dom} after {other.cod}x{other.dom}")
         kind, other_kind = type(self), type(other)
+        if kind is _Leg and self._f is _ONE:
+            return other
+        if other_kind is _Leg and other._f is _ONE:
+            return self
         if kind is _Leg:  # a real leg: apply it to each part of other
-            cr, bi = self._apply(other._re), other._im
-            ci = None if bi is None else self._apply(bi)
+            if (other_kind is _Leg or other_kind is _Kron) and other._built is None:  # other's rows made as read
+                den = other._A._den * other._B._den if other_kind is _Kron else other._den
+                return LinMap(self.cod, other.dom, self._apply(other._row), None, self._den * den, _clean=True)
+            cr, bi = self._apply(other._re.__getitem__), other._im
+            ci = None if bi is None else self._apply(bi.__getitem__)
         elif other_kind is _Kron:  # a lazy product: combine the rows of its factors that self uses
             cr, ai = other._rmul(self._re), self._im
             ci = None if ai is None else other._rmul(ai)
             return LinMap(self.cod, other.dom, cr, ci, self._den * other._A._den * other._B._den, _clean=True)
-        elif other_kind is _Leg and (other._f is _ONE or other._columns()):  # a monomial real leg: move self's columns
+        elif other_kind is _Leg and other._built is None:  # an unbuilt real leg: spread self's columns over f's rows
             cr, ai = other._reindex(self._re), self._im
             ci = None if ai is None else other._reindex(ai)
         elif kind is _CLeg and self._blocks():  # a monomial complex leg: gather other's row pairs
@@ -463,8 +481,8 @@ class LinMap:
     # -- elimination-backed operations --------------------------------
 
     def _rows(self):
-        "Numerator rows as (re, im) pairs, im None for a real map; the denominator does not change the row space."
-        return zip(self._re, self._im) if self._im is not None else ((r, None) for r in self._re)
+        "Numerator rows for _eliminate: real rows, else (re, im) pairs; the denominator does not change the row space."
+        return self._re if self._im is None else zip(self._re, self._im)
 
     def rank(self) -> int:
         return len(_eliminate(self._rows()))
@@ -489,12 +507,13 @@ class LinMap:
 
     def kernel(self) -> "Subspace":
         re, im, _ = _nullspace(_eliminate(self._rows()), self.dom)
-        return Subspace(self.dom, _eliminate(zip(re, im)))
+        return Subspace(self.dom, _eliminate(re if self._im is None else zip(re, im)))
 
     def image(self) -> "Subspace":
         cols = _transpose_rows(self._re, self.dom)
-        im = [None] * self.dom if self._im is None else _transpose_rows(self._im, self.dom)
-        return Subspace(self.cod, _eliminate(zip(cols, im)))
+        if self._im is not None:
+            cols = zip(cols, _transpose_rows(self._im, self.dom))
+        return Subspace(self.cod, _eliminate(cols))
 
 
 class _Leg(LinMap):
@@ -551,68 +570,72 @@ class _Leg(LinMap):
             self._blocking = starts, coefs
         return self._blocking
 
-    def _columns(self):
-        """(starts, coefs, distinct) when every row of f holds one entry: the
-        blocks, and whether no two leg rows share a column.  () for any other f."""
+    def _moves(self):
+        """The blocks' starts when every entry of f is 1, one per row, and no two
+        leg rows share a column: column t then moves to starts[t // b] + t % b.
+        () for any other f."""
         if self._colmap is None:
             blocks = self._blocks()
-            self._colmap = (*blocks, len(set(blocks[0])) == len(blocks[0])) if blocks else ()
+            moves = blocks and blocks[1] is None and len({s for s, _ in self._entries()}) == self._f.cod
+            self._colmap = blocks[0] if moves else ()
         return self._colmap
 
+    def _row(self, t):
+        "Row t = (i, r, k) of this leg, made alone: row r of f with each column s moved to (i, s, k)."
+        b, f = self._b, self._f
+        i, rk = divmod(t, f.cod * b)
+        r, k = divmod(rk, b)
+        off = i * f.dom * b + k
+        return {off + s * b: c for s, c in f._re[r].items()}
+
     def _apply(self, B):
-        "Rows of this leg times the rows B, without this leg's rows."
-        if self._f is _ONE:
-            return B
+        """Rows of this leg, not an identity, times the map whose row t is B(t),
+        without this leg's rows; B's rows are read where the leg uses them."""
         b, blocks = self._b, self._blocks()
         if blocks:  # row k of block t is coefs[t] times B's row starts[t] + k; 1 * row shares it
             starts, coefs = blocks
             if coefs is None:
-                return [B[j] for j in starts] if b == 1 else [B[j] for st in starts for j in range(st, st + b)]
-            if b == 1:
-                return [B[j] if c == 1 else {col: c * x for col, x in B[j].items()} for j, c in zip(starts, coefs)]
-            return [
-                B[j] if c == 1 else {col: c * x for col, x in B[j].items()}
-                for st, c in zip(starts, coefs)
-                for j in range(st, st + b)
-            ]
+                return list(map(B, starts)) if b == 1 else [B(j) for st in starts for j in range(st, st + b)]
+            return [_scaled(B(j), c) for st, c in zip(starts, coefs) for j in range(st, st + b)]
         out = []
         step = self._f.dom * b
         for i in range(self._a):
             for frow in self._f._re:
                 if len(frow) == 1:
                     [(s, c)] = frow.items()
-                    block = B[i * step + s * b : i * step + s * b + b]
-                    out.extend(block if c == 1 else [{j: c * x for j, x in r.items()} for r in block])
+                    st = i * step + s * b
+                    out.extend(_scaled(B(j), c) for j in range(st, st + b))
                     continue
                 for k in range(b):
                     row: dict = {}
                     get = row.get
                     for s, c in frow.items():
-                        for j, x in B[i * step + s * b + k].items():
+                        for j, x in B(i * step + s * b + k).items():
                             row[j] = get(j, 0) + c * x
                     out.append(row if all(row.values()) else {j: x for j, x in row.items() if x})
         return out
 
     def _reindex(self, A):
-        """Rows of the rows A times this leg: column t = q * b + k of A moves to
-        column starts[q] + k, times coefs[q].  Only the columns A uses are
-        mapped; a map of every leg row would hold cod integers."""
-        if self._f is _ONE:
-            return A
-        starts, coefs, distinct = self._columns()
-        b = self._b
-        if distinct and coefs is None:
+        """Rows of the rows A times this leg, without this leg's rows: entry x at
+        column t = (i, r, k) of A adds x times row r of f, each column s moved
+        to (i, s, k).  Only the leg rows A uses are read."""
+        starts, b = self._moves(), self._b
+        if starts:  # each column moves to a column of its own
             if b == 1:
                 return [{starts[t]: x for t, x in Ai.items()} for Ai in A]
             return [{starts[t // b] + t % b: x for t, x in Ai.items()} for Ai in A]
+        frows, q, step = self._f._re, self._f.cod, self._f.dom * b
         out = []
         for Ai in A:
             row: dict = {}
             get = row.get
             for t, x in Ai.items():
-                q, k = divmod(t, b)
-                j = starts[q] + k
-                row[j] = get(j, 0) + (x if coefs is None else x * coefs[q])
+                ir, k = divmod(t, b)
+                i, r = divmod(ir, q)
+                off = i * step + k
+                for s, c in frows[r].items():
+                    j = off + s * b
+                    row[j] = get(j, 0) + x * c
             out.append(row if all(row.values()) else {j: x for j, x in row.items() if x})
         return out
 
@@ -730,9 +753,7 @@ class _Kron(LinMap):
         for Xi in X:
             if len(Xi) == 1:  # a multiple of one row: products of nonzeros
                 [(t, x)] = Xi.items()
-                i, k = divmod(t, q)
-                Bk = B[k].items()
-                out.append({j1 * n + j2: x * a * b for j1, a in A[i].items() for j2, b in Bk})
+                out.append(_scaled(self._row(t), x))
                 continue
             row: dict = {}
             get = row.get
@@ -746,6 +767,12 @@ class _Kron(LinMap):
                         row[j] = get(j, 0) + xa * b
             out.append(row if all(row.values()) else {j: v for j, v in row.items() if v})
         return out
+
+    def _row(self, t):
+        "Row t = i * B.cod + k of this product, made alone over A's and B's denominators: A's row i (x) B's row k."
+        i, k = divmod(t, self._B.cod)
+        n, Bk = self._B.dom, self._B._re[k].items()
+        return {j1 * n + j2: a * b for j1, a in self._A._re[i].items() for j2, b in Bk}
 
 
 class _CKron(_Kron):
@@ -1006,9 +1033,66 @@ def _eliminate(rows) -> dict:
     becomes a new pivot, made a positive integer (times the conjugate of a
     complex pivot) with the row's integer content divided out, and that
     column is cleared from the earlier pivot rows.  Returns {pivot column:
-    row}: divided by their pivots and sorted by column, the rows are the
+    (re, im)}: divided by their pivots and sorted by column, the rows are the
     reduced row echelon form of the rows' span, which is unique.
+
+    The rows are (re, im) pairs, im None or empty for a real row, or, for a
+    real span, {col: int} dicts: those run without an imaginary part, and
+    with an index from each non-pivot column to the pivot rows that hold
+    it, so a new pivot clears only those rows.
     """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return {}
+    rows = chain((first,), rows)
+    if type(first) is dict:
+        return {c: (row, {}) for c, row in _eliminate_real(rows).items()}
+    return _eliminate_pairs(rows)
+
+
+def _eliminate_real(rows) -> dict:
+    "_eliminate on real rows: {pivot column: row}."
+    piv: dict = {}
+    holders: dict = {}  # non-pivot column -> pivot columns whose rows held it when made; stale ones are skipped
+    for row in rows:
+        hits = [c for c in row if c in piv]
+        if hits:
+            den = lcm(*(piv[c][c] for c in hits))
+            out = {j: den * x for j, x in row.items()}
+            for c in hits:
+                _addmul(out, piv[c], -row[c] * (den // piv[c][c]))
+            row = out
+        if not row:
+            continue
+        c = min(row)
+        g = gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = {j: x // g for j, x in row.items()}
+        p = row[c]
+        for d in holders.pop(c, ()):
+            q = piv[d]
+            a = q.get(c)
+            if a is None:
+                continue
+            new = {j: p * x for j, x in q.items()}
+            _addmul(new, row, -a)
+            g = gcd(*new.values())
+            piv[d] = new if g == 1 else {j: x // g for j, x in new.items()}
+            for j in row:
+                if j not in q:
+                    holders.setdefault(j, []).append(d)
+        piv[c] = row
+        for j in row:
+            if j != c:
+                holders.setdefault(j, []).append(c)
+    return piv
+
+
+def _eliminate_pairs(rows) -> dict:
+    "_eliminate on row pairs."
     piv: dict = {}
     for row in rows:
         re, im = _reduce(row, piv)
@@ -1064,10 +1148,13 @@ def solve_right(A: LinMap, B: LinMap) -> LinMap | None:
     k, n = A.dom, B.dom
     g = gcd(A._den, B._den)
     sa, sb = B._den // g, A._den // g  # [A | B] times lcm(denominators)
-    rows = [
-        ({**_moved(ar, 0, sa), **_moved(br, k, sb)}, {**_moved(ai, 0, sa), **_moved(bi, k, sb)})
-        for ar, ai, br, bi in zip(A._re, A._im_rows(), B._re, B._im_rows())
-    ]
+    if A._im is None and B._im is None:
+        rows = [{**_moved(ar, 0, sa), **_moved(br, k, sb)} for ar, br in zip(A._re, B._re)]
+    else:
+        rows = [
+            ({**_moved(ar, 0, sa), **_moved(br, k, sb)}, {**_moved(ai, 0, sa), **_moved(bi, k, sb)})
+            for ar, ai, br, bi in zip(A._re, A._im_rows(), B._re, B._im_rows())
+        ]
     piv = _eliminate(rows)
     if any(c >= k for c in piv):
         return None

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import braidcalc
+import braidcalc.cli
 from braidcalc.bundles import Bundle, emit_bundle, parse_bundle
 from braidcalc.cli import main
 from braidcalc.fixtures import _delta_group, conjugation_star
-from braidcalc.linalg import LinMap
+from braidcalc.linalg import LinMap, _Leg
 from braidcalc.verify import run_covariance_mode, verify_bundle
 
 BUNDLE_DIR = Path(__file__).resolve().parent.parent / "bundles"
@@ -278,18 +279,41 @@ def test_z8_ideal_check_fits_in_one_gib(tmp_path):
 
 
 def test_z8_ideal_check_builds_no_large_kronecker_product(tmp_path, monkeypatch):
-    "No Kronecker product of more than 4096 rows is built for the d1 ideal on Z/8 (phi (x) act has 24576)."
+    """No Kronecker product or leg of more than 384 rows (n * 48, tensor(m, iota_l) and
+    tensor(unit, I) of the ideal section) is built for the d1 ideal on Z/8:
+    EQ_B2B's tensor(ad, phi) has 4096 rows and phi (x) act 24576."""
     n = 8
     g = _delta_group(n, tuple(f"d_{i}" for i in range(n)))
     path = tmp_path / "z8_d1.json"
     path.write_text(emit_bundle(Bundle(g, conjugation_star(g), [], [("d1", [["1" if j == 1 else "0" for j in range(n)]])])))
-    built = []
-    eager = LinMap.tensor
+    built, padded = [], []
+    eager, pad = LinMap.tensor, _Leg._pad
 
     def recorded(f, h):
         built.append(f.cod * h.cod)
         return eager(f, h)
 
+    def recorded_pad(leg, frows):
+        padded.append(leg.cod)
+        return pad(leg, frows)
+
     monkeypatch.setattr(LinMap, "tensor", recorded)
+    monkeypatch.setattr(_Leg, "_pad", recorded_pad)
     assert main(["check", str(path), "-o", str(tmp_path / "rep.json")]) == 0
-    assert built and max(built) <= 4096
+    assert built and max(built) <= 384
+    assert padded and max(padded) <= 384
+
+
+def test_out_of_memory_exits_3_without_a_report(workdir, monkeypatch, capsys):
+    "A MemoryError is no verification failure: exit 3, one stderr line naming it, no traceback, no report."
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(braidcalc.cli, "verify_bundle", exhausted)
+    report = workdir / "rep.json"
+    assert main(["check", str(workdir / "fix_k2.json"), "-o", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert "MemoryError" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not report.exists()

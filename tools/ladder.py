@@ -4,10 +4,11 @@
 
 The rungs are fixed:
   z{n}_d1          the d1 ideal (generated by the delta function at 1) of
-                   functions on Z/n, n = 8, 12, 16, 20, 24
+                   functions on Z/n, n = 8, 12, 16, 20, 24, 32
   z16_d1_phased    z16_d1 in the basis i^k e_k (tests/oracles.py `phased`):
                    the same verdicts from a complex unit and product
-  z{n}_universal   the universal calculus of functions on Z/n, n = 4, 6, 8
+  z{n}_universal   the universal calculus of functions on Z/n, n = 4, 6, 8,
+                   10, 12
   fix_a4_range{k}  bundles/fix_a4.json with `--range k`, k = 2, 4, 8
   fix_k2_range{k}  bundles/fix_k2.json with `--range k`, k = 2, 8: its
                    calculus shift loops grow as (2k+1)^3
@@ -48,9 +49,9 @@ TIMEOUT_S = 300
 
 # name -> (bundle: ("d1" | "d1_phased" | "universal", n) or a bundle file name, extra check arguments)
 RUNGS = {
-    **{f"z{n}_d1": (("d1", n), []) for n in (8, 12, 16, 20, 24)},
+    **{f"z{n}_d1": (("d1", n), []) for n in (8, 12, 16, 20, 24, 32)},
     "z16_d1_phased": (("d1_phased", 16), []),
-    **{f"z{n}_universal": (("universal", n), []) for n in (4, 6, 8)},
+    **{f"z{n}_universal": (("universal", n), []) for n in (4, 6, 8, 10, 12)},
     **{f"fix_a4_range{k}": ("fix_a4.json", ["--range", str(k)]) for k in (2, 4, 8)},
     **{f"fix_k2_range{k}": ("fix_k2.json", ["--range", str(k)]) for k in (2, 8)},
 }
