@@ -17,20 +17,23 @@ what cancels as they are built.  Only rows handed to LinMap from outside
 (dense rows, or dict rows from a caller) are scanned for zeros.
 
 Elimination (rank, kernel, image, solve, inverse, quotient, span and
-intersection) is fraction-free Gauss-Jordan over Z[i] on the same sparse
-integer rows.  The reduced row echelon form of a row space is unique, so
-echelon bases, least-structure solutions, inverses and quotient
-projections are exactly those of dense elimination over Q(i).  A real
-map's rank, kernel, image and solve eliminate its {col: int} rows alone,
-with no imaginary part, and keep an index from each non-pivot column to
-the pivot rows that hold it: a new pivot clears its column from those
-rows only, so the work follows the nonzeros, not the rank squared.
+intersection) is fraction-free Gauss-Jordan over Z on the same sparse
+integer rows, with one pivot loop.  The reduced row echelon form of a row
+space is unique, so echelon bases, least-structure solutions, inverses and
+quotient projections are exactly those of dense elimination over Q(i).
+Real rows are eliminated as they are.  Complex rows are realified: column
+j splits into columns 2j and 2j + 1, and each row v is fed as v and i v,
+whose span over Q is the span of the rows over Q(i); the echelon rows at
+the even pivots, split back, are the echelon rows over Q(i) (see
+_eliminate).  The loop keeps an index from each non-pivot column to the
+pivot rows that hold it: a new pivot clears its column from those rows
+only, so the work follows the nonzeros, not the rank squared.
 
 A Subspace is the elimination's own output: its primitive pivot rows over
 Z[i].  Membership, sums, intersections, images and quotients all run on
-those rows.  Q values appear only at the edge: entries read from or built
-into a map, vectors handed to spanned_by or contains, and the echelon
-basis rendered for a witness.
+those rows, realified when a side is complex.  Q values appear only at the
+edge: entries read from or built into a map, vectors handed to spanned_by
+or contains, and the echelon basis rendered for a witness.
 
 Tensor products follow the row-major index convention: the composite
 index of i (x) j in V (x) W is i*dim(W) + j, and kron satisfies the
@@ -50,12 +53,13 @@ leg rows that X uses are read, from f.  When every row of f holds one
 entry, the leg's rows come in blocks that hand on B's rows as they are
 (times the entry, and 1 * row shares the row), found from one start column
 per block; and when those entries are 1 in distinct columns, X @ leg moves
-each column t of X to the one column of leg row t.  A leg computes its
-blocks once.  When B is itself an unbuilt real leg or lazy product, leg @ B
-makes each row of B when the leg reads it and keeps none.  Any other read
-of a leg's rows (equality, hashing, elimination, sums, a further kron)
-builds them once, on the leg itself, and later products use those rows.
-Results are the same canonical maps as with the leg built.
+each column t of X to the one column of leg row t.  The blocks are found
+from f's rows for each product and not kept.  When B is itself an unbuilt
+real leg or lazy product, leg @ B makes each row of B when the leg reads it
+and keeps none.  Any other read of a leg's rows (equality, hashing,
+elimination, sums, a further kron) builds them once, on the leg itself, and
+later products use those rows.  Results are the same canonical maps as with
+the leg built.
 
 A complex f makes a complex leg, a type of its own, so real legs keep
 their paths.  When every row of f holds one column across its real and
@@ -312,6 +316,8 @@ class LinMap:
     # -- entry access ------------------------------------------------
 
     def entry(self, i: int, j: int) -> Q:
+        if not 0 <= i < self.cod:
+            raise IndexError(f"row {i} outside range({self.cod})")
         if not 0 <= j < self.dom:
             raise IndexError(f"column {j} outside range({self.dom})")
         re = self._re[i].get(j, 0)
@@ -373,13 +379,13 @@ class LinMap:
         elif other_kind is _Leg and other._built is None:  # an unbuilt real leg: spread self's columns over f's rows
             cr, ai = other._reindex(self._re), self._im
             ci = None if ai is None else other._reindex(ai)
-        elif kind is _CLeg and self._blocks():  # a monomial complex leg: gather other's row pairs
-            cr, ci = self._gather(other._re, other._im)
+        elif kind is _CLeg and (blocks := self._blocks()):  # a monomial complex leg: gather other's row pairs
+            cr, ci = self._gather(blocks, other._re, other._im)
         elif other_kind is _CKron:  # a complex lazy product: combine the row pairs self uses
             cr, ci = other._crmul(self._re, self._im)
             return LinMap(self.cod, other.dom, cr, ci, self._den * other._A._den * other._B._den, _clean=True)
-        elif other_kind is _CLeg and other._blocks():  # a monomial complex leg: move self's columns
-            cr, ci = other._creindex(self._re, self._im)
+        elif other_kind is _CLeg and (blocks := other._blocks()):  # a monomial complex leg: move self's columns
+            cr, ci = other._creindex(blocks, self._re, self._im)
         else:
             ar, ai, br, bi = self._re, self._im, other._re, other._im
             if ai is not None and bi is not None:
@@ -519,17 +525,17 @@ class LinMap:
 class _Leg(LinMap):
     """I_a (x) f (x) I_b for a real map f, held as (a, f, b): see the module docstring.
 
-    The built rows and the blocks are kept once computed.
+    The built rows are kept once computed.
     """
 
-    __slots__ = ("_a", "_f", "_b", "_built", "_blocking", "_colmap")
+    __slots__ = ("_a", "_f", "_b", "_built")
 
     def __init__(self, a: int, f: LinMap, b: int):
         self._a, self._f, self._b = a, f, b
         self.cod, self.dom = a * f.cod * b, a * f.dom * b
         self._im = None
         self._den = f._den  # the leg's entries are f's; tensor() makes no empty leg but identity(0)
-        self._built = self._blocking = self._colmap = None
+        self._built = None
 
     @property
     def _re(self):
@@ -558,27 +564,14 @@ class _Leg(LinMap):
         """(starts, coefs) when every row of f holds one entry, else ().  The
         leg's rows come in blocks of b, one block per row (i, r) of I_a (x) f:
         row k of block t holds coefs[t] (coefs None when every entry is 1) at
-        column starts[t] + k."""
-        if self._blocking is None:
-            entries = self._entries()
-            if entries is None:
-                self._blocking = ()
-                return ()
-            b, step = self._b, self._f.dom * self._b
-            starts = [i * step + s * b for i in range(self._a) for s, _ in entries]
-            coefs = None if all(c == 1 for _, c in entries) else [c for _, c in entries] * self._a
-            self._blocking = starts, coefs
-        return self._blocking
-
-    def _moves(self):
-        """The blocks' starts when every entry of f is 1, one per row, and no two
-        leg rows share a column: column t then moves to starts[t // b] + t % b.
-        () for any other f."""
-        if self._colmap is None:
-            blocks = self._blocks()
-            moves = blocks and blocks[1] is None and len({s for s, _ in self._entries()}) == self._f.cod
-            self._colmap = blocks[0] if moves else ()
-        return self._colmap
+        column starts[t] + k.  Computed for each product, and not kept."""
+        entries = self._entries()
+        if entries is None:
+            return ()
+        b, step = self._b, self._f.dom * self._b
+        starts = [i * step + s * b for i in range(self._a) for s, _ in entries]
+        coefs = None if all(c == 1 for _, c in entries) else [c for _, c in entries] * self._a
+        return starts, coefs
 
     def _row(self, t):
         "Row t = (i, r, k) of this leg, made alone: row r of f with each column s moved to (i, s, k)."
@@ -619,12 +612,14 @@ class _Leg(LinMap):
         """Rows of the rows A times this leg, without this leg's rows: entry x at
         column t = (i, r, k) of A adds x times row r of f, each column s moved
         to (i, s, k).  Only the leg rows A uses are read."""
-        starts, b = self._moves(), self._b
-        if starts:  # each column moves to a column of its own
+        frows, q, b = self._f._re, self._f.cod, self._b
+        step = self._f.dom * b
+        cols = [s for r in frows if len(r) == 1 for s, c in r.items() if c == 1]
+        if len(cols) == q == len(set(cols)):  # each row of f holds one 1, in a column of its own
             if b == 1:
-                return [{starts[t]: x for t, x in Ai.items()} for Ai in A]
-            return [{starts[t // b] + t % b: x for t, x in Ai.items()} for Ai in A]
-        frows, q, step = self._f._re, self._f.cod, self._f.dom * b
+                return [{t // q * step + cols[t % q]: x for t, x in Ai.items()} for Ai in A]
+            qb = q * b
+            return [{t // qb * step + cols[t // b % q] * b + t % b: x for t, x in Ai.items()} for Ai in A]
         out = []
         for Ai in A:
             row: dict = {}
@@ -654,7 +649,7 @@ class _CLeg(_Leg):
         self._a, self._f, self._b = a, f, b
         self.cod, self.dom = a * f.cod * b, a * f.dom * b
         self._den = f._den
-        self._built = self._blocking = self._colmap = None
+        self._built = None
 
     def _build(self):
         if self._built is None:
@@ -682,10 +677,11 @@ class _CLeg(_Leg):
             entries.append((j, (r.get(j, 0), s.get(j, 0))))
         return entries
 
-    def _gather(self, Br, Bi):
+    def _gather(self, blocks, Br, Bi):
         """Row pairs of this leg times the rows Br + i Bi (Bi may be None), without
-        this leg's rows: row k of block t is coefs[t] times B's row starts[t] + k."""
-        starts, coefs = self._blocks()
+        this leg's rows: row k of block t is coefs[t] times B's row starts[t] + k,
+        for the leg's blocks (starts, coefs)."""
+        starts, coefs = blocks
         b = self._b
         cr, ci = [], []
         for st, (p, q) in zip(starts, coefs):
@@ -695,10 +691,11 @@ class _CLeg(_Leg):
                 ci.append(im)
         return cr, ci
 
-    def _creindex(self, Xr, Xi):
+    def _creindex(self, blocks, Xr, Xi):
         """Row pairs of the rows Xr + i Xi (Xi may be None) times this leg: column
-        t = q * b + k of X moves to column starts[q] + k, times coefs[q]."""
-        starts, coefs = self._blocks()
+        t = q * b + k of X moves to column starts[q] + k, times coefs[q], for the
+        leg's blocks (starts, coefs)."""
+        starts, coefs = blocks
         b = self._b
         cr, ci = [], []
         for x, y in zip(Xr, Xi or [{}] * len(Xr)):
@@ -962,10 +959,10 @@ def permutation_map(perm, dims) -> LinMap:
     return LinMap(total, total, rows, _clean=True)
 
 
-# -- fraction-free elimination over Z[i] --------------------------------
+# -- fraction-free elimination over Z -------------------------------------
 #
-# A row is a pair (re, im) of {col: int} dicts; an input row may have im
-# None.  Rows are never mutated, so map rows are passed in as they are.
+# A row is a {col: int} dict; a complex row re + i im is realified first (see
+# _eliminate).  Rows are never mutated, so map rows are passed in as they are.
 
 
 def _addmul(out, row, k):
@@ -979,90 +976,93 @@ def _addmul(out, row, k):
             del out[j]
 
 
-def _submul(re, im, a, b, q):
-    "(re, im) -= (a + b i) * q in place."
-    if a:
-        _addmul(re, q[0], -a)
-        _addmul(im, q[1], -a)
-    if b:
-        _addmul(im, q[0], -b)
-        _addmul(re, q[1], b)
-
-
-def _combine(s, r, a, b, q):
-    "The row s*r - (a + b i)*q, for an integer s and Gaussian integer a + b i."
-    re = {j: s * x for j, x in r[0].items()} if s else {}
-    im = {j: s * x for j, x in r[1].items()} if s else {}
-    _submul(re, im, a, b, q)
-    return re, im
-
-
 def _moved(row, off=0, s=1):
     "The row times s, its columns shifted by off."
     return {j + off: s * x for j, x in row.items()}
 
 
-def _primitive(re, im):
-    "The row divided by the gcd of its integer parts."
-    g = gcd(*re.values(), *im.values())
-    if g == 1:
-        return re, im
-    return {j: x // g for j, x in re.items()}, {j: x // g for j, x in im.items()}
+def _realified(re, im):
+    """The integer rows v and i v for v = re + i im: column j of v becomes
+    column 2j (its real part) and column 2j + 1 (its imaginary part)."""
+    v = {2 * j: x for j, x in re.items()}
+    iv = {2 * j + 1: x for j, x in re.items()}
+    for j, y in im.items():
+        v[2 * j + 1] = y
+        iv[2 * j] = -y
+    return v, iv
+
+
+def _complexified(row):
+    "The pair (re, im) whose realified row is row."
+    re, im = {}, {}
+    for j, x in row.items():
+        if j & 1:
+            im[j >> 1] = x
+        else:
+            re[j >> 1] = x
+    return re, im
 
 
 def _reduce(row, piv):
     """The row with every pivot column of piv cleared: L*row minus (L/p_c)*row[c]
     times pivot row c, L the lcm of the pivots p_c met.  Pivot rows hold no other
     pivot column, so all of them apply at once to the original entries."""
-    re, im = row[0], row[1] or {}
-    hits = [c for c in (re.keys() | im.keys() if im else re) if c in piv]
+    hits = [c for c in row if c in piv]
     if not hits:
-        return re, im
-    den = lcm(*(piv[c][0][c] for c in hits))
-    out = _moved(re, 0, den), _moved(im, 0, den)
+        return row
+    den = lcm(*(piv[c][c] for c in hits))
+    out = {j: den * x for j, x in row.items()}
     for c in hits:
-        k = den // piv[c][0][c]
-        _submul(*out, re.get(c, 0) * k, im.get(c, 0) * k, piv[c])
+        _addmul(out, piv[c], -row[c] * (den // piv[c][c]))
     return out
 
 
 def _eliminate(rows) -> dict:
-    """Fraction-free incremental Gauss-Jordan elimination over Z[i].
+    """Fraction-free incremental Gauss-Jordan elimination; returns {pivot
+    column: (re, im)}: divided by their pivots and sorted by column, the rows
+    are the reduced row echelon form of the rows' span over Q(i), which is
+    unique.  Each row is primitive (the gcd of its integer parts is 1) and has
+    a positive integer pivot.
 
-    Each row is reduced against the pivot rows so far; its leading column
-    becomes a new pivot, made a positive integer (times the conjugate of a
-    complex pivot) with the row's integer content divided out, and that
-    column is cleared from the earlier pivot rows.  Returns {pivot column:
-    (re, im)}: divided by their pivots and sorted by column, the rows are the
-    reduced row echelon form of the rows' span, which is unique.
-
-    The rows are (re, im) pairs, im None or empty for a real row, or, for a
-    real span, {col: int} dicts: those run without an imaginary part, and
-    with an index from each non-pivot column to the pivot rows that hold
-    it, so a new pivot clears only those rows.
+    The rows are {col: int} dicts for a real span, or (re, im) pairs.  Real
+    rows, and pairs whose im parts are all empty, run through _eliminate_real
+    directly.  Complex rows are realified: each v = re + i im is fed as the two
+    integer rows v and i v, column j split into 2j and 2j + 1 (_realified).
+    The Q(i)-span of the rows is the Q-span of those rows, so its pivots come
+    in pairs (2c, 2c + 1).  If r is the echelon row over Q(i) at c (r[c] = 1),
+    the rows realified from r and i r are 1 at 2c and 2c + 1 respectively, 0
+    at the other's pivot, and 0 at every other pivot column: they are the
+    echelon rows over Q at 2c and 2c + 1.  Both echelon forms are unique, so
+    the row at 2c is the primitive integer multiple of r realified, and split
+    back into a pair it is the row at c.
     """
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
         return {}
     rows = chain((first,), rows)
-    if type(first) is dict:
-        return {c: (row, {}) for c, row in _eliminate_real(rows).items()}
-    return _eliminate_pairs(rows)
+    if type(first) is not dict:
+        pairs = list(rows)
+        if any(im for _, im in pairs):
+            piv = _eliminate_real(chain.from_iterable(_realified(re, im) for re, im in pairs))
+            return {c >> 1: _complexified(row) for c, row in piv.items() if not c & 1}
+        rows = (re for re, _ in pairs)
+    return {c: (row, {}) for c, row in _eliminate_real(rows).items()}
 
 
 def _eliminate_real(rows) -> dict:
-    "_eliminate on real rows: {pivot column: row}."
+    """The pivot loop of _eliminate, on integer rows: {pivot column: row}.
+
+    Each row is reduced against the pivot rows so far; its leading column
+    becomes a new pivot, made positive with the row's integer content
+    divided out, and that column is cleared from the earlier pivot rows that
+    hold it, found through an index from each non-pivot column to the pivot
+    rows that held it, so the work follows the nonzeros.
+    """
     piv: dict = {}
     holders: dict = {}  # non-pivot column -> pivot columns whose rows held it when made; stale ones are skipped
     for row in rows:
-        hits = [c for c in row if c in piv]
-        if hits:
-            den = lcm(*(piv[c][c] for c in hits))
-            out = {j: den * x for j, x in row.items()}
-            for c in hits:
-                _addmul(out, piv[c], -row[c] * (den // piv[c][c]))
-            row = out
+        row = _reduce(row, piv)
         if not row:
             continue
         c = min(row)
@@ -1088,29 +1088,6 @@ def _eliminate_real(rows) -> dict:
         for j in row:
             if j != c:
                 holders.setdefault(j, []).append(c)
-    return piv
-
-
-def _eliminate_pairs(rows) -> dict:
-    "_eliminate on row pairs."
-    piv: dict = {}
-    for row in rows:
-        re, im = _reduce(row, piv)
-        if not re and not im:
-            continue
-        c = min(re.keys() | im.keys()) if im else min(re)
-        a, b = re.get(c, 0), im.get(c, 0)
-        if b:
-            re, im = _combine(a, (re, im), 0, b, (re, im))
-        elif a < 0:
-            re, im = _moved(re, 0, -1), _moved(im, 0, -1)
-        new = _primitive(re, im)
-        p = new[0][c]
-        for d, q in piv.items():
-            a, b = q[0].get(c, 0), q[1].get(c, 0)
-            if a or b:
-                piv[d] = _primitive(*_combine(p, q, a, b, new))
-        piv[c] = new
     return piv
 
 
@@ -1263,16 +1240,30 @@ class Subspace:
         vec = list(vec)
         if len(vec) != self.ambient:
             raise DimensionMismatch("vector length != ambient")
-        return not any(_reduce(_int_row(vec), self._piv))
+        return next(self._holds([_int_row(vec)]))
 
     def outside(self, other: "Subspace"):
         "The first echelon basis vector of other that lies outside this space, or None."
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient mismatch")
-        for c, row in other._piv.items():
-            if any(_reduce(row, self._piv)):
+        for c, inside in zip(other._piv, self._holds(other._piv.values())):
+            if not inside:
                 return other._vector(c)
         return None
+
+    def _holds(self, rows):
+        """Whether each integer row pair (re, im) of rows lies in this space, in
+        order and as needed: whether it reduces to zero against the pivot rows.
+        When either side has an imaginary part, both are realified as in
+        _eliminate: the pivot row v at c gives the rows v and i v at 2c and 2c + 1."""
+        rows = list(rows)
+        if any(im for _, im in self._piv.values()) or any(im for _, im in rows):
+            piv = {}
+            for c, (re, im) in self._piv.items():
+                piv[2 * c], piv[2 * c + 1] = _realified(re, im)
+            return (not _reduce(_realified(re, im)[0], piv) for re, im in rows)
+        piv = {c: re for c, (re, _) in self._piv.items()}
+        return (not _reduce(re, piv) for re, _ in rows)
 
     def contains_space(self, other: "Subspace") -> bool:
         return self.outside(other) is None

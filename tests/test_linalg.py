@@ -253,9 +253,30 @@ def test_subspace_equality_is_canonical():
 
 
 def test_subspace_contains():
+    i, zero, one = Q(0, 1), Q(0), Q(1)
     s = Subspace.spanned_by(3, [[1, 2, 0]])
-    assert s.contains([Q(2), Q(4), Q(0)])
-    assert not s.contains([Q(1), Q(0), Q(0)])
+    assert s.contains([Q(2), Q(4), zero])
+    assert not s.contains([one, zero, zero])
+    # a complex vector against a real space
+    assert s.contains([i, Q(0, 2), zero])
+    assert not s.contains([one, Q(0, 2), zero])
+    # a real vector against a complex space, which holds no real vector but 0
+    c = Subspace.spanned_by(3, [[one, i, zero]])
+    assert not c.contains([one, one, zero])
+    assert not c.contains([one, zero, zero])
+    assert c.contains([zero, zero, zero])
+    assert c.contains([i, Q(-1), zero])
+    # a purely imaginary leading entry: the echelon row is (i, 1) times -i
+    t = Subspace.spanned_by(2, [[i, one]])
+    assert t.basis == ((one, -i),)
+    assert t.contains([one, -i]) and t.contains([Q(3), Q(0, -3)])
+    assert not t.contains([one, i])
+    # outside returns the first echelon basis vector that lies outside
+    w = Subspace.spanned_by(3, [[one, i, zero], [zero, zero, one]])
+    assert w.basis == ((one, i, zero), (zero, zero, one))
+    assert c.outside(w) == w.basis[1]
+    assert s.outside(w) == w.basis[0]
+    assert w.outside(c) is None and w.outside(Subspace.zero(3)) is None
 
 
 # -- oracle cross-check of composition -----------------------------------
@@ -427,6 +448,9 @@ def test_dict_rows_build_the_same_map():
     sparse = LinMap(2, 3, [{1: 2}, {0: 4, 2: -6, 1: 0}], [{2: 2}, {}], 4)
     assert dense == sparse and hash(dense) == hash(sparse)
     assert dense.entry(1, 2) == Q(Fraction(-3, 2))
+    for i, j in [(-1, 0), (2, 0), (0, -1), (0, 3)]:
+        with pytest.raises(IndexError, match="outside range"):
+            dense.entry(i, j)
     assert LinMap(1, 2, [{}], [{0: 0}]).is_real()
 
 
@@ -632,8 +656,8 @@ def test_subspace_membership_and_images_match_dense_reference(case):
 
 @given(solve_cases())
 @_PROPS
-def test_real_elimination_matches_the_pair_path(case):
-    "A real map's rows are eliminated without imaginary parts; times i they take the pair path, to the same results."
+def test_real_elimination_matches_the_realified_path(case):
+    "A real map's rows are eliminated as they are; times i they are realified first, to the same results."
     (a, _), (b, _) = case
     f, g = a + a.conj(), b + b.conj()
     i = Q(0, 1)

@@ -4,7 +4,7 @@
 
 The rungs are fixed:
   z{n}_d1          the d1 ideal (generated by the delta function at 1) of
-                   functions on Z/n, n = 8, 12, 16, 20, 24, 32
+                   functions on Z/n, n = 8, 12, 16, 20, 24, 32, 40
   z16_d1_phased    z16_d1 in the basis i^k e_k (tests/oracles.py `phased`):
                    the same verdicts from a complex unit and product
   z{n}_universal   the universal calculus of functions on Z/n, n = 4, 6, 8,
@@ -49,7 +49,7 @@ TIMEOUT_S = 300
 
 # name -> (bundle: ("d1" | "d1_phased" | "universal", n) or a bundle file name, extra check arguments)
 RUNGS = {
-    **{f"z{n}_d1": (("d1", n), []) for n in (8, 12, 16, 20, 24, 32)},
+    **{f"z{n}_d1": (("d1", n), []) for n in (8, 12, 16, 20, 24, 32, 40)},
     "z16_d1_phased": (("d1_phased", 16), []),
     **{f"z{n}_universal": (("universal", n), []) for n in (4, 6, 8, 10, 12)},
     **{f"fix_a4_range{k}": ("fix_a4.json", ["--range", str(k)]) for k in (2, 4, 8)},
