@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from .linalg import DimensionMismatch, LinMap, compose, identity, tensor
 from .reporting import Report, basis_label
-from .scalars import Q
 
 
 @dataclass(frozen=True)
@@ -29,17 +28,11 @@ class FiniteDimAlgebra:
 
 def multiply(alg: FiniteDimAlgebra, x, y) -> tuple:
     "Product of two coordinate vectors."
-    x = list(x)
-    y = list(y)
-    if len(x) != alg.dim or len(y) != alg.dim:
+    n = alg.dim
+    x, y = [[a] for a in x], [[b] for b in y]
+    if len(x) != n or len(y) != n:
         raise DimensionMismatch("vectors must have length dim")
-    xy = []
-    for a in x:
-        for b in y:
-            qa = a if isinstance(a, Q) else Q(a)
-            qb = b if isinstance(b, Q) else Q(b)
-            xy.append(qa * qb)
-    return alg.mult.apply(xy)
+    return (alg.mult @ LinMap.from_entries(n, 1, x).tensor(LinMap.from_entries(n, 1, y))).col(0)
 
 
 def check_algebra(alg: FiniteDimAlgebra, report: Report | None = None, prefix: str = "") -> Report:

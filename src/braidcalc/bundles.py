@@ -153,8 +153,12 @@ def parse_bundle(text: str) -> Bundle:
     dim = _require(gobj, "dim", "group")
     if type(dim) is not int or dim < 1:  # bool is an int subclass: JSON true is no dimension
         raise ParseError("group.dim", "dim must be a positive integer")
-    labels = gobj.get("basis_labels", [f"e{i}" for i in range(dim)])
-    if not isinstance(labels, list) or len(labels) != dim or not all(isinstance(x, str) for x in labels):
+    # Nothing sized by dim is allocated before the unit's rows have matched
+    # it: FiniteDimAlgebra makes the default labels when the field is absent.
+    labels = gobj.get("basis_labels", ())
+    if "basis_labels" in gobj and (
+        not isinstance(labels, list) or len(labels) != dim or not all(isinstance(x, str) for x in labels)
+    ):
         raise ParseError("group.basis_labels", f"expected {dim} strings")
     alg = FiniteDimAlgebra(
         dim,

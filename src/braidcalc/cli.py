@@ -110,12 +110,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        bundle = _load(args.bundle)
-    except (ParseError, FileNotFoundError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        try:
+            bundle = _load(args.bundle)
+        except (ParseError, FileNotFoundError, OSError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return 2
         code = _run(args, bundle)
         sys.stdout.flush()
         return code

@@ -6,9 +6,14 @@ vector.  Internally a map keeps its nonzeros only: real and imaginary
 integer numerators as one {col: int} dict per row, over one common
 positive denominator, so composition is a row-by-row sparse product
 (Gustavson) in integer arithmetic and a Kronecker product writes out
-products of nonzeros only; entries are exposed as Q values.  A product or
-Kronecker product of two complex maps accumulates the real and imaginary
-rows together, in one pass.
+products of nonzeros only.  A product or Kronecker product of two complex
+maps accumulates the real and imaginary rows together, in one pass.
+
+Q is the exact type of input and output, and this module does no Q
+arithmetic: Q values enter a map only through LinMap.from_entries and leave
+it only through LinMap.entry.  Applying a map to a vector is a product with
+the vector as a one-column map, and Subspace builds and reads its vectors
+the same way.
 
 Rows built inside this module are zero-free by construction: a Kronecker
 row is a product of nonzeros, a one-term product row reuses or scales a
@@ -31,9 +36,7 @@ only, so the work follows the nonzeros, not the rank squared.
 
 A Subspace is the elimination's own output: its primitive pivot rows over
 Z[i].  Membership, sums, intersections, images and quotients all run on
-those rows, realified when a side is complex.  Q values appear only at the
-edge: entries read from or built into a map, vectors handed to spanned_by
-or contains, and the echelon basis rendered for a witness.
+those rows, realified when a side is complex.
 
 Tensor products follow the row-major index convention: the composite
 index of i (x) j in V (x) W is i*dim(W) + j, and kron satisfies the
@@ -49,7 +52,10 @@ an identity returns the other factor as it is.  Row (i, r, k) of the leg
 is row r of f with each column s moved to (i, s, k), so leg @ B sums B's
 rows (i, s, k) times f's entries, and X @ leg adds, for each entry x at
 column t = (i, r, k) of a row of X, x times that row of the leg: only the
-leg rows that X uses are read, from f.  When every row of f holds one
+leg rows that X uses are read, from f.  Row t of a real leg is leg[t],
+made alone from f, and X @ leg is the Gustavson product that reads those
+rows; legs and lazy products are read by index only (iterating one raises
+TypeError, as it would run past its rows).  When every row of f holds one
 entry, the leg's rows come in blocks that hand on B's rows as they are
 (times the entry, and 1 * row shares the row), found from one start column
 per block; and when those entries are 1 in distinct columns, X @ leg moves
@@ -71,13 +77,13 @@ A lazy product A (x) B holds its two factors; with a complex factor it
 is a type of its own.  X @ (A (x) B) makes
 row t = i * B.cod + k of the product from row i of A and row k of B only
 when a row of X uses it, inside the Gustavson loop, and keeps none of
-them; X may be complex.  A real leg applied to it reads its rows the same
-way, over the factors' denominators.  Any other read of its rows or
-denominator (equality, hashing, elimination, transpose, (A (x) B) @ Y, a
-complex leg applied to it, a further tensor factor) builds it once, on the
-object itself, through LinMap.tensor.  compose() orders a chain by
-estimated nonzeros, so a lazy product meets a thin left factor: see its
-docstring.
+them; X may be complex.  A real leg applied to it reads each row it uses
+by index, as (A (x) B)[t], over the factors' denominators.  Any other read
+of its rows or denominator (equality, hashing, elimination, transpose,
+(A (x) B) @ Y, a complex leg applied to it, a further tensor factor) builds
+it once, on the object itself, through LinMap.tensor.  compose() orders a
+chain by estimated nonzeros, so a lazy product meets a thin left factor:
+see its docstring.
 
 Zero-dimensional spaces are fully supported (maps with dom or cod 0);
 identities over them hold vacuously.
@@ -340,17 +346,8 @@ class LinMap:
         return tuple(self.entry(i, j) for i in range(self.cod))
 
     def apply(self, vec) -> tuple:
-        vec = list(vec)
-        if len(vec) != self.dom:
-            raise DimensionMismatch("vector length != dom")
-        out = []
-        for i in range(self.cod):
-            acc = Q(0)
-            for j in self.support(i):
-                if vec[j]:
-                    acc = acc + self.entry(i, j) * vec[j]
-            out.append(acc)
-        return tuple(out)
+        "The image of the vector vec of Q / int / Fraction entries, as Q values."
+        return (self @ _column(vec, self.dom)).col(0)
 
     # -- algebra -----------------------------------------------------
 
@@ -369,9 +366,9 @@ class LinMap:
         if kind is _Leg:  # a real leg: apply it to each part of other
             if (other_kind is _Leg or other_kind is _Kron) and other._built is None:  # other's rows made as read
                 den = other._A._den * other._B._den if other_kind is _Kron else other._den
-                return LinMap(self.cod, other.dom, self._apply(other._row), None, self._den * den, _clean=True)
-            cr, bi = self._apply(other._re.__getitem__), other._im
-            ci = None if bi is None else self._apply(bi.__getitem__)
+                return LinMap(self.cod, other.dom, self._apply(other), None, self._den * den, _clean=True)
+            cr, bi = self._apply(other._re), other._im
+            ci = None if bi is None else self._apply(bi)
         elif other_kind is _Kron:  # a lazy product: combine the rows of its factors that self uses
             cr, ai = other._rmul(self._re), self._im
             ci = None if ai is None else other._rmul(ai)
@@ -573,7 +570,7 @@ class _Leg(LinMap):
         coefs = None if all(c == 1 for _, c in entries) else [c for _, c in entries] * self._a
         return starts, coefs
 
-    def _row(self, t):
+    def __getitem__(self, t):
         "Row t = (i, r, k) of this leg, made alone: row r of f with each column s moved to (i, s, k)."
         b, f = self._b, self._f
         i, rk = divmod(t, f.cod * b)
@@ -581,15 +578,17 @@ class _Leg(LinMap):
         off = i * f.dom * b + k
         return {off + s * b: c for s, c in f._re[r].items()}
 
+    __iter__ = None  # rows are read by index only: iterating would run past cod
+
     def _apply(self, B):
-        """Rows of this leg, not an identity, times the map whose row t is B(t),
-        without this leg's rows; B's rows are read where the leg uses them."""
+        """Rows of this leg, not an identity, times the rows B, without this
+        leg's rows; B's rows are read by index where the leg uses them."""
         b, blocks = self._b, self._blocks()
         if blocks:  # row k of block t is coefs[t] times B's row starts[t] + k; 1 * row shares it
             starts, coefs = blocks
             if coefs is None:
-                return list(map(B, starts)) if b == 1 else [B(j) for st in starts for j in range(st, st + b)]
-            return [_scaled(B(j), c) for st, c in zip(starts, coefs) for j in range(st, st + b)]
+                return list(map(B.__getitem__, starts)) if b == 1 else [B[j] for st in starts for j in range(st, st + b)]
+            return [_scaled(B[j], c) for st, c in zip(starts, coefs) for j in range(st, st + b)]
         out = []
         step = self._f.dom * b
         for i in range(self._a):
@@ -597,42 +596,31 @@ class _Leg(LinMap):
                 if len(frow) == 1:
                     [(s, c)] = frow.items()
                     st = i * step + s * b
-                    out.extend(_scaled(B(j), c) for j in range(st, st + b))
+                    out.extend(_scaled(B[j], c) for j in range(st, st + b))
                     continue
                 for k in range(b):
                     row: dict = {}
                     get = row.get
                     for s, c in frow.items():
-                        for j, x in B(i * step + s * b + k).items():
+                        for j, x in B[i * step + s * b + k].items():
                             row[j] = get(j, 0) + c * x
                     out.append(row if all(row.values()) else {j: x for j, x in row.items() if x})
         return out
 
     def _reindex(self, A):
-        """Rows of the rows A times this leg, without this leg's rows: entry x at
-        column t = (i, r, k) of A adds x times row r of f, each column s moved
-        to (i, s, k).  Only the leg rows A uses are read."""
+        """Rows of the rows A times this leg, without this leg's rows: only the
+        leg rows A uses are read, by index.  When each row of f holds one 1, in
+        a column of its own, each column t = (i, r, k) of A moves to (i, s, k)
+        for the column s of f's row r."""
         frows, q, b = self._f._re, self._f.cod, self._b
-        step = self._f.dom * b
         cols = [s for r in frows if len(r) == 1 for s, c in r.items() if c == 1]
-        if len(cols) == q == len(set(cols)):  # each row of f holds one 1, in a column of its own
-            if b == 1:
-                return [{t // q * step + cols[t % q]: x for t, x in Ai.items()} for Ai in A]
-            qb = q * b
-            return [{t // qb * step + cols[t // b % q] * b + t % b: x for t, x in Ai.items()} for Ai in A]
-        out = []
-        for Ai in A:
-            row: dict = {}
-            get = row.get
-            for t, x in Ai.items():
-                ir, k = divmod(t, b)
-                i, r = divmod(ir, q)
-                off = i * step + k
-                for s, c in frows[r].items():
-                    j = off + s * b
-                    row[j] = get(j, 0) + x * c
-            out.append(row if all(row.values()) else {j: x for j, x in row.items() if x})
-        return out
+        if not len(cols) == q == len(set(cols)):
+            return _mul(A, self)
+        step = self._f.dom * b
+        if b == 1:
+            return [{t // q * step + cols[t % q]: x for t, x in Ai.items()} for Ai in A]
+        qb = q * b
+        return [{t // qb * step + cols[t // b % q] * b + t % b: x for t, x in Ai.items()} for Ai in A]
 
 
 class _CLeg(_Leg):
@@ -750,7 +738,7 @@ class _Kron(LinMap):
         for Xi in X:
             if len(Xi) == 1:  # a multiple of one row: products of nonzeros
                 [(t, x)] = Xi.items()
-                out.append(_scaled(self._row(t), x))
+                out.append(_scaled(self[t], x))
                 continue
             row: dict = {}
             get = row.get
@@ -765,11 +753,13 @@ class _Kron(LinMap):
             out.append(row if all(row.values()) else {j: v for j, v in row.items() if v})
         return out
 
-    def _row(self, t):
+    def __getitem__(self, t):
         "Row t = i * B.cod + k of this product, made alone over A's and B's denominators: A's row i (x) B's row k."
         i, k = divmod(t, self._B.cod)
         n, Bk = self._B.dom, self._B._re[k].items()
         return {j1 * n + j2: a * b for j1, a in self._A._re[i].items() for j2, b in Bk}
+
+    __iter__ = None  # rows are read by index only, as for a leg
 
 
 class _CKron(_Kron):
@@ -818,6 +808,14 @@ def _monomial_inverse(rows, den):
         out[j] = i, c
     d = lcm(*(c for _, c in out))
     return LinMap(len(out), len(out), [{i: den * (d // c)} for i, c in out], None, d, _clean=True)
+
+
+def _column(vec, n: int) -> LinMap:
+    "The vector vec of n Q / int / Fraction entries as a one-column map."
+    vec = list(vec)
+    if len(vec) != n:
+        raise DimensionMismatch("vector length != dom")
+    return LinMap.from_entries(n, 1, [[x] for x in vec])
 
 
 def identity(n: int) -> LinMap:
@@ -1110,14 +1108,6 @@ def _nullspace(piv, ncols):
     return re_rows, im_rows, den
 
 
-def _int_row(vec):
-    "A vector of Q(i) scalars as one integer row (re, im), scaled by the lcm of its denominators."
-    triples = {j: _q_to_int_triple(x) for j, x in enumerate(vec) if x}
-    d = lcm(*(e for _, _, e in triples.values()))
-    re = {j: a * (d // e) for j, (a, _, e) in triples.items() if a}
-    return re, {j: b * (d // e) for j, (_, b, e) in triples.items() if b}
-
-
 def solve_right(A: LinMap, B: LinMap) -> LinMap | None:
     "Least-structure X with A @ X = B (free coordinates zero), or None."
     if A.cod != B.cod:
@@ -1206,7 +1196,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient:
                 raise DimensionMismatch("vector length != ambient")
-        return Subspace(ambient, _eliminate(map(_int_row, vecs)))
+        return Subspace(ambient, _eliminate(LinMap.from_entries(len(vecs), ambient, vecs)._rows()))
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
@@ -1228,19 +1218,15 @@ class Subspace:
     def _vector(self, c: int) -> tuple:
         "The basis vector with pivot column c: its row over its pivot."
         re, im = self._piv[c]
-        p = re[c]
-        vec = [_Q_ZERO] * self.ambient
-        for j, x in re.items():
-            vec[j] = Q._make(Fraction(x, p), _F_ZERO)
-        for j, y in im.items():
-            vec[j] = Q._make(Fraction(re.get(j, 0), p), Fraction(y, p))
-        return tuple(vec)
+        row = LinMap(1, self.ambient, [re], [im], re[c], _clean=True)
+        return tuple(row.entry(0, j) for j in range(self.ambient))
 
     def contains(self, vec) -> bool:
         vec = list(vec)
         if len(vec) != self.ambient:
             raise DimensionMismatch("vector length != ambient")
-        return next(self._holds([_int_row(vec)]))
+        row = LinMap.from_entries(1, self.ambient, [vec])
+        return next(self._holds(zip(row._re, row._im_rows())))
 
     def outside(self, other: "Subspace"):
         "The first echelon basis vector of other that lies outside this space, or None."
@@ -1332,7 +1318,7 @@ class AntilinMap:
         return self.lin.cod
 
     def apply(self, vec) -> tuple:
-        return self.lin.apply([x.conj() if isinstance(x, Q) else Q(x).conj() for x in vec])
+        return (self @ _column(vec, self.dom)).lin.col(0)
 
     def __matmul__(self, other):
         if isinstance(other, AntilinMap):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import AntilinMap, LinMap, Subspace
-from .scalars import Q
 
 PASS = "pass"
 FAIL = "fail"
@@ -99,7 +98,7 @@ class Report:
             self.ok(key, name, note)
             return True
         j = (a - b).first_nonzero_col()
-        basis = [Q(1) if t == j else Q(0) for t in range(a.dom)]
+        basis = ["1" if t == j else "0" for t in range(a.dom)]
         self.fail(key, _vector_witness(basis, a.col(j), b.col(j)), name, note)
         return False
 

@@ -1,10 +1,15 @@
 """Exact scalars: the field Q(i) of Gaussian rationals.
 
-All engine arithmetic happens over Q(i).  A scalar is a pair of
-arbitrary-precision rationals (re, im); fractions are kept reduced with
-positive denominators by ``fractions.Fraction`` itself, so equal scalars
-always compare equal structurally.  Conjugation is the involutive field
-automorphism a+bi -> a-bi.
+Q is the exact type of input and output: bundles and callers hand scalars
+in as Q, and entries and vectors come out as Q, witnesses as its text.  The
+engine does no Q arithmetic: linalg computes on integer rows, and Q values
+cross into it only through LinMap.from_entries and out only through
+LinMap.entry.  The arithmetic below serves callers and tests.
+
+A scalar is a pair of arbitrary-precision rationals (re, im); fractions
+are kept reduced with positive denominators by ``fractions.Fraction``
+itself, so equal scalars always compare equal structurally.  Conjugation
+is the involutive field automorphism a+bi -> a-bi.
 
 The text form is exact: "a/b" for real values, "a/b+c/d i" otherwise.
 Floats are never accepted.

@@ -254,6 +254,24 @@ def test_shift_range_above_the_cap_is_rejected():
         run_covariance_mode(bundle, "bi", 9)
 
 
+def check_in_one_gib(path: Path, report: Path) -> subprocess.CompletedProcess:
+    "`braidcalc check` on the bundle in a subprocess whose address space is capped at 1 GiB."
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(braidcalc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "braidcalc.cli", "check", str(path), "-o", str(report)],
+        preexec_fn=cap_address_space,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
 def test_z8_ideal_check_fits_in_one_gib(tmp_path):
     "The d1 ideal on Z/8 stays within a 1 GiB address space (a dense kernel needs far more)."
     n = 8
@@ -261,21 +279,23 @@ def test_z8_ideal_check_fits_in_one_gib(tmp_path):
     generator = ["1" if j == 1 else "0" for j in range(n)]
     path = tmp_path / "z8_d1.json"
     path.write_text(emit_bundle(Bundle(g, conjugation_star(g), [], [("d1", [generator])])))
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    src = str(Path(braidcalc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "braidcalc.cli", "check", str(path), "-o", str(tmp_path / "rep.json")],
-        preexec_fn=cap_address_space,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = check_in_one_gib(path, tmp_path / "rep.json")
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("labels", [True, False], ids=["with_labels", "default_labels"])
+def test_a_huge_dim_is_an_input_error_in_one_gib(tmp_path, labels):
+    "A dim of 10^9 that no matrix matches exits 2 before anything sized by it is allocated."
+    data = json.loads((BUNDLE_DIR / "fix_1.json").read_text())
+    data["group"]["dim"] = 10**9
+    if not labels:
+        del data["group"]["basis_labels"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    proc = check_in_one_gib(path, tmp_path / "rep.json")
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("input error: ") and len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_z8_ideal_check_builds_no_large_kronecker_product(tmp_path, monkeypatch):
@@ -311,6 +331,21 @@ def test_out_of_memory_exits_3_without_a_report(workdir, monkeypatch, capsys):
         raise MemoryError
 
     monkeypatch.setattr(braidcalc.cli, "verify_bundle", exhausted)
+    report = workdir / "rep.json"
+    assert main(["check", str(workdir / "fix_k2.json"), "-o", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert "MemoryError" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not report.exists()
+
+
+def test_out_of_memory_while_loading_exits_3_without_a_report(workdir, monkeypatch, capsys):
+    "A MemoryError while the bundle is parsed is handled as one during the check."
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(braidcalc.cli, "parse_bundle", exhausted)
     report = workdir / "rep.json"
     assert main(["check", str(workdir / "fix_k2.json"), "-o", str(report)]) == 3
     err = capsys.readouterr().err

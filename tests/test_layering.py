@@ -11,13 +11,26 @@ imported into `bicovariance.py` would solve them a second time.  A memo
 keyed by `id` holds only while its maps live and equal maps are one
 object; a memo keyed by the maps needs neither.  `calculi.flip_for` keeps
 every solved flip of a calculus; a `solve_flip` call outside `calculi.py`
-would solve one again.
+would solve one again.  `Q` is the exact type of input and output only: the
+engine computes on integer rows and does no `Q` arithmetic.
 """
 
 import ast
+import hashlib
+import json
+from fractions import Fraction
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "braidcalc"
+import pytest
+
+from braidcalc.algebras import multiply
+from braidcalc.cli import main
+from braidcalc.fixtures import fix_anyon, fix_k2, gr_star
+from braidcalc.linalg import Subspace
+from braidcalc.scalars import Q
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "braidcalc"
 
 
 def imports_from(path: Path, module: str) -> list:
@@ -117,3 +130,50 @@ def test_the_solve_flip_check_sees_calls_and_attributes(tmp_path):
         "def f(c, flip):\n    return calculi.solve_flip(c), braidcalc.calculi.solve_flip(c), solve_flip(c), flip.solve_flip\n"
     )
     assert name_uses(tmp_path, "solve_flip", skip=("calculi.py",)) == [("user.py", 5)] * 3
+
+
+Q_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+    "__neg__", "conj", "inv",
+)
+
+
+@pytest.fixture()
+def no_q_arithmetic(monkeypatch):
+    "Every arithmetic method of Q raises."
+
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"Q.{name} called")
+
+        return call
+
+    for name in Q_ARITHMETIC:
+        monkeypatch.setattr(Q, name, forbidden(name))
+
+
+def test_the_guard_sees_q_arithmetic(no_q_arithmetic):
+    for run in (lambda: Q(1) + Q(2), lambda: 2 * Q(1), lambda: -Q(1), lambda: Q(0, 1).conj()):
+        with pytest.raises(AssertionError):
+            run()
+
+
+def test_vectors_cross_the_edge_without_q_arithmetic(no_q_arithmetic):
+    k2, anyon = fix_k2(), fix_anyon()
+    i, half = Q(0, 1), Q(Fraction(1, 2))
+    assert k2.antipode.apply([Q(3), half]) == (Q(3), half)
+    assert anyon.antipode.apply([1, 1, 1, 1]) == (Q(1), Q(-1), i, i)
+    assert gr_star(imaginary=True).apply([Q(2, 1), i]) == (Q(2, -1), Q(1))
+    assert multiply(k2.alg, [1, half], [Q(2), 4]) == (Q(2), Q(2))
+    space = Subspace.spanned_by(3, [[1, i, 0], [half, 0, 1]])
+    assert space.basis == ((Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(0, 2)))
+    assert space.contains([half, Q(0, 3), -5]) and not space.contains([half, Q(0, 3), 5])
+
+
+@pytest.mark.parametrize("name", ["fix_1", "fix_k2", "fix_gr", "fix_k4", "fix_a4"])
+def test_check_does_no_q_arithmetic(tmp_path, no_q_arithmetic, name):
+    "`check` on each shipped bundle runs with Q arithmetic forbidden and writes its pinned report."
+    pinned = json.loads((ROOT / "perfbench" / "expected.json").read_text())["shipped"][name]["sha256"]
+    report = tmp_path / "rep.json"
+    assert main(["check", str(ROOT / "bundles" / f"{name}.json"), "-o", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == pinned

@@ -974,6 +974,19 @@ def test_lazy_product_has_the_normalised_denominator():
     assert k == LinMap(1, 1, [[1]], den=3) and k._den == 3
 
 
+def test_leg_and_lazy_rows_are_read_by_index_only():
+    "leg[t] and lazy[t] make row t unbuilt; iterating them raises instead of running past cod."
+    f, g = LinMap(2, 3, [[1, 0, -2], [0, 3, 0]]), LinMap(2, 2, [[1, 1], [0, 2]])
+    for lazy, eager in [
+        (tensor(identity(2), f, identity(3)), eager_tensor(plain_identity(2), f, plain_identity(3))),
+        (tensor(f, g), eager_tensor(f, g)),
+    ]:
+        assert [lazy[t] for t in range(lazy.cod)] == list(eager._re)
+        assert lazy._built is None
+        with pytest.raises(TypeError):
+            list(lazy)
+
+
 def divisors(n):
     return [x for x in range(1, n + 1) if n % x == 0]
 

@@ -22,9 +22,9 @@ from braidcalc.covariance import (
     solve_left_action,
     solve_right_action,
 )
-from braidcalc.fixtures import fix_anyon, fix_gr, fix_k2, fix_k4
+from braidcalc.fixtures import fix_anyon, fix_gr, fix_k2, fix_k4, fix_one, u_basis_flip_k2
 from braidcalc.groups import MultiBraidedGroup, check_group
-from braidcalc.linalg import LinMap, Subspace, permutation_map
+from braidcalc.linalg import LinMap, Subspace, compose, permutation_map, tensor
 from braidcalc.reporting import Report
 
 from oracles import mirror
@@ -87,3 +87,28 @@ def test_mirror_swaps_left_and_right_reconstruction(pair):
         right = solve_right_action(reconstruct_right_from_ideal(g, k, Report(), verify=False))
         left = solve_left_action(reconstruct_from_ideal(h, k, Report(), verify=False))
         assert right.ideal == left.ideal == k
+
+
+def sigma_formula(g: MultiBraidedGroup) -> LinMap:
+    """(m (x) m)(kappa (x) Delta m (x) kappa)(Delta (x) Delta): on a valid record
+    this is the braiding, by PHI_MULT, the antipode and counit laws and
+    (co)associativity (expand Delta(a_2 b_1), then contract S(a_1) a_2 and
+    b_2 S(b_3))."""
+    m, phi, kap = g.mult, g.coproduct, g.antipode
+    return compose(tensor(m, m), tensor(kap, phi @ m, kap), tensor(phi, phi))
+
+
+@pytest.mark.parametrize("name", sorted({"one", *FIXTURES}))
+def test_product_coproduct_and_antipode_fix_the_braiding(name):
+    "The braiding is the sigma formula, and tau equals it, on each record and on its mirror."
+    g = fix_one() if name == "one" else FIXTURES[name]()
+    for record in (g, mirror(g)):
+        assert sigma_formula(record) == record.braiding
+        assert record.tau == record.braiding
+
+
+def test_the_sigma_formula_rejects_the_u_basis_flip():
+    "fix_k2 with the graded flip of its character basis fails PHI_MULT, and the formula tells sigma apart."
+    k2 = fix_k2()
+    g = MultiBraidedGroup(k2.alg, k2.coproduct, k2.counit, k2.antipode, u_basis_flip_k2())
+    assert sigma_formula(g) == k2.braiding != g.braiding
