@@ -2,28 +2,42 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .linalg import DimensionMismatch, LinMap, compose, identity, tensor
 from .reporting import Report, basis_label
 
 
-@dataclass(frozen=True)
 class FiniteDimAlgebra:
-    """An algebra on coordinates: multiplication (dim^2 -> dim) and unit (1 -> dim)."""
+    """An algebra on coordinates: multiplication (dim^2 -> dim) and unit (1 -> dim).
 
-    dim: int
-    unit: LinMap
-    mult: LinMap
-    labels: tuple = field(default=())
+    Immutable; equal and hashed by its four fields."""
 
-    def __post_init__(self):
-        if self.unit.dom != 1 or self.unit.cod != self.dim:
+    __slots__ = ("dim", "unit", "mult", "labels")
+
+    def __init__(self, dim: int, unit: LinMap, mult: LinMap, labels: tuple = ()):
+        if unit.dom != 1 or unit.cod != dim:
             raise DimensionMismatch("unit must be a map 1 -> dim")
-        if self.mult.dom != self.dim**2 or self.mult.cod != self.dim:
+        if mult.dom != dim**2 or mult.cod != dim:
             raise DimensionMismatch("mult must be a map dim^2 -> dim")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"e{i}" for i in range(self.dim)))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "labels", labels or tuple(f"e{i}" for i in range(dim)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("FiniteDimAlgebra is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.dim, self.unit, self.mult, self.labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def multiply(alg: FiniteDimAlgebra, x, y) -> tuple:
@@ -47,7 +61,7 @@ def check_algebra(alg: FiniteDimAlgebra, report: Report | None = None, prefix: s
         e = rep.entries[-1]
         if e.witness and "input" in e.witness:
             idx = next(i for i, v in enumerate(e.witness["input"]) if v != "0")
-            object.__setattr__(e, "note", "basis triple " + basis_label(idx, [n, n, n], triple))
+            rep.entries[-1] = e._replace(note="basis triple " + basis_label(idx, [n, n, n], triple))
     rep.check_eq(prefix + "ALG_UNIT_L", compose(m, tensor(u, I)), I)
     rep.check_eq(prefix + "ALG_UNIT_R", compose(m, tensor(I, u)), I)
     return rep

@@ -14,7 +14,7 @@ and every entry goes to the report the caller passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .calculi import FirstOrderCalculus, iota_l, iota_r
 from .covariance import LeftCovariantData, RightCovariantData
@@ -44,10 +44,10 @@ class AdNotDescending(ValueError):
     "The adjoint action does not stabilize the ideal."
 
 
-@dataclass
-class KappaData:
-    map: LinMap
-    inverse: LinMap
+class KappaData(namedtuple("KappaData", "map inverse")):
+    "The bijection vk with d kappa = vk d, and its inverse."
+
+    __slots__ = ()
 
 
 def check_kappa0(g: MultiBraidedGroup, rep: Report) -> LinMap:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebras import FiniteDimAlgebra
@@ -41,12 +40,14 @@ class DimensionError(ParseError):
     pass
 
 
-@dataclass
 class Bundle:
-    group: MultiBraidedGroup
-    star: AntilinMap | None = None
-    calculi: list = field(default_factory=list)
-    ideals: list = field(default_factory=list)  # (name, list of coordinate vectors)
+    def __init__(
+        self, group: MultiBraidedGroup, star: AntilinMap | None = None, calculi: list | None = None, ideals: list | None = None
+    ):
+        self.group = group
+        self.star = star
+        self.calculi = [] if calculi is None else calculi
+        self.ideals = [] if ideals is None else ideals  # (name, list of coordinate vectors)
 
 
 def _reject_float(text: str):

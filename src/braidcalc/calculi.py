@@ -10,7 +10,7 @@ factoring through iota and verifies the full identity battery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .groups import MultiBraidedGroup
 from .linalg import (
@@ -34,25 +34,46 @@ class NotBijective(ValueError):
     "A flip-over operator exists but is not invertible."
 
 
-@dataclass(frozen=True)
 class FirstOrderCalculus:
-    group: MultiBraidedGroup
-    gdim: int
-    mgl: LinMap
-    mgr: LinMap
-    d: LinMap
-    name: str = "calculus"
-    # (side, braid) -> the solved flip, filled by flip_for
-    _flips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """A calculus Gamma of dimension gdim over a group: the bimodule maps mgl, mgr
+    and the differential d.  Immutable; equal and hashed by its six fields."""
 
-    def __post_init__(self):
-        n = self.group.dim
-        if self.mgl.dom != n * self.gdim or self.mgl.cod != self.gdim:
+    __slots__ = ("group", "gdim", "mgl", "mgr", "d", "name", "_flips")
+
+    def __init__(
+        self, group: MultiBraidedGroup, gdim: int, mgl: LinMap, mgr: LinMap, d: LinMap, name: str = "calculus"
+    ):
+        n = group.dim
+        if mgl.dom != n * gdim or mgl.cod != gdim:
             raise DimensionMismatch("mgl must map A (x) Gamma -> Gamma")
-        if self.mgr.dom != self.gdim * n or self.mgr.cod != self.gdim:
+        if mgr.dom != gdim * n or mgr.cod != gdim:
             raise DimensionMismatch("mgr must map Gamma (x) A -> Gamma")
-        if self.d.dom != n or self.d.cod != self.gdim:
+        if d.dom != n or d.cod != gdim:
             raise DimensionMismatch("d must map A -> Gamma")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "gdim", gdim)
+        object.__setattr__(self, "mgl", mgl)
+        object.__setattr__(self, "mgr", mgr)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "name", name)
+        # (side, braid) -> the solved flip, filled by flip_for
+        object.__setattr__(self, "_flips", {})
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("FirstOrderCalculus is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.group, self.gdim, self.mgl, self.mgr, self.d, self.name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def iota_l(c: FirstOrderCalculus) -> LinMap:
@@ -83,12 +104,10 @@ def check_calculus(c: FirstOrderCalculus, report: Report | None = None) -> Repor
     return rep
 
 
-@dataclass(frozen=True)
-class FlipOver:
-    direction: str
-    label: object
-    map: LinMap
-    inverse: LinMap
+class FlipOver(namedtuple("FlipOver", "direction label map inverse")):
+    "A solved flip-over operator and its inverse, with the side and the braid label it was solved for."
+
+    __slots__ = ()
 
 
 def sided_tensor(side: str):
@@ -141,7 +160,7 @@ def flip_for(c: FirstOrderCalculus, braid: LinMap, side: str, label) -> FlipOver
     flip = c._flips.get((side, braid))
     if flip is None:
         flip = c._flips[side, braid] = solve_flip(c, braid, side, label)
-    return flip if flip.label == label else FlipOver(side, label, flip.map, flip.inverse)
+    return flip if flip.label == label else flip._replace(label=label)
 
 
 def solve_flips(c: FirstOrderCalculus, shift_range: int = 2) -> dict:

@@ -9,6 +9,7 @@ A machine-readable report is always written for outcomes 0 and 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -75,7 +76,9 @@ def _matrix_json(f: LinMap) -> dict:
     }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    "The command-line parser, built once per process; parsing leaves no state on it."
     parser = argparse.ArgumentParser(prog="braidcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"braidcalc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -107,8 +110,11 @@ def main(argv=None) -> int:
     p_comp = sub.add_parser("complete-system", help="close the intrinsic braid pair under ternary operations")
     p_comp.add_argument("bundle")
     p_comp.add_argument("--max", type=_int_in(1), default=64, dest="max_elems")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         try:
             bundle = _load(args.bundle)

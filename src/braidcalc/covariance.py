@@ -17,7 +17,7 @@ in set, order, notes or sides of an equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .calculi import (
     FirstOrderCalculus,
@@ -66,36 +66,24 @@ def coords_in(incl: LinMap, target: LinMap) -> LinMap:
     return x
 
 
-@dataclass
-class LeftCovariantData:
-    calculus: FirstOrderCalculus
-    action: LinMap
-    inv_space: Subspace
-    incl: LinMap
-    proj_coords: LinMap
-    pi: LinMap
-    pi_hat: LinMap
-    ideal: Subspace
-    sigma_star: LinMap
-    circ: LinMap
+class LeftCovariantData(
+    namedtuple("LeftCovariantData", "calculus action inv_space incl proj_coords pi pi_hat ideal sigma_star circ")
+):
+    "What solve_left_action derives from a left-covariant calculus."
+
+    __slots__ = ()
 
     @property
     def inv_dim(self) -> int:
         return self.pi.cod
 
 
-@dataclass
-class RightCovariantData:
-    calculus: FirstOrderCalculus
-    action: LinMap
-    inv_space: Subspace
-    incl: LinMap
-    proj_coords: LinMap
-    zeta: LinMap
-    zeta_hat: LinMap
-    ideal: Subspace
-    star_sigma: LinMap
-    bullet: LinMap
+class RightCovariantData(
+    namedtuple("RightCovariantData", "calculus action inv_space incl proj_coords zeta zeta_hat ideal star_sigma bullet")
+):
+    "What solve_right_action derives from a right-covariant calculus."
+
+    __slots__ = ()
 
     @property
     def inv_dim(self) -> int:

@@ -12,7 +12,7 @@ key their verdicts by the maps' values and decide each distinct one once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebras import FiniteDimAlgebra, check_algebra
 from .linalg import (
@@ -226,10 +226,10 @@ def check_adjoint(g: MultiBraidedGroup, report: Report | None = None, shift_rang
     return rep
 
 
-@dataclass(frozen=True)
-class BraidSystem:
-    dim: int
-    elements: tuple
+class BraidSystem(namedtuple("BraidSystem", "dim elements")):
+    "Distinct invertible maps on dim^2, braided among themselves (check_braid_system)."
+
+    __slots__ = ()
 
     @staticmethod
     def of(dim: int, maps) -> "BraidSystem":
@@ -277,10 +277,10 @@ def check_braid_system(t: BraidSystem, alg: FiniteDimAlgebra, report: Report | N
     return rep
 
 
-@dataclass(frozen=True)
-class Completion:
-    system: BraidSystem
-    truncated: bool
+class Completion(namedtuple("Completion", "system truncated")):
+    "A braid system closed under a b^-1 c, or cut off at the size bound (truncated)."
+
+    __slots__ = ()
 
 
 def complete_braid_system(t: BraidSystem, max_elems: int = 64) -> Completion:

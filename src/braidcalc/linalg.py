@@ -639,6 +639,10 @@ class _CLeg(_Leg):
         self._den = f._den
         self._built = None
 
+    def __getitem__(self, t):
+        "Not supported: the real leg's row would drop f's imaginary part."
+        raise TypeError("a complex leg's rows are not read by index")
+
     def _build(self):
         if self._built is None:
             self._built = self._pad(self._f._re), self._pad(self._f._im)
@@ -776,6 +780,10 @@ class _CKron(_Kron):
     def _im(self):
         "The imaginary numerator rows, which need the built map."
         return self._build()._im
+
+    def __getitem__(self, t):
+        "Not supported: the real product's row would drop the factors' imaginary parts."
+        raise TypeError("a complex lazy product's rows are not read by index")
 
     def _crmul(self, Xr, Xi):
         """Row pairs of the rows Xr + i Xi (Xi may be None) times this product, over

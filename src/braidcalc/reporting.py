@@ -8,7 +8,7 @@ reproduced by hand or by an independent brute-force evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .linalg import AntilinMap, LinMap, Subspace
 
@@ -17,20 +17,16 @@ FAIL = "fail"
 SKIP = "skipped"
 
 
-@dataclass(frozen=True)
-class Entry:
-    id: str
-    status: str
-    ctx: str = ""
-    name: str = ""
-    witness: dict | None = None
-    note: str = ""
+class Entry(namedtuple("Entry", "id status ctx name witness note", defaults=("", "", None, ""))):
+    "One checked identity: its key, its status and, on failure, its witness dict."
+
+    __slots__ = ()
 
 
-@dataclass
 class Report:
-    ctx: str = ""
-    entries: list = field(default_factory=list)
+    def __init__(self, ctx: str = "", entries: list | None = None):
+        self.ctx = ctx
+        self.entries = [] if entries is None else entries
 
     # -- assembly ----------------------------------------------------
 
@@ -181,7 +177,7 @@ class Verdicts:
             run(key)
             self._seen[ident] = self.report.entries[-1]
         else:
-            self.report.add(Entry(key, first.status, first.ctx, first.name, first.witness, first.note))
+            self.report.add(first._replace(id=key))
 
 
 def _vector_witness(vec, lhs_val, rhs_val) -> dict:

@@ -10,8 +10,6 @@ rule) and extended by the antimultiplicative module rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bicovariance import KappaData
 from .calculi import FirstOrderCalculus, NotBijective, NotCovariant, flip_for
 from .covariance import LeftCovariantData, RightCovariantData
@@ -32,14 +30,29 @@ class NotStarCovariant(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class StarGroup:
-    group: MultiBraidedGroup
-    star: AntilinMap
+    "A group with a star: an antilinear endomorphism of its algebra.  Immutable; equal and hashed by both fields."
 
-    def __post_init__(self):
-        if self.star.dom != self.group.dim or self.star.cod != self.group.dim:
+    __slots__ = ("group", "star")
+
+    def __init__(self, group: MultiBraidedGroup, star: AntilinMap):
+        if star.dom != group.dim or star.cod != group.dim:
             raise ValueError("star must be an antilinear endomorphism of the algebra")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "star", star)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("StarGroup is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.star) == (other.group, other.star)
+
+    def __hash__(self):
+        return hash((self.group, self.star))
 
 
 def check_star_group(sg: StarGroup, report: Report | None = None, shift_range: int = 2) -> Report:

@@ -236,6 +236,38 @@ def test_cli_integers_validated(workdir, capsys, argv, flag):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+def test_one_process_parses_each_command_as_a_fresh_one(workdir, capsys, monkeypatch):
+    "The parser is built once per process: a call gives the exit code and output of the same call in a fresh process."
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
+    runs = [
+        ["check", str(workdir / "fix_1.json"), "--range", "3", "-o", str(workdir / "rep.json")],
+        ["derive", str(workdir / "fix_k2.json"), "--what", "tau"],
+        ["check", str(workdir / "fix_1.json"), "--range", "0"],
+    ]
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "braidcalc.cli", *argv],
+            env=subprocess_env(COLUMNS="80"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 2 and "argument --range: must be at least 1, got 0" in out.err
+
+
+def test_start_up_loads_no_dataclass_machinery():
+    "Importing the CLI and the fixtures loads neither dataclasses nor inspect, whose import every run would pay for."
+    code = "import sys, braidcalc.cli, braidcalc.fixtures; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 def test_shift_range_below_one_is_rejected():
     "The flip identities read shifts 1, -1 and -2, which a window of K = 0 does not hold."
     bundle = parse_bundle((BUNDLE_DIR / "fix_k2.json").read_text())
@@ -254,18 +286,22 @@ def test_shift_range_above_the_cap_is_rejected():
         run_covariance_mode(bundle, "bi", 9)
 
 
+def subprocess_env(**extra) -> dict:
+    "The environment for a Python subprocess that imports this braidcalc."
+    src = str(Path(braidcalc.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 def check_in_one_gib(path: Path, report: Path) -> subprocess.CompletedProcess:
     "`braidcalc check` on the bundle in a subprocess whose address space is capped at 1 GiB."
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = str(Path(braidcalc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "braidcalc.cli", "check", str(path), "-o", str(report)],
         preexec_fn=cap_address_space,
-        env=env,
+        env=subprocess_env(),
         capture_output=True,
         text=True,
         timeout=300,

@@ -987,6 +987,17 @@ def test_leg_and_lazy_rows_are_read_by_index_only():
             list(lazy)
 
 
+def test_complex_leg_and_lazy_rows_are_not_read_by_index():
+    "A complex leg or lazy product raises on leg[t]: the real row would drop the imaginary parts."
+    f = LinMap.from_entries(1, 2, [[1, Q(0, 1)]])
+    leg, lazy = tensor(identity(2), f, identity(1)), tensor(f, LinMap.from_entries(1, 1, [[Q(0, 1)]]))
+    assert (type(leg), type(lazy)) == (_CLeg, _CKron)
+    for m in (leg, lazy):
+        with pytest.raises(TypeError):
+            m[0]
+        assert m._built is None
+
+
 def divisors(n):
     return [x for x in range(1, n + 1) if n % x == 0]
 
