@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .calculi import FirstOrderCalculus, iota_l, iota_r
-from .covariance import LeftCovariantData, RightCovariantData
+from .covariance import LeftCovariantData, RightCovariantData, _check_ideal_conditions
 from .groups import InternalInconsistency, MultiBraidedGroup, adjoint_action, kappa0
 from .linalg import (
     LinMap,
@@ -137,18 +137,16 @@ def ideal_bicovariance_test(g: MultiBraidedGroup, r: Subspace, rep: Report) -> R
     "The two ideal-level conditions equivalent to bicovariance."
     n = g.dim
     I = identity(n)
-    kere = g.counit.kernel()
+    kere = g.counit_kernel
     note = "precondition: ideal inside ker(eps)"
     if not kere.contains_space(r):
         rep.fail("IDEAL_IN_KEREPS", {"vector_outside": [[str(x) for x in r.basis[0]]]}, note=note)
         return rep
     rep.ok("IDEAL_IN_KEREPS", note=note)
+    if not _check_ideal_conditions(g, r, "left", rep, note=False):
+        return rep
     incl = r.inclusion()
     ra, ar = tensor(incl, I).image(), tensor(I, incl).image()
-    ok_ideal = rep.check_space_le("R_IDEAL", ra.map_by(g.m0), r)
-    ok_tau = rep.check_space_eq("EQ_320", ra.map_by(g.tau), ar)
-    if not (ok_ideal and ok_tau):
-        return rep
     rep.check_space_le("EQ_47", r.map_by(adjoint_action(g)), ra, note="adjoint action stabilizes the ideal")
     rep.check_space_eq("EQ_48", ar.map_by(g.tau), ra)
     return rep
@@ -273,7 +271,7 @@ def check_kappa_covariance(
         k0 = kappa0(g)
         rep.check_eq("EQ_513A", vk @ lcd.pi_hat, rcd.zeta_hat @ k0)
         rep.check_eq("EQ_513B", vk @ rcd.zeta_hat, lcd.pi_hat @ k0)
-        ik = g.counit.kernel().inclusion()
+        ik = g.counit_kernel.inclusion()
         rep.check_eq(
             "EQ_514A",
             compose(vk, lcd.incl, lcd.circ, tensor(lcd.pi, I), tensor(ik, I)),

@@ -6,6 +6,11 @@ surjective.  Covariance with respect to a braiding gamma means gamma
 extends to a bijective flip-over operator between Gamma (x) A and
 A (x) Gamma compatible with iota; the solver realizes the extension by
 factoring through iota and verifies the full identity battery.
+
+A calculus keeps what is derived from it alone, as the group record does:
+iota_l, iota_r and every flip it has solved, one per side and braid.  The
+group's equal shifts are one object, so a flip asked for at a repeated
+shift, or for the inverse of a repeated shift, is found by identity.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ class NotBijective(ValueError):
 
 class FirstOrderCalculus:
     """A calculus Gamma of dimension gdim over a group: the bimodule maps mgl, mgr
-    and the differential d.  Immutable; equal and hashed by its six fields."""
+    and the differential d.  Immutable; equal and hashed by its six fields.
+    Derived maps are cached in _cache, which takes no part in equality."""
 
-    __slots__ = ("group", "gdim", "mgl", "mgr", "d", "name", "_flips")
+    __slots__ = ("group", "gdim", "mgl", "mgr", "d", "name", "_cache")
 
     def __init__(
         self, group: MultiBraidedGroup, gdim: int, mgl: LinMap, mgr: LinMap, d: LinMap, name: str = "calculus"
@@ -56,8 +62,7 @@ class FirstOrderCalculus:
         object.__setattr__(self, "mgr", mgr)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "name", name)
-        # (side, braid) -> the solved flip, filled by flip_for
-        object.__setattr__(self, "_flips", {})
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value=None):
         raise AttributeError("FirstOrderCalculus is immutable")
@@ -75,15 +80,17 @@ class FirstOrderCalculus:
     def __hash__(self):
         return hash(self._key())
 
+    _derived = MultiBraidedGroup._derived  # reads and fills self._cache, as on the group record
+
 
 def iota_l(c: FirstOrderCalculus) -> LinMap:
-    "a (x) b -> a d(b)"
-    return c.mgl @ tensor(identity(c.group.dim), c.d)
+    "a (x) b -> a d(b); cached on the calculus."
+    return c._derived("iota_l", lambda: c.mgl @ tensor(identity(c.group.dim), c.d))
 
 
 def iota_r(c: FirstOrderCalculus) -> LinMap:
-    "a (x) b -> d(a) b"
-    return c.mgr @ tensor(c.d, identity(c.group.dim))
+    "a (x) b -> d(a) b; cached on the calculus."
+    return c._derived("iota_r", lambda: c.mgr @ tensor(c.d, identity(c.group.dim)))
 
 
 def check_calculus(c: FirstOrderCalculus, report: Report | None = None) -> Report:
@@ -92,7 +99,7 @@ def check_calculus(c: FirstOrderCalculus, report: Report | None = None) -> Repor
     n = c.group.dim
     I, Ig = identity(n), identity(c.gdim)
     m, unit, d, mgl, mgr = c.group.mult, c.group.unit, c.d, c.mgl, c.mgr
-    rep.check_eq("EQ_21", d @ m, mgl @ tensor(I, d) + mgr @ tensor(d, I), name="LEIBNIZ")
+    rep.check_eq("EQ_21", d @ m, iota_l(c) + iota_r(c), name="LEIBNIZ")
     rep.check_eq("D_UNIT", d @ unit, LinMap.zero(c.gdim, 1))
     rep.check_eq("BIMOD_L_ASSOC", mgl @ tensor(m, Ig), mgl @ tensor(I, mgl))
     rep.check_eq("BIMOD_R_ASSOC", mgr @ tensor(Ig, m), mgr @ tensor(mgr, I))
@@ -157,10 +164,8 @@ def flip_for(c: FirstOrderCalculus, braid: LinMap, side: str, label) -> FlipOver
     calculus and kept on the calculus.  A failure is not kept, so the
     NotCovariant or NotBijective message names the label it was asked under.
     """
-    flip = c._flips.get((side, braid))
-    if flip is None:
-        flip = c._flips[side, braid] = solve_flip(c, braid, side, label)
-    return flip if flip.label == label else flip._replace(label=label)
+    flip = c._derived(("flip", side, braid), lambda: solve_flip(c, braid, side, label))
+    return flip if flip.label == label else FlipOver(side, label, flip.map, flip.inverse)
 
 
 def solve_flips(c: FirstOrderCalculus, shift_range: int = 2) -> dict:
@@ -198,6 +203,7 @@ def check_flip_identities(c: FirstOrderCalculus, left: FlipOver, right: FlipOver
     inverse of the left (right) flip be the right (left) flip of the
     inverse braid; that flip is taken from flip_for, labelled
     ("inv", label), so a failed solve's reason names the flip's shift.
+    The inverse of a shift of the group is read from the group record.
     """
     n = c.group.dim
     I, Ig = identity(n), identity(c.gdim)
@@ -220,7 +226,7 @@ def check_flip_identities(c: FirstOrderCalculus, left: FlipOver, right: FlipOver
         _kernel_is_subbimodule(c, ls.kernel()),
         {"reason": "kernel of the left flip is not a sub-bimodule"},
     )
-    s_inv = s.inverse()
+    s_inv = c.group.inverse_of(s)
     try:
         rep.check_eq("FLIP_INV_L", left.inverse, flip_for(c, s_inv, "right", ("inv", left.label)).map)
     except (NotCovariant, NotBijective) as exc:

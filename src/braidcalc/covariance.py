@@ -39,7 +39,7 @@ from .linalg import (
     solve_right,
     tensor,
 )
-from .reporting import Report, Verdicts
+from .reporting import PASS, Report, Verdicts
 
 
 class NotLeftCovariant(ValueError):
@@ -125,10 +125,10 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
     pi = proj_coords @ d
     pi_hat = incl @ pi
     rep.check_surjective("PI_SURJ", pi)
-    kere = eps.kernel()
-    ideal = pi.kernel().intersect(kere)
+    kere, ker_pi = g.counit_kernel, pi.kernel()
+    ideal = ker_pi.intersect(kere)
 
-    rep.check_eq("EQ_314", proj @ il, compose(tensor(eps, pi_hat), g.sigma_inv, g.tau))
+    rep.check_eq("EQ_314", proj @ il, tensor(eps, pi_hat) @ g.sigma_inv_tau)
     rep.check_eq(
         "EQ_319",
         compose(proj, mgr, tensor(pi_hat, I)),
@@ -153,7 +153,7 @@ def solve_left_action(c: FirstOrderCalculus, report: Report | None = None, flips
         {"reason": f"dim inv = {q}, dim ker(eps) = {kere.dim}, dim R = {ideal.dim}"},
         note="dim of invariant forms = dim ker(eps) - dim R",
     )
-    rep.check_space_eq("PI_KERNEL", pi.kernel(), ideal.sum_with(g.unit.image()))
+    rep.check_space_eq("PI_KERNEL", ker_pi, ideal.sum_with(g.unit.image()))
     _check_ideal_conditions(g, ideal, "left", rep)
     return LeftCovariantData(c, act, inv_space, incl, proj_coords, pi, pi_hat, ideal, sigma_star, circ)
 
@@ -220,7 +220,7 @@ def _check_circ_laws(g: MultiBraidedGroup, pi: LinMap, sigma_star: LinMap, circ:
     rep.check_eq(
         "EQ_334",
         pi @ g.mult,
-        compose(tensor(g.counit, pi) + circ @ tensor(pi, I), g.sigma_inv, g.tau),
+        (tensor(g.counit, pi) + circ @ tensor(pi, I)) @ g.sigma_inv_tau,
     )
 
 
@@ -232,19 +232,41 @@ _IDEAL_CONDITIONS = {
 }
 
 
-def _check_ideal_conditions(g: MultiBraidedGroup, r: Subspace, side: str, rep: Report, precondition: bool = False):
+def _check_ideal_conditions(
+    g: MultiBraidedGroup, r: Subspace, side: str, rep: Report, precondition: bool = False, note: bool = True
+) -> bool:
     """The ideal of a `side`-covariant calculus is an ideal for the simplified
-    product on the other side, and tau moves it across.  As the precondition
-    of a reconstruction the entries carry no note and the first failure
-    raises IdealInvalid."""
-    kind, key, note, tau_key = _IDEAL_CONDITIONS[side]
+    product on the other side, and tau moves it across; whether both hold.
+
+    Both are decided once per group record, side and subspace (compared by
+    value) and kept on the record as (passed, witness) pairs; every call adds
+    the two entries again, in order, to its own report.  Only the first entry
+    has a note, and only with `note`.  As the precondition of a
+    reconstruction the entries carry no note and the first failure raises
+    IdealInvalid."""
+    kind, key, key_note, tau_key = _IDEAL_CONDITIONS[side]
+    (ok_ideal, ideal_witness), (ok_tau, tau_witness) = g._derived(
+        ("ideal_conditions", side, r), lambda: _decide_ideal_conditions(g, r, side)
+    )
+    rep.check_true(key, ok_ideal, ideal_witness, note=key_note if note and not precondition else "")
+    if precondition and not ok_ideal:
+        raise IdealInvalid(f"not a {kind} ideal for the simplified product")
+    rep.check_true(tau_key, ok_tau, tau_witness)
+    if precondition and not ok_tau:
+        raise IdealInvalid("ideal is not tau-stable")
+    return ok_ideal and ok_tau
+
+
+def _decide_ideal_conditions(g: MultiBraidedGroup, r: Subspace, side: str) -> tuple:
+    "The two verdicts of _check_ideal_conditions, as (passed, witness) pairs."
+    _, key, _, tau_key = _IDEAL_CONDITIONS[side]
     t = sided_tensor(side)
     I, incl = identity(g.dim), r.inclusion()
     ra = t(incl, I).image()
-    if not rep.check_space_le(key, ra.map_by(g.m0), r, note="" if precondition else note) and precondition:
-        raise IdealInvalid(f"not a {kind} ideal for the simplified product")
-    if not rep.check_space_eq(tau_key, ra.map_by(g.tau), t(I, incl).image()) and precondition:
-        raise IdealInvalid("ideal is not tau-stable")
+    scratch = Report()
+    scratch.check_space_le(key, ra.map_by(g.m0), r)
+    scratch.check_space_eq(tau_key, ra.map_by(g.tau), t(I, incl).image())
+    return tuple((e.status == PASS, e.witness) for e in scratch.entries)
 
 
 def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flips: dict | None = None) -> RightCovariantData:
@@ -281,10 +303,10 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     zeta = proj_coords @ d
     zeta_hat = incl @ zeta
     rep.check_surjective("EQ_A11", zeta, note="quotient differential onto right-invariant forms")
-    kere = eps.kernel()
-    ideal = zeta.kernel().intersect(kere)
+    kere, ker_zeta = g.counit_kernel, zeta.kernel()
+    ideal = ker_zeta.intersect(kere)
 
-    rep.check_eq("EQ_A10", proj @ ir, compose(tensor(zeta_hat, eps), g.sigma_inv, g.tau))
+    rep.check_eq("EQ_A10", proj @ ir, tensor(zeta_hat, eps) @ g.sigma_inv_tau)
 
     q = zeta.cod
     star_sigma = _restrict_flips(g, "right", incl, zeta, zeta_hat, flips, rep)
@@ -301,7 +323,7 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
         q == kere.dim - ideal.dim,
         {"reason": f"dim inv = {q}, dim ker(eps) = {kere.dim}, dim K = {ideal.dim}"},
     )
-    rep.check_space_eq("ZETA_KERNEL", zeta.kernel(), ideal.sum_with(g.unit.image()))
+    rep.check_space_eq("ZETA_KERNEL", ker_zeta, ideal.sum_with(g.unit.image()))
     _check_ideal_conditions(g, ideal, "right", rep)
     return RightCovariantData(c, act, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet)
 
@@ -502,7 +524,7 @@ def _close_ideal(g: MultiBraidedGroup, generators, side: str) -> Subspace:
     n = g.dim
     I = identity(n)
     space = Subspace.spanned_by(n, generators)
-    if not g.counit.kernel().contains_space(space):
+    if not g.counit_kernel.contains_space(space):
         raise IdealInvalid("generator outside ker(eps)")
     while True:
         incl = space.inclusion()
@@ -549,7 +571,7 @@ def _reconstruct(g: MultiBraidedGroup, r: Subspace, side: str, report: Report | 
     t = sided_tensor(side)
     n = g.dim
     I = identity(n)
-    if not g.counit.kernel().contains_space(r):
+    if not g.counit_kernel.contains_space(r):
         raise IdealInvalid("ideal is not contained in ker(eps)")
     _check_ideal_conditions(g, r, side, rep, precondition=True)
     # unital braidings make the quotient solves below well-posed
@@ -598,7 +620,7 @@ def check_reconstruction(calc: FirstOrderCalculus, r: Subspace, report: Report, 
 def universal_ideals(g: MultiBraidedGroup) -> dict:
     "The two ideals every group carries: zero and the whole of ker(eps)."
     n = g.dim
-    return {"zero": Subspace.zero(n), "keps": g.counit.kernel()}
+    return {"zero": Subspace.zero(n), "keps": g.counit_kernel}
 
 
 def calculi_isomorphic(c1: FirstOrderCalculus, c2: FirstOrderCalculus) -> LinMap | None:

@@ -2,12 +2,16 @@
 
 A group record holds the algebra plus coproduct, counit, antipode and the
 intrinsic braiding.  From these the secondary braiding tau, the shift
-family sigma_n = (sigma tau^-1)^(n-1) sigma, the simplified product
-m0 = m tau^-1 sigma and the adjoint action are derived and cached (a
-paranoid verification pass recomputes tau and the shifts on a fresh clone
-and compares); kappa0, the antipode of m0, is derived on each call.
-Equal shifts may be distinct objects: the checks over the shift family
-key their verdicts by the maps' values and decide each distinct one once.
+family sigma_n = (sigma tau^-1)^(n-1) sigma and its inverses, the
+simplified product m0 = m tau^-1 sigma, the adjoint action and ker(eps)
+are derived and cached (a paranoid verification pass recomputes tau and
+the shifts on a fresh clone and compares); kappa0, the antipode of m0, is
+derived on each call.  Each shift is one product away from its neighbour
+toward sigma_1 = sigma, and a shift equal to one derived before it is
+that object, so equal shifts are one object: the checks over the shift
+family, which key their verdicts by the maps, find a repeat by identity
+without comparing rows.  The verdicts of the ideal conditions
+(covariance) are kept on the record as well, once per side and subspace.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .algebras import FiniteDimAlgebra, check_algebra
 from .linalg import (
     DimensionMismatch,
     LinMap,
+    Subspace,
     compose,
     identity,
     tensor,
@@ -85,9 +90,12 @@ class MultiBraidedGroup:
         return self.alg.unit
 
     def _derived(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+        "The value cached under key, from fn() on the first call."
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = fn()
+            return value
 
     @property
     def sigma_inv(self) -> LinMap:
@@ -102,6 +110,11 @@ class MultiBraidedGroup:
         return self._derived("tau", lambda: derive_tau(self))
 
     @property
+    def counit_kernel(self) -> Subspace:
+        "ker(eps), where every ideal lives."
+        return self._derived("counit_kernel", self.counit.kernel)
+
+    @property
     def tau_inv(self) -> LinMap:
         return self._derived("tau_inv", self.tau.inverse)
 
@@ -110,10 +123,46 @@ class MultiBraidedGroup:
         "The simplified product m tau^-1 sigma."
         return self._derived("m0", lambda: compose(self.mult, self.tau_inv, self.braiding))
 
-    def sigma_n(self, n: int) -> LinMap:
+    # the steps along the shift family: sigma tau^-1 and tau^-1 sigma up, their inverses down
+
+    @property
+    def sigma_tau_inv(self) -> LinMap:
+        return self._derived("sigma_tau_inv", lambda: self.braiding @ self.tau_inv)
+
+    @property
+    def tau_inv_sigma(self) -> LinMap:
+        return self._derived("tau_inv_sigma", lambda: self.tau_inv @ self.braiding)
+
+    @property
+    def tau_sigma_inv(self) -> LinMap:
+        return self._derived("tau_sigma_inv", lambda: self.tau @ self.sigma_inv)
+
+    @property
+    def sigma_inv_tau(self) -> LinMap:
+        return self._derived("sigma_inv_tau", lambda: self.sigma_inv @ self.tau)
+
+    def _shift(self, n: int) -> tuple:
+        "(the first shift derived with sigma_n's value, sigma_n)"
         if abs(n) > SIGMA_CAP:
             raise ValueError(f"shift {n} beyond the bound {SIGMA_CAP}")
-        return self._derived(("sigma_n", n), lambda: _sigma_n_raw(self, n))
+        return self._derived(("sigma_n", n), lambda: _derive_shift(self, n))
+
+    def sigma_n(self, n: int) -> LinMap:
+        return self._shift(n)[1]
+
+    def sigma_n_inv(self, n: int) -> LinMap:
+        "The inverse of sigma_n, one object per distinct shift."
+        first, s = self._shift(n)
+        if first == 1:
+            return self.sigma_inv
+        return self._derived(("sigma_n_inv", first), s.inverse)
+
+    def inverse_of(self, f: LinMap) -> LinMap:
+        "f^-1: read from the record when f is one of its shift objects, else computed."
+        for first, s in self._cache.get("distinct_shifts", ()):
+            if s is f:
+                return self.sigma_n_inv(first)
+        return f.inverse()
 
     def uncached_clone(self) -> "MultiBraidedGroup":
         return MultiBraidedGroup(self.alg, self.coproduct, self.counit, self.antipode, self.braiding)
@@ -142,23 +191,30 @@ def derive_tau(g: MultiBraidedGroup) -> LinMap:
     return left
 
 
-def _power(f: LinMap, k: int) -> LinMap:
-    if k < 0:
-        return _power(f.inverse(), -k)
-    out = identity(f.dom)
-    for _ in range(k):
-        out = f @ out
-    return out
-
-
-def _sigma_n_raw(g: MultiBraidedGroup, n: int) -> LinMap:
-    st = g.braiding @ g.tau_inv
-    ts = g.tau_inv @ g.braiding
-    a = _power(st, n - 1) @ g.braiding
-    b = g.braiding @ _power(ts, n - 1)
+def _derive_shift(g: MultiBraidedGroup, n: int) -> tuple:
+    """(first, sigma_n) from the neighbour toward sigma_1 = sigma, by both
+    expressions: sigma_n = (sigma tau^-1) sigma_(n-1) = sigma_(n-1) (tau^-1 sigma)
+    above 1, and (tau sigma^-1) sigma_(n+1) = sigma_(n+1) (sigma^-1 tau) below.
+    A value met before is returned as the object derived first, with the
+    shift it was derived at."""
+    distinct = g._derived("distinct_shifts", list)
+    if n == 1:
+        g.tau_inv  # sigma_1 needs tau, as every shift does
+        distinct.append((1, g.braiding))
+        return 1, g.braiding
+    if n > 1:
+        near = g.sigma_n(n - 1)
+        a, b = g.sigma_tau_inv @ near, near @ g.tau_inv_sigma
+    else:
+        near = g.sigma_n(n + 1)
+        a, b = g.tau_sigma_inv @ near, near @ g.sigma_inv_tau
     if a != b:
         raise InternalInconsistency(f"sigma_{n}: the two product expressions differ")
-    return a
+    for first, s in distinct:
+        if s == a:
+            return first, s
+    distinct.append((n, a))
+    return n, a
 
 
 def simplified_algebra(g: MultiBraidedGroup) -> FiniteDimAlgebra:
@@ -317,11 +373,12 @@ def explore_antipode_shifts(g: MultiBraidedGroup, shift_range: int = 2) -> dict:
     Purely exploratory; nothing is asserted.
     """
     kk = tensor(g.antipode, g.antipode)
-    out: dict = {}
-    for n in range(-shift_range, shift_range + 1):
-        lhs = g.sigma_n(n) @ kk
-        out[n] = [m for m in range(-shift_range, shift_range + 1) if lhs == kk @ g.sigma_n(m)]
-    return out
+    shifts = range(-shift_range, shift_range + 1)
+    sigma = {k: g.sigma_n(k) for k in shifts}
+    distinct = dict.fromkeys(sigma.values())  # equal shifts are one object
+    lhs, rhs = {a: a @ kk for a in distinct}, {b: kk @ b for b in distinct}
+    match = {(a, b): lhs[a] == rhs[b] for a in distinct for b in distinct}
+    return {n: [m for m in shifts if match[sigma[n], sigma[m]]] for n in shifts}
 
 
 def check_group(
@@ -369,16 +426,19 @@ def check_group(
     rep.check_eq("TAU_UNITAL_R", tau @ tensor(I, unit), tensor(unit, I))
 
     eps2 = tensor(eps, eps)
-    rep.check_eq("EPS_M_SIGMA_TAU", eps @ m, compose(eps2, g.sigma_inv, tau))
-    rep.check_eq("EPS_SIGMA", compose(eps2, g.sigma_inv, tau), eps2)
+    eps2_twisted = eps2 @ g.sigma_inv_tau
+    rep.check_eq("EPS_M_SIGMA_TAU", eps @ m, eps2_twisted)
+    rep.check_eq("EPS_SIGMA", eps2_twisted, eps2)
     rep.check_eq("EPS_TAU_L", compose(tensor(eps, I), tau), tensor(I, eps))
     rep.check_eq("EPS_TAU_R", compose(tensor(I, eps), tau), tensor(eps, I))
 
+    steps: dict = {}  # a distinct sigma_(k-1) -> both steps up from it
     consistent = True
     for k in range(-shift_range, shift_range + 1):
-        sk = g.sigma_n(k)
-        consistent = consistent and sk == compose(g.sigma_n(k - 1), g.tau_inv, s)
-        consistent = consistent and sk == compose(s, g.tau_inv, g.sigma_n(k - 1))
+        near = g.sigma_n(k - 1)
+        if near not in steps:
+            steps[near] = near @ g.tau_inv_sigma, g.sigma_tau_inv @ near
+        consistent = consistent and all(g.sigma_n(k) == step for step in steps[near])
     rep.check_true("SIGMAN_CONSISTENT", consistent, {"reason": "shift-family recurrence failed"})
 
     sys_rep = Report(ctx=rep.ctx)

@@ -286,7 +286,8 @@ class LinMap:
                 im_rows = _sparse_rows(im_rows, cod, dom)
         self.dom = dom
         self.cod = cod
-        re_rows, im_rows, den = _normalize(re_rows, im_rows, den)
+        if im_rows is not None or den != 1:  # a real map over 1 is in canonical form as it is
+            re_rows, im_rows, den = _normalize(re_rows, im_rows, den)
         self._re = tuple(re_rows)
         self._im = None if im_rows is None else tuple(im_rows)
         self._den = den
@@ -461,7 +462,7 @@ class LinMap:
     def __eq__(self, other):
         if not isinstance(other, LinMap):
             return NotImplemented
-        return (
+        return self is other or (
             self.dom == other.dom
             and self.cod == other.cod
             and self._den == other._den
@@ -864,6 +865,8 @@ def compose(*maps: LinMap) -> LinMap:
     for i in range(k - 1):
         if maps[i].dom != maps[i + 1].cod:
             raise DimensionMismatch(f"compose: slot {i} dom {maps[i].dom} != slot {i+1} cod {maps[i+1].cod}")
+    if k == 2:  # one product: nothing to plan
+        return maps[0] @ maps[1]
     # plan[i][j]: (cost, estimated nonzeros, split) of the product of maps[i..j]
     plan = [[None] * k for _ in range(k)]
     for i, f in enumerate(maps):
@@ -988,14 +991,13 @@ def _moved(row, off=0, s=1):
 
 
 def _realified(re, im):
-    """The integer rows v and i v for v = re + i im: column j of v becomes
-    column 2j (its real part) and column 2j + 1 (its imaginary part)."""
-    v = {2 * j: x for j, x in re.items()}
-    iv = {2 * j + 1: x for j, x in re.items()}
-    for j, y in im.items():
-        v[2 * j + 1] = y
-        iv[2 * j] = -y
-    return v, iv
+    "The integer row of v = re + i im: column j becomes 2j (its real part) and 2j + 1 (its imaginary part)."
+    return {**{2 * j: x for j, x in re.items()}, **{2 * j + 1: y for j, y in im.items()}}
+
+
+def _times_i(row):
+    "The realified row times i: the parts of each column swap, the new real part negated."
+    return {j ^ 1: -x if j & 1 else x for j, x in row.items()}
 
 
 def _complexified(row):
@@ -1050,50 +1052,53 @@ def _eliminate(rows) -> dict:
     if type(first) is not dict:
         pairs = list(rows)
         if any(im for _, im in pairs):
-            piv = _eliminate_real(chain.from_iterable(_realified(re, im) for re, im in pairs))
+            piv = _eliminate_real((_realified(re, im) for re, im in pairs), True)
             return {c >> 1: _complexified(row) for c, row in piv.items() if not c & 1}
         rows = (re for re, _ in pairs)
     return {c: (row, {}) for c, row in _eliminate_real(rows).items()}
 
 
-def _eliminate_real(rows) -> dict:
+def _eliminate_real(rows, with_i: bool = False) -> dict:
     """The pivot loop of _eliminate, on integer rows: {pivot column: row}.
 
     Each row is reduced against the pivot rows so far; its leading column
     becomes a new pivot, made positive with the row's integer content
     divided out, and that column is cleared from the earlier pivot rows that
     hold it, found through an index from each non-pivot column to the pivot
-    rows that held it, so the work follows the nonzeros.
+    rows that held it, so the work follows the nonzeros.  With with_i each
+    realified row v is followed by i v, whose reduction is i times v's: the
+    rows before v span a space closed under i, so i v needs only v's pivot.
     """
     piv: dict = {}
     holders: dict = {}  # non-pivot column -> pivot columns whose rows held it when made; stale ones are skipped
     for row in rows:
-        row = _reduce(row, piv)
-        if not row:
-            continue
-        c = min(row)
-        g = gcd(*row.values())
-        if row[c] < 0:
-            g = -g
-        if g != 1:
-            row = {j: x // g for j, x in row.items()}
-        p = row[c]
-        for d in holders.pop(c, ()):
-            q = piv[d]
-            a = q.get(c)
-            if a is None:
-                continue
-            new = {j: p * x for j, x in q.items()}
-            _addmul(new, row, -a)
-            g = gcd(*new.values())
-            piv[d] = new if g == 1 else {j: x // g for j, x in new.items()}
+        for second in range(1 + with_i):
+            row = _reduce(_times_i(row) if second else row, piv)
+            if not row:
+                break
+            c = min(row)
+            g = gcd(*row.values())
+            if row[c] < 0:
+                g = -g
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
+            p = row[c]
+            for d in holders.pop(c, ()):
+                q = piv[d]
+                a = q.get(c)
+                if a is None:
+                    continue
+                new = {j: p * x for j, x in q.items()}
+                _addmul(new, row, -a)
+                g = gcd(*new.values())
+                piv[d] = new if g == 1 else {j: x // g for j, x in new.items()}
+                for j in row:
+                    if j not in q:
+                        holders.setdefault(j, []).append(d)
+            piv[c] = row
             for j in row:
-                if j not in q:
-                    holders.setdefault(j, []).append(d)
-        piv[c] = row
-        for j in row:
-            if j != c:
-                holders.setdefault(j, []).append(c)
+                if j != c:
+                    holders.setdefault(j, []).append(c)
     return piv
 
 
@@ -1254,8 +1259,9 @@ class Subspace:
         if any(im for _, im in self._piv.values()) or any(im for _, im in rows):
             piv = {}
             for c, (re, im) in self._piv.items():
-                piv[2 * c], piv[2 * c + 1] = _realified(re, im)
-            return (not _reduce(_realified(re, im)[0], piv) for re, im in rows)
+                piv[2 * c] = v = _realified(re, im)
+                piv[2 * c + 1] = _times_i(v)
+            return (not _reduce(_realified(re, im), piv) for re, im in rows)
         piv = {c: re for c, (re, _) in self._piv.items()}
         return (not _reduce(re, piv) for re, _ in rows)
 

@@ -158,8 +158,8 @@ class Verdicts:
     (as `EQ_242_n1_m-1`) carries before its second `_`, and the flip and
     braid maps that enter it, compared by value, so the shifts whose maps
     are equal share its verdicts.  A repeat adds the stored entry under its
-    own key without building either side.  Only entries are stored, never
-    the products of a check.
+    own key without building either side.  Only entries (all but their keys)
+    are stored, never the products of a check.
     """
 
     def __init__(self, report: Report):
@@ -171,13 +171,13 @@ class Verdicts:
         parts = key.split("_", 2)
         if len(parts) < 3:
             raise ValueError(f"verdict key {key!r} has no shift suffix")
-        ident = (f"{parts[0]}_{parts[1]}", *maps)
-        first = self._seen.get(ident)
-        if first is None:
+        ident = (parts[0], parts[1], *maps)
+        verdict = self._seen.get(ident)
+        if verdict is None:
             run(key)
-            self._seen[ident] = self.report.entries[-1]
+            self._seen[ident] = self.report.entries[-1][1:]
         else:
-            self.report.add(first._replace(id=key))
+            self.report.add(Entry(key, *verdict))
 
 
 def _vector_witness(vec, lhs_val, rhs_val) -> dict:

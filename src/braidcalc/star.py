@@ -80,8 +80,8 @@ def check_star_group(sg: StarGroup, report: Report | None = None, shift_range: i
     rep.check_eq("EQ_B37", g.tau @ ss, ss @ compose(psi, g.tau_inv, psi))
     once = Verdicts(rep)
     for k in range(-shift_range, shift_range + 1):
-        sk = g.sigma_n(k)
-        once.check(f"EQ_62_n{k}", (sk,), lambda key: rep.check_eq(key, ss @ sk, compose(psi, sk.inverse(), psi) @ ss))
+        sk, sk_inv = g.sigma_n(k), g.sigma_n_inv(k)
+        once.check(f"EQ_62_n{k}", (sk,), lambda key: rep.check_eq(key, ss @ sk, compose(psi, sk_inv, psi) @ ss))
     return rep
 
 
@@ -170,9 +170,14 @@ def check_star_flip_compat(
     n, gd = g.dim, c.gdim
     psi = permutation_map([1, 0], [n, n])
     star = sg.star
+    sg_s, s_sg = star_gamma.tensor(star), star.tensor(star_gamma)
     once = Verdicts(rep)
+    conj: dict = {}  # a distinct sigma_k^-1 -> its conjugate by psi
     for k in range(-shift_range, shift_range + 1):
-        conj_braid = compose(psi, g.sigma_n(k).inverse(), psi)
+        sk_inv = g.sigma_n_inv(k)
+        if sk_inv not in conj:
+            conj[sk_inv] = compose(psi, sk_inv, psi)
+        conj_braid = conj[sk_inv]
         try:
             lb_map = flip_for(c, conj_braid, "left", ("conj", k)).map
             rb_map = flip_for(c, conj_braid, "right", ("conj", k)).map
@@ -184,11 +189,11 @@ def check_star_flip_compat(
         once.check(
             f"EQ_69_n{k}",
             (ls, lb_map),
-            lambda key: rep.check_eq(key, ls @ star_gamma.tensor(star), star.tensor(star_gamma) @ lb_map),
+            lambda key: rep.check_eq(key, ls @ sg_s, s_sg @ lb_map),
         )
         once.check(
             f"EQ_610_n{k}",
             (rs, rb_map),
-            lambda key: rep.check_eq(key, rs @ star.tensor(star_gamma), star_gamma.tensor(star) @ rb_map),
+            lambda key: rep.check_eq(key, rs @ s_sg, sg_s @ rb_map),
         )
     return rep

@@ -286,6 +286,29 @@ def test_shift_range_above_the_cap_is_rejected():
         run_covariance_mode(bundle, "bi", 9)
 
 
+def test_a_wide_shift_range_compares_and_inverts_few_maps(workdir, monkeypatch):
+    # equal shifts are one object and their inverses are read from the group
+    # record, so repeated verdicts, flips and braid inverses are found by
+    # identity; with a distinct object per shift this check made 32,052
+    # comparisons of distinct maps and 88 inversions
+    counts = {"eq": 0, "inverse": 0}
+    raw_eq, raw_inverse = LinMap.__eq__, LinMap.inverse
+
+    def eq(a, b):
+        counts["eq"] += a is not b
+        return raw_eq(a, b)
+
+    def inverse(f):
+        counts["inverse"] += 1
+        return raw_inverse(f)
+
+    monkeypatch.setattr(LinMap, "__eq__", eq)
+    monkeypatch.setattr(LinMap, "inverse", inverse)
+    assert main(["check", str(workdir / "fix_k2.json"), "--range", "8", "-o", str(workdir / "rep.json")]) == 0
+    assert counts["eq"] < 1000
+    assert counts["inverse"] < 88
+
+
 def subprocess_env(**extra) -> dict:
     "The environment for a Python subprocess that imports this braidcalc."
     src = str(Path(braidcalc.__file__).resolve().parent.parent)

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from braidcalc import covariance
+from braidcalc.bicovariance import ideal_bicovariance_test
+from braidcalc.bundles import parse_bundle
 from braidcalc.calculi import FirstOrderCalculus, FlipOver, check_calculus, iota_l, solve_flips
 from braidcalc.covariance import (
     IdealInvalid,
@@ -20,11 +24,12 @@ from braidcalc.covariance import (
     solve_right_action,
     universal_ideals,
 )
-from braidcalc.fixtures import _delta_group, u_basis_flip_k2
+from braidcalc.fixtures import _delta_group, fix_anyon, u_basis_flip_k2
 from braidcalc.groups import MultiBraidedGroup
 from braidcalc.linalg import LinMap, Subspace, compose, identity, quotient, solve_right, tensor
 from braidcalc.reporting import Report
 from braidcalc.scalars import Q
+from braidcalc.verify import verify_ideal_section
 
 
 # -- left action --------------------------------------------------------------
@@ -260,6 +265,56 @@ def test_reconstruct_gr_has_nonzero_differential(gr):
     assert c.gdim == 2
     theta_image = c.d.col(1)
     assert any(theta_image)
+
+
+def _counting_map_by(monkeypatch, f: LinMap) -> list:
+    "Wrap `Subspace.map_by`; the list collects one entry per call that maps by f."
+    calls = []
+    raw = Subspace.map_by
+
+    def counted(space, g):
+        if g is f:
+            calls.append(space)
+        return raw(space, g)
+
+    monkeypatch.setattr(Subspace, "map_by", counted)
+    return calls
+
+
+def test_ideal_conditions_are_decided_once_per_record_side_and_subspace(monkeypatch):
+    # the closure's R_IDEAL and EQ_320 are entered three times (the
+    # reconstruction's precondition, the solved action, the bicovariance
+    # criterion) and K_IDEAL and EQ_A25 twice, but each side is decided once
+    bundle = parse_bundle((Path(__file__).resolve().parent.parent / "bundles" / "fix_k4.json").read_text())
+    calls = _counting_map_by(monkeypatch, bundle.group.m0)
+    rep = verify_ideal_section(bundle, "keps", dict(bundle.ideals)["keps"])
+    ids = rep.ids()
+    assert ids.count("R_IDEAL") == ids.count("EQ_320") == 3
+    assert ids.count("K_IDEAL") == ids.count("EQ_A25") == 2
+    assert [e.note for e in rep.entries if e.id == "R_IDEAL"] == ["", "m0(R (x) A) inside R", ""]
+    assert rep.ok_all
+    assert len(calls) == 2  # R_IDEAL once, K_IDEAL once
+
+
+def test_a_kept_failing_ideal_verdict_raises_again_with_its_witness(monkeypatch):
+    g = fix_anyon()
+    r = Subspace.spanned_by(4, [[0, 1, 0, 0]])  # inside ker(eps), not an ideal for m0
+    calls = _counting_map_by(monkeypatch, g.m0)
+    entries = []
+    for ctx in ("ideal:first", "ideal:second"):
+        rep = Report(ctx=ctx)
+        with pytest.raises(IdealInvalid, match="not a right ideal"):
+            reconstruct_from_ideal(g, r, rep)
+        entries.append(rep.entries)
+    first, second = entries
+    assert [(e.id, e.status, e.ctx) for e in first + second] == [
+        ("R_IDEAL", "fail", "ideal:first"),
+        ("R_IDEAL", "fail", "ideal:second"),
+    ]
+    assert first[0].witness == second[0].witness and first[0].witness["vector_outside"]
+    rep = ideal_bicovariance_test(g, r, Report())
+    assert [(e.id, e.status, e.note) for e in rep.entries][1:] == [("R_IDEAL", "fail", ""), ("EQ_320", "pass", "")]
+    assert len(calls) == 1
 
 
 def test_reconstruct_rejects_bad_ideal(k2):

@@ -72,6 +72,24 @@ def test_shifts_take_one_value_per_distinct_braid(k2):
     assert len(set(second.sigma_n(n) for n in range(-8, 9))) == 2
 
 
+def test_equal_shifts_are_one_object(k2):
+    # each shift is derived from its neighbour, and a value met before is the
+    # object derived first: one object per distinct shift, and one inverse
+    assert all(k2.sigma_n(n) is k2.sigma_n(1) is k2.braiding for n in range(-8, 9))
+    assert all(k2.sigma_n_inv(n) is k2.sigma_inv for n in range(-8, 9))
+    second = MultiBraidedGroup(k2.alg, k2.coproduct, k2.counit, k2.antipode, u_basis_flip_k2())
+    shifts = [second.sigma_n(n) for n in range(-8, 9)]
+    assert len({id(s) for s in shifts}) == 2
+    for n in range(-8, 9):
+        assert second.sigma_n(n) is second.sigma_n(n % 2)
+        assert second.sigma_n_inv(n) is second.sigma_n_inv(n % 2)
+        assert second.sigma_n_inv(n) @ second.sigma_n(n) == identity(4)
+        assert second.inverse_of(second.sigma_n(n)) is second.sigma_n_inv(n)
+    assert second.sigma_n(0) == second.tau and second.sigma_n_inv(1) is second.sigma_inv
+    other = PSI2.scale(Q(2))  # not a shift: inverted where it is asked for
+    assert second.inverse_of(other) == PSI2.scale(Q(1) / Q(2))
+
+
 def test_sigma_minus_two_gr_is_graded_flip(gr):
     assert gr.sigma_n(-2) == graded_flip((0, 1))
 

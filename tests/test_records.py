@@ -60,9 +60,9 @@ def test_first_order_calculus(k2_universal):
     assert hash(copy) == hash(c)
     assert FirstOrderCalculus(g, c.gdim, **maps).name == "calculus"
     assert FirstOrderCalculus(g, c.gdim, **maps) != c
-    assert copy._flips == {} and copy._flips is not FirstOrderCalculus(g, c.gdim, **maps)._flips
-    copy._flips["left", g.braiding] = None
-    assert copy == c  # the solved flips take no part in equality
+    assert copy._cache == {} and copy._cache is not FirstOrderCalculus(g, c.gdim, **maps)._cache
+    copy._cache["flip", "left", g.braiding] = None
+    assert copy == c  # the derived maps and solved flips take no part in equality
     assert_immutable(c, "name")
     for bad, message in (("mgl", "mgl"), ("mgr", "mgr"), ("d", "d must")):
         with pytest.raises(DimensionMismatch, match=message):
