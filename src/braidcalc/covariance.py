@@ -340,11 +340,12 @@ def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Rep
     I, Ig = identity(n), identity(c.gdim)
     m, phi, eps, kap = g.mult, g.coproduct, g.counit, g.antipode
     act, mgr = lcd.action, c.mgr
-    built = compose(tensor(m, mgr), tensor(kap, act @ mgr, kap), tensor(act, phi))
+    act_mgr = act @ mgr
+    built = compose(tensor(m, mgr), tensor(kap, act_mgr, kap), tensor(act, phi))
     ls = flips["left"][1].map
     if not rep.check_eq("EQ_38", built, ls, note="action-built flip equals the solved flip"):
         raise InternalInconsistency("flip built from the left action disagrees with the solver")
-    rep.check_eq("EQ_39", act @ mgr, compose(tensor(m, mgr), tensor(I, ls, I), tensor(act, phi)))
+    rep.check_eq("EQ_39", act_mgr, compose(tensor(m, mgr), tensor(I, ls, I), tensor(act, phi)))
     half = max(flips["left"]) // 2
     shifts = range(-half, half + 1)
     act_I, I_act = tensor(act, I), tensor(I, act)
@@ -375,11 +376,12 @@ def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, repor
     I, Ig = identity(n), identity(c.gdim)
     m, phi, kap = g.mult, g.coproduct, g.antipode
     act, mgl = rcd.action, c.mgl
-    built = compose(tensor(mgl, m), tensor(kap, act @ mgl, kap), tensor(phi, act))
+    act_mgl = act @ mgl
+    built = compose(tensor(mgl, m), tensor(kap, act_mgl, kap), tensor(phi, act))
     rs = flips["right"][1].map
     if not rep.check_eq("EQ_A6", built, rs):
         raise InternalInconsistency("flip built from the right action disagrees with the solver")
-    rep.check_eq("EQ_A7", act @ mgl, compose(tensor(mgl, m), tensor(I, rs, I), tensor(phi, act)))
+    rep.check_eq("EQ_A7", act_mgl, compose(tensor(mgl, m), tensor(I, rs, I), tensor(phi, act)))
     half = max(flips["right"]) // 2
     shifts = range(-half, half + 1)
     act_I, I_act = tensor(act, I), tensor(I, act)
@@ -574,8 +576,9 @@ def _reconstruct(g: MultiBraidedGroup, r: Subspace, side: str, report: Report | 
     if not g.counit_kernel.contains_space(r):
         raise IdealInvalid("ideal is not contained in ker(eps)")
     _check_ideal_conditions(g, r, side, rep, precondition=True)
-    # unital braidings make the quotient solves below well-posed
-    if g.braiding @ tensor(g.unit, I) != tensor(I, g.unit) or g.tau @ tensor(g.unit, I) != tensor(I, g.unit):
+    # unital braidings make the quotient solves below well-posed; decided once per record
+    unit_l, unit_r = tensor(g.unit, I), tensor(I, g.unit)
+    if not g._derived("unital_braidings", lambda: g.braiding @ unit_l == unit_r and g.tau @ unit_l == unit_r):
         raise IdealInvalid("braiding or its secondary is not unital")
     pi, q = quotient(n, r.sum_with(g.unit.image()))
     Iq = identity(q)

@@ -43,18 +43,18 @@ index of i (x) j in V (x) W is i*dim(W) + j, and kron satisfies the
 mixed-product law with composition.
 
 A leg is a padded factor I_a (x) f (x) I_b, stored as (a, f, b).
-identity(n) returns one (f the 1x1 identity), so tensor() spots
-identities at once, and tensor() returns one whenever every factor but
-one plain map is an identity or a real leg.  Any other product of two
-factors is a lazy product A (x) B (below); three factors that make no
-leg are built by kron.  Multiplying by a leg does not build its rows, and
-an identity returns the other factor as it is.  Row (i, r, k) of the leg
-is row r of f with each column s moved to (i, s, k), so leg @ B sums B's
-rows (i, s, k) times f's entries, and X @ leg adds, for each entry x at
+identity(n) returns one (f the 1x1 identity), so tensor() spots identities
+at once, and tensor() returns one whenever every factor but one plain map
+is an identity or a real leg.  Any other product is a lazy product A (x) B
+(below) of the tensor() of all factors but the last with the last, so
+tensor() never builds.  Multiplying by a leg does not build its rows, and
+an identity returns the other factor as it is.  Row (i, r, k) of the leg is
+row r of f with each column s moved to (i, s, k), so leg @ B sums B's rows
+(i, s, k) times f's entries, and X @ leg adds, for each entry x at
 column t = (i, r, k) of a row of X, x times that row of the leg: only the
-leg rows that X uses are read, from f.  Row t of a real leg is leg[t],
-made alone from f, and X @ leg is the Gustavson product that reads those
-rows; legs and lazy products are read by index only (iterating one raises
+leg rows that X uses are read, from f.  Row t of a real leg is leg[t], made
+alone from f, and X @ leg is the Gustavson product that reads those rows;
+legs and lazy products are read by index only (iterating one raises
 TypeError, as it would run past its rows).  When every row of f holds one
 entry, the leg's rows come in blocks that hand on B's rows as they are
 (times the entry, and 1 * row shares the row), found from one start column
@@ -80,10 +80,10 @@ when a row of X uses it, inside the Gustavson loop, and keeps none of
 them; X may be complex.  A real leg applied to it reads each row it uses
 by index, as (A (x) B)[t], over the factors' denominators.  Any other read
 of its rows or denominator (equality, hashing, elimination, transpose,
-(A (x) B) @ Y, a complex leg applied to it, a further tensor factor) builds
-it once, on the object itself, through LinMap.tensor.  compose() orders a
-chain by estimated nonzeros, so a lazy product meets a thin left factor:
-see its docstring.
+(A (x) B) @ Y, a complex leg applied to it, any read of a lazy product
+that has it as a factor) builds it once, on the object itself, through
+LinMap.tensor.  compose() orders a chain by estimated nonzeros, so a lazy
+product meets a thin left factor: see its docstring.
 
 Zero-dimensional spaces are fully supported (maps with dom or cod 0);
 identities over them hold vacuously.
@@ -900,9 +900,10 @@ def tensor(*maps: LinMap) -> LinMap:
     """The Kronecker product of the maps, left to right.
 
     When every factor but one plain map is an identity or a real leg, the
-    product is a leg, complex when that map is; any other product of two
-    factors is a lazy product (see the module docstring); otherwise it is
-    built.
+    product is a leg, complex when that map is.  Any other product is the
+    lazy product of the tensor() of all factors but the last with the last
+    (see the module docstring), so nothing is built here, except for
+    antilinear factors, which AntilinMap.tensor multiplies out.
     """
     if not maps:
         raise ValueError("tensor() needs at least one map")
@@ -928,14 +929,11 @@ def tensor(*maps: LinMap) -> LinMap:
         if not (a * b * f.cod * f.dom):  # no entries: the plain zero map is cheaper to use
             return LinMap.zero(a * f.cod * b, a * f.dom * b)
         return _Leg(a, f, b) if f._im is None else _CLeg(a, f, b)
-    if len(maps) == 2:
-        A, B = maps
-        if isinstance(A, LinMap) and isinstance(B, LinMap):  # a complex leg or lazy factor is built here
-            return _Kron(A, B) if A._im is None and B._im is None else _CKron(A, B)
-    out = maps[0]
-    for f in maps[1:]:
-        out = out.tensor(f)
-    return out
+    A, B = tensor(*maps[:-1]), maps[-1]
+    if not isinstance(A, LinMap):  # antilinear factors
+        return A.tensor(B)
+    real = all(type(m) not in (_CLeg, _CKron) and m._im is None for m in (A, B))
+    return _Kron(A, B) if real else _CKron(A, B)
 
 
 def permutation_map(perm, dims) -> LinMap:

@@ -24,7 +24,7 @@ from braidcalc.covariance import (
     solve_right_action,
     universal_ideals,
 )
-from braidcalc.fixtures import _delta_group, fix_anyon, u_basis_flip_k2
+from braidcalc.fixtures import _delta_group, fix_anyon, fix_k2, u_basis_flip_k2
 from braidcalc.groups import MultiBraidedGroup
 from braidcalc.linalg import LinMap, Subspace, compose, identity, quotient, solve_right, tensor
 from braidcalc.reporting import Report
@@ -314,6 +314,24 @@ def test_a_kept_failing_ideal_verdict_raises_again_with_its_witness(monkeypatch)
     assert first[0].witness == second[0].witness and first[0].witness["vector_outside"]
     rep = ideal_bicovariance_test(g, r, Report())
     assert [(e.id, e.status, e.note) for e in rep.entries][1:] == [("R_IDEAL", "fail", ""), ("EQ_320", "pass", "")]
+    assert len(calls) == 1
+
+
+def test_unital_braidings_are_decided_once_per_record(monkeypatch):
+    "Two reconstructions from one fresh record multiply sigma by the unit once."
+    g = fix_k2()
+    unit_l = tensor(g.unit, identity(g.dim))
+    calls = []
+    raw = LinMap.__matmul__
+
+    def counted(f, other):
+        if f is g.braiding and other == unit_l:
+            calls.append(1)
+        return raw(f, other)
+
+    monkeypatch.setattr(LinMap, "__matmul__", counted)
+    reconstruct_from_ideal(g, Subspace.zero(2), Report())
+    reconstruct_right_from_ideal(g, g.counit_kernel, Report())
     assert len(calls) == 1
 
 

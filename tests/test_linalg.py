@@ -962,10 +962,41 @@ def test_lazy_product_reads_as_its_eager_twin(complex_, n, data):
         leg, twin = data.draw(legs(eager.cod, rows=False))
         assert leg @ lazy() == twin @ eager
 
+    def three():  # the lazy product of the lazy A (x) B with C
+        return tensor(A, B, C)
+
+    eager3 = eager.tensor(C)
+    assert three() == eager3 and eager3 == three()
+    assert three().rank() == eager3.rank()
+    assert three().image() == eager3.image()
+    assert transpose(three()) == transpose(eager3)
+    (X, _), (Z, _) = data.draw(gaussian_maps(n, eager3.cod)), data.draw(gaussian_maps(eager3.dom, n))
+    assert X @ three() == X @ eager3
+    assert three() @ Z == eager3 @ Z
+
 
 def test_tensor_of_antilinear_maps_stays_antilinear():
     f, g = LinMap(1, 2, [[1, 2]], den=3), LinMap.from_entries(2, 1, [[Q(0, 1)], [Q(2)]])
     assert tensor(AntilinMap(f), AntilinMap(g)) == AntilinMap(f.tensor(g))
+    three = tensor(AntilinMap(f), AntilinMap(g), AntilinMap(f))
+    assert type(three) is AntilinMap and three == AntilinMap(f.tensor(g).tensor(f))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_tensor_builds_nothing_until_a_row_is_read(monkeypatch, complex_):
+    "tensor() of two, three and four factors that make no leg calls LinMap.tensor only when its rows are read."
+    raw, calls = LinMap.tensor, []
+    monkeypatch.setattr(LinMap, "tensor", lambda f, g: calls.append(1) or raw(f, g))
+    f, g = LinMap(2, 3, [[1, 0, -2], [0, 3, 0]]), LinMap(2, 2, [[1, 1], [0, 2]], den=2)
+    if complex_:
+        f = LinMap(2, 3, [[1, 0, -2], [0, 3, 0]], [[0, 1, 0], [0, 0, 0]])
+    for maps in [(f, g), (g, f, g), (f, g, g, f)]:
+        lazy = tensor(*maps)
+        assert type(lazy) is (_CKron if complex_ else _Kron)
+        assert not calls, f"tensor() of {len(maps)} factors built"
+        assert lazy == reduce(raw, maps)  # reading its rows builds it
+        assert calls
+        calls.clear()
 
 
 def test_lazy_product_has_the_normalised_denominator():
