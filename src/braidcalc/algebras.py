@@ -24,7 +24,8 @@ class FiniteDimAlgebra:
         object.__setattr__(self, "labels", labels or tuple(f"e{i}" for i in range(dim)))
 
     def __setattr__(self, name, value=None):
-        raise AttributeError("FiniteDimAlgebra is immutable")
+        "Refuse every assignment; the other records share this method."
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 

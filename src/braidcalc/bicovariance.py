@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .calculi import FirstOrderCalculus, iota_l, iota_r
+from .calculi import FirstOrderCalculus, iota_l, iota_r, sided_tensor
 from .covariance import LeftCovariantData, RightCovariantData, _check_ideal_conditions
 from .groups import InternalInconsistency, MultiBraidedGroup, adjoint_action, kappa0
 from .linalg import (
@@ -76,42 +76,36 @@ def check_bicovariance(
     rep: Report,
     shift_range: int = 2,
 ) -> Report:
-    "Compatibility of the two actions, their twistings, and the invariant restrictions."
+    """Compatibility of the two actions, their twistings, and the invariant restrictions.
+    EQ_44A/EQ_44B (each side's action against the other side's flips) and
+    EQ_46A/EQ_46B are each written once, through sided_tensor."""
     g = c.group
     n = g.dim
     I, Ig = identity(n), identity(c.gdim)
     act_l, act_r = lcd.action, rcd.action
     ad = adjoint_action(g)
     tau, kap = g.tau, g.antipode
-    K = shift_range
 
-    act_l_I, I_act_r = tensor(act_l, I), tensor(I, act_r)
-    rep.check_eq("EQ_41", act_l_I @ act_r, I_act_r @ act_l)
+    rep.check_eq("EQ_41", tensor(act_l, I) @ act_r, tensor(I, act_r) @ act_l)
     rep.check_eq("EQ_43A", act_r @ lcd.pi_hat, tensor(lcd.pi_hat, I) @ ad)
     rep.check_eq(
         "EQ_43B",
         act_l @ rcd.zeta_hat,
         compose(tensor(I, rcd.zeta_hat), tau, tensor(kap, kap), ad, g.kappa_inv),
     )
-    shifts = range(-K, K + 1)
+    shifts = range(-shift_range, shift_range + 1)
     left, right = flips["left"], flips["right"]
     sigma = {k: g.sigma_n(k) for k in shifts}
-    I_act_l, act_r_I = tensor(I, act_l), tensor(act_r, I)
     once = Verdicts(rep)
     for n_s in shifts:
         for m_s in shifts:
-            rsum, lsum = right[n_s + m_s].map, left[n_s + m_s].map
-            rm, lm, sn = right[m_s].map, left[m_s].map, sigma[n_s]
-            once.check(
-                f"EQ_44A_n{n_s}_m{m_s}",
-                (rsum, rm, sn),
-                lambda key: rep.check_eq(key, act_l_I @ rsum, compose(tensor(I, rm), tensor(sn, Ig), I_act_l)),
-            )
-            once.check(
-                f"EQ_44B_n{n_s}_m{m_s}",
-                (lsum, lm, sn),
-                lambda key: rep.check_eq(key, I_act_r @ lsum, compose(tensor(lm, I), tensor(Ig, sn), act_r_I)),
-            )
+            for side, key, act, f in (("left", "EQ_44A", act_l, right), ("right", "EQ_44B", act_r, left)):
+                t, fsum, fm, sn = sided_tensor(side), f[n_s + m_s].map, f[m_s].map, sigma[n_s]
+                once.check(
+                    f"{key}_n{n_s}_m{m_s}",
+                    (fsum, fm, sn),
+                    lambda key: rep.check_eq(key, t(act, I) @ fsum, compose(t(I, fm), t(sn, Ig), t(I, act))),
+                )
     inv_l = tensor(lcd.incl, I).image()
     inv_r_amb = tensor(I, lcd.incl).image()
     rinv_l = tensor(rcd.incl, I).image()
@@ -120,16 +114,9 @@ def check_bicovariance(
         rs, ls = right[n_s].map, left[n_s].map
         once.check(f"EQ_45A_n{n_s}", (rs,), lambda key: rep.check_space_eq(key, inv_r_amb.map_by(rs), inv_l))
         once.check(f"EQ_45B_n{n_s}", (ls,), lambda key: rep.check_space_eq(key, rinv_l.map_by(ls), rinv_r_amb))
-        once.check(
-            f"EQ_46A_n{n_s}",
-            (rs,),
-            lambda key: rep.check_eq(key, rs @ tensor(I, lcd.pi_hat), tensor(lcd.pi_hat, I) @ tau),
-        )
-        once.check(
-            f"EQ_46B_n{n_s}",
-            (ls,),
-            lambda key: rep.check_eq(key, ls @ tensor(rcd.zeta_hat, I), tensor(I, rcd.zeta_hat) @ tau),
-        )
+        for side, key, hat, fn in (("left", "EQ_46A", lcd.pi_hat, rs), ("right", "EQ_46B", rcd.zeta_hat, ls)):
+            t = sided_tensor(side)
+            once.check(f"{key}_n{n_s}", (fn,), lambda key: rep.check_eq(key, fn @ t(I, hat), t(hat, I) @ tau))
     return rep
 
 
@@ -201,7 +188,7 @@ def check_kappa_covariance(
     flips: dict | None = None,
     shift_range: int = 2,
 ) -> KappaData:
-    "Decide antipodal covariance and derive the twisting bijection."
+    "Decide antipodal covariance and derive the twisting bijection; EQ_55/EQ_57 are written once, through sided_tensor."
     g = c.group
     n = g.dim
     I, Ig = identity(n), identity(c.gdim)
@@ -239,20 +226,15 @@ def check_kappa_covariance(
     rep.check_eq("EQ_53", vk @ ir, compose(il, tensor(kap, kap), sm2))
 
     if flips is not None:
-        K = shift_range
-        left, right = flips["left"], flips["right"]
         once = Verdicts(rep)
-        for n_s in range(-K, K + 1):
-            once.check(
-                f"EQ_55_n{n_s}",
-                (left[n_s].map, left[-n_s].map),
-                lambda key: rep.check_eq(key, left[n_s].map @ tensor(vk, I), tensor(I, vk) @ left[-n_s].map),
-            )
-            once.check(
-                f"EQ_57_n{n_s}",
-                (right[n_s].map, right[-n_s].map),
-                lambda key: rep.check_eq(key, right[n_s].map @ tensor(I, vk), tensor(vk, I) @ right[-n_s].map),
-            )
+        for n_s in range(-shift_range, shift_range + 1):
+            for side, key in (("left", "EQ_55"), ("right", "EQ_57")):
+                t, f = sided_tensor(side), flips[side]
+                once.check(
+                    f"{key}_n{n_s}",
+                    (f[n_s].map, f[-n_s].map),
+                    lambda key: rep.check_eq(key, f[n_s].map @ t(vk, I), t(I, vk) @ f[-n_s].map),
+                )
         rep.check_eq("EQ_56", vk @ c.mgr, compose(c.mgl, tensor(kap, vk), flips["left"][-2].map))
         rep.check_eq("EQ_58", vk @ c.mgl, compose(c.mgr, tensor(vk, kap), flips["right"][-2].map))
 

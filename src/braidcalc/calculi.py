@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .algebras import FiniteDimAlgebra
 from .groups import MultiBraidedGroup
 from .linalg import (
     DimensionMismatch,
@@ -64,10 +65,7 @@ class FirstOrderCalculus:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_cache", {})
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError("FirstOrderCalculus is immutable")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = FiniteDimAlgebra.__setattr__
 
     def _key(self) -> tuple:
         return (self.group, self.gdim, self.mgl, self.mgr, self.d, self.name)
@@ -119,7 +117,11 @@ class FlipOver(namedtuple("FlipOver", "direction label map inverse")):
 
 def sided_tensor(side: str):
     """`tensor` for side 'left'; for 'right', `tensor` with its factors reversed,
-    as reflecting a string diagram left to right reverses every tensor product."""
+    as reflecting a string diagram left to right reverses every tensor product.
+    Written once through it for both sides: solve_flip, flip_tau_from_sigma,
+    covariance's ideal conditions, flip restriction and reconstruction, and
+    the mirrored shift-loop families of check_multi_covariance,
+    check_bicovariance and check_kappa_covariance."""
     if side == "left":
         return tensor
     if side == "right":
@@ -295,6 +297,9 @@ def check_multi_covariance(
     Composition law for the ternary closure operation, the mixed braid
     relations with one calculus leg, coproduct twisting, and antipode
     twisting, plus the right-handed mirrors and the two-sided mixed law.
+    EQ_234/EQ_236, and through sided_tensor EQ_242/EQ_246 and EQ_247/EQ_248,
+    are each written once, the left entry before the right at every shift.
+    EQ_237 reflects EQ_235 with shifts a and c exchanged, so it stays apart.
     """
     rep = report if report is not None else Report()
     g = c.group
@@ -310,18 +315,13 @@ def check_multi_covariance(
             for cc in range(-1, 2):
                 if a - b + cc not in left:
                     continue
-                la, lb, lc, lsum = left[a], left[b], left[cc], left[a - b + cc]
-                once.check(
-                    f"EQ_234_a{a}_b{b}_c{cc}",
-                    (la.map, lb.inverse, lc.map, lsum.map),
-                    lambda key: rep.check_eq(key, compose(la.map, lb.inverse, lc.map), lsum.map),
-                )
-                ra, rb, rc, rsum = right[a], right[b], right[cc], right[a - b + cc]
-                once.check(
-                    f"EQ_236_a{a}_b{b}_c{cc}",
-                    (ra.map, rb.inverse, rc.map, rsum.map),
-                    lambda key: rep.check_eq(key, compose(ra.map, rb.inverse, rc.map), rsum.map),
-                )
+                for side, key in (("left", "EQ_234"), ("right", "EQ_236")):
+                    fa, fb, fc, fsum = (flips[side][k] for k in (a, b, cc, a - b + cc))
+                    once.check(
+                        f"{key}_a{a}_b{b}_c{cc}",
+                        (fa.map, fb.inverse, fc.map, fsum.map),
+                        lambda key: rep.check_eq(key, compose(fa.map, fb.inverse, fc.map), fsum.map),
+                    )
     shifts = range(-K, K + 1)
     sigma = {k: g.sigma_n(k) for k in shifts}
     for p in shifts:
@@ -357,31 +357,22 @@ def check_multi_covariance(
                         compose(tensor(lr, I), tensor(Ig, sq), tensor(rp, I)),
                     ),
                 )
-    Ig_phi, phi_Ig = tensor(Ig, phi), tensor(phi, Ig)
     for m_s in shifts:
         for n_s in shifts:
-            ln, lm, rn, rm = left[n_s].map, left[m_s].map, right[n_s].map, right[m_s].map
-            lsum, rsum = left[m_s + n_s].map, right[n_s + m_s].map
-            once.check(
-                f"EQ_242_n{n_s}_m{m_s}",
-                (ln, lm, lsum),
-                lambda key: rep.check_eq(key, compose(tensor(I, ln), tensor(lm, I), Ig_phi), phi_Ig @ lsum),
-            )
-            once.check(
-                f"EQ_246_n{n_s}_m{m_s}",
-                (rn, rm, rsum),
-                lambda key: rep.check_eq(key, compose(tensor(rn, I), tensor(I, rm), phi_Ig), Ig_phi @ rsum),
-            )
-    Ig_kap, kap_Ig = tensor(Ig, kap), tensor(kap, Ig)
+            for side, key in (("left", "EQ_242"), ("right", "EQ_246")):
+                t, f = sided_tensor(side), flips[side]
+                fn, fm, fsum = f[n_s].map, f[m_s].map, f[m_s + n_s].map
+                once.check(
+                    f"{key}_n{n_s}_m{m_s}",
+                    (fn, fm, fsum),
+                    lambda key: rep.check_eq(key, compose(t(I, fn), t(fm, I), t(Ig, phi)), t(phi, Ig) @ fsum),
+                )
     for n_s in shifts:
-        once.check(
-            f"EQ_247_n{n_s}",
-            (left[n_s].map, left[-n_s].map),
-            lambda key: rep.check_eq(key, left[n_s].map @ Ig_kap, kap_Ig @ left[-n_s].map),
-        )
-        once.check(
-            f"EQ_248_n{n_s}",
-            (right[n_s].map, right[-n_s].map),
-            lambda key: rep.check_eq(key, right[n_s].map @ kap_Ig, Ig_kap @ right[-n_s].map),
-        )
+        for side, key in (("left", "EQ_247"), ("right", "EQ_248")):
+            t, f = sided_tensor(side), flips[side]
+            once.check(
+                f"{key}_n{n_s}",
+                (f[n_s].map, f[-n_s].map),
+                lambda key: rep.check_eq(key, f[n_s].map @ t(Ig, kap), t(kap, Ig) @ f[-n_s].map),
+            )
     return rep

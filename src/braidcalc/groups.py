@@ -53,6 +53,12 @@ SIGMA_CAP = 16
 
 
 class MultiBraidedGroup:
+    """A braided group record: the algebra, coproduct, counit, antipode and
+    braiding.  Immutable; equal and hashed by identity.  Derived structure
+    is cached in _cache."""
+
+    __slots__ = ("alg", "coproduct", "counit", "antipode", "braiding", "_cache")
+
     def __init__(
         self,
         alg: FiniteDimAlgebra,
@@ -70,12 +76,14 @@ class MultiBraidedGroup:
             raise DimensionMismatch("antipode must be an endomorphism")
         if braiding.dom != n * n or braiding.cod != n * n:
             raise DimensionMismatch("braiding must act on dim^2")
-        self.alg = alg
-        self.coproduct = coproduct
-        self.counit = counit
-        self.antipode = antipode
-        self.braiding = braiding
-        self._cache: dict = {}
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "coproduct", coproduct)
+        object.__setattr__(self, "counit", counit)
+        object.__setattr__(self, "antipode", antipode)
+        object.__setattr__(self, "braiding", braiding)
+        object.__setattr__(self, "_cache", {})
+
+    __setattr__ = __delattr__ = FiniteDimAlgebra.__setattr__
 
     @property
     def dim(self) -> int:

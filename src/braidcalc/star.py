@@ -10,6 +10,7 @@ rule) and extended by the antimultiplicative module rule.
 
 from __future__ import annotations
 
+from .algebras import FiniteDimAlgebra
 from .bicovariance import KappaData
 from .calculi import FirstOrderCalculus, NotBijective, NotCovariant, flip_for
 from .covariance import LeftCovariantData, RightCovariantData
@@ -41,10 +42,7 @@ class StarGroup:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "star", star)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError("StarGroup is immutable")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = FiniteDimAlgebra.__setattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -164,7 +162,9 @@ def check_star_flip_compat(
     report: Report | None = None,
     shift_range: int = 2,
 ) -> Report:
-    "Flip compatibility with the star: each flip conjugates into the mirrored system."
+    """Flip compatibility with the star: each flip conjugates into the mirrored system.
+    EQ_69/EQ_610 are written once; the right one swaps the roles of the two
+    antilinear products star_gamma (x) star and star (x) star_gamma."""
     rep = report if report is not None else Report()
     g = sg.group
     n, gd = g.dim, c.gdim
@@ -179,21 +179,12 @@ def check_star_flip_compat(
             conj[sk_inv] = compose(psi, sk_inv, psi)
         conj_braid = conj[sk_inv]
         try:
-            lb_map = flip_for(c, conj_braid, "left", ("conj", k)).map
-            rb_map = flip_for(c, conj_braid, "right", ("conj", k)).map
+            conj_flips = {side: flip_for(c, conj_braid, side, ("conj", k)).map for side in ("left", "right")}
         except (NotCovariant, NotBijective) as exc:
             rep.fail(f"EQ_69_n{k}", {"reason": str(exc)})
             rep.fail(f"EQ_610_n{k}", {"reason": str(exc)})
             continue
-        ls, rs = flips["left"][k].map, flips["right"][k].map
-        once.check(
-            f"EQ_69_n{k}",
-            (ls, lb_map),
-            lambda key: rep.check_eq(key, ls @ sg_s, s_sg @ lb_map),
-        )
-        once.check(
-            f"EQ_610_n{k}",
-            (rs, rb_map),
-            lambda key: rep.check_eq(key, rs @ s_sg, sg_s @ rb_map),
-        )
+        for side, key, a, b in (("left", "EQ_69", sg_s, s_sg), ("right", "EQ_610", s_sg, sg_s)):
+            fk, cb = flips[side][k].map, conj_flips[side]
+            once.check(f"{key}_n{k}", (fk, cb), lambda key: rep.check_eq(key, fk @ a, b @ cb))
     return rep

@@ -24,7 +24,7 @@ from braidcalc.covariance import (
 )
 from braidcalc.fixtures import fix_anyon, fix_gr, fix_k2, fix_k4, fix_one, u_basis_flip_k2
 from braidcalc.groups import MultiBraidedGroup, check_group
-from braidcalc.linalg import LinMap, Subspace, compose, permutation_map, tensor
+from braidcalc.linalg import LinMap, Subspace, compose, identity, permutation_map, tensor
 from braidcalc.reporting import Report
 
 from oracles import mirror
@@ -112,3 +112,30 @@ def test_the_sigma_formula_rejects_the_u_basis_flip():
     k2 = fix_k2()
     g = MultiBraidedGroup(k2.alg, k2.coproduct, k2.counit, k2.antipode, u_basis_flip_k2())
     assert sigma_formula(g) == k2.braiding != g.braiding
+
+
+def naturality_sides(g: MultiBraidedGroup) -> tuple:
+    """Both sides of (I (x) phi) sigma = (sigma (x) I)(I (x) sigma)(phi (x) I) and of
+    (phi (x) I) sigma = (I (x) sigma)(sigma (x) I)(I (x) phi): sigma is natural in
+    the coproduct, as a braiding is natural in every morphism of its category."""
+    I, s, phi = identity(g.dim), g.braiding, g.coproduct
+    return (
+        (tensor(I, phi) @ s, compose(tensor(s, I), tensor(I, s), tensor(phi, I))),
+        (tensor(phi, I) @ s, compose(tensor(I, s), tensor(s, I), tensor(I, phi))),
+    )
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["record", "mirror"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_the_braiding_is_natural_in_the_coproduct(name, mirrored):
+    g = FIXTURES[name]()
+    for lhs, rhs in naturality_sides(mirror(g) if mirrored else g):
+        assert lhs == rhs
+
+
+def test_the_u_basis_flip_is_not_natural_in_the_coproduct():
+    "The invalid sigma != tau record fails both naturality laws."
+    k2 = fix_k2()
+    g = MultiBraidedGroup(k2.alg, k2.coproduct, k2.counit, k2.antipode, u_basis_flip_k2())
+    for lhs, rhs in naturality_sides(g):
+        assert lhs != rhs

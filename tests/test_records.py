@@ -8,7 +8,7 @@ from braidcalc.bundles import Bundle
 from braidcalc.calculi import FirstOrderCalculus, FlipOver
 from braidcalc.covariance import LeftCovariantData, RightCovariantData
 from braidcalc.fixtures import conjugation_star
-from braidcalc.groups import BraidSystem, Completion
+from braidcalc.groups import BraidSystem, Completion, MultiBraidedGroup
 from braidcalc.linalg import AntilinMap, DimensionMismatch, LinMap, identity
 from braidcalc.reporting import Entry, Report
 from braidcalc.star import StarGroup
@@ -50,6 +50,21 @@ def test_finite_dim_algebra(k2):
         FiniteDimAlgebra(3, a.unit, a.mult)
     with pytest.raises(DimensionMismatch, match="mult"):
         FiniteDimAlgebra(2, a.unit, identity(2))
+
+
+def test_multi_braided_group(k2, k2_universal):
+    g = MultiBraidedGroup(k2.alg, k2.coproduct, k2.counit, k2.antipode, k2.braiding)
+    assert g == g != k2 and hash(g) == hash(g) != hash(k2)  # equal and hashed by identity
+    tau = g.tau
+    assert_immutable(g, "braiding")
+    assert_immutable(g, "_cache")
+    assert g.tau is tau and g.braiding is k2.braiding
+    with pytest.raises(AttributeError):
+        g.extra = None
+    records = (k2.alg, g, k2_universal, StarGroup(g, conjugation_star(g)))
+    for record in records:
+        with pytest.raises(AttributeError, match=f"^{type(record).__name__} is immutable$"):
+            record.name = None
 
 
 def test_first_order_calculus(k2_universal):

@@ -19,8 +19,9 @@ MEM_CAP_MB and killed after TIMEOUT_S: once, or OUT_RUNS times when the
 point is written with --out.  The generated bundles are written first, by
 the same braidcalc, in their own capped processes.  A rung records the
 wall time of its fastest run (interpreter start, import, parsing and the
-check), that run's peak resident memory (ru_maxrss) and the sha256 of the
-report it wrote; a rung that runs out of memory or time records
+check), the lowest peak resident memory (ru_maxrss) over its runs, kept
+apart from the wall time because one run's peak swings by several MB, and
+the sha256 of the report they wrote; a rung that runs out of memory or time records
 "exceeded", and one whose runs write different reports fails the run.
 
 The run is printed as one JSON point.  --out appends it to FILE's
@@ -127,12 +128,13 @@ def run_rung(name: str, src: str, tmp: str, runs: int = 1):
     else:
         path = str(ROOT / "bundles" / bundle)
     report = os.path.join(tmp, f"{name}.report.json")
-    best = None
+    best, peaks = None, []
     for _ in range(runs):
         ran = run_capped([sys.executable, "-m", "braidcalc.cli", "check", path, "-o", report, *extra], src, err)
         if ran is None or _exceeded(err):
             return "exceeded"
         code, wall, rss = ran
+        peaks.append(rss)
         if code not in (0, 1):
             raise RuntimeError(f"{name}: check exited {code}:\n{Path(err).read_text()}")
         digest = hashlib.sha256(Path(report).read_bytes()).hexdigest()
@@ -140,7 +142,7 @@ def run_rung(name: str, src: str, tmp: str, runs: int = 1):
             raise RuntimeError(f"{name}: runs of one bundle wrote different reports")
         if best is None or wall < best["wall_s"]:
             best = {"exit": code, "wall_s": wall, "peak_rss_mb": rss, "sha256": digest}
-    return dict(best, wall_s=round(best["wall_s"], 3), peak_rss_mb=round(best["peak_rss_mb"], 1))
+    return dict(best, wall_s=round(best["wall_s"], 3), peak_rss_mb=round(min(peaks), 1))
 
 
 def changed_digests(point: dict, recorded: dict) -> list:
