@@ -1,9 +1,19 @@
-"""Finite-dimensional unital associative algebras given by structure constants."""
+"""Finite-dimensional unital associative algebras given by structure constants.
+
+Every record (algebra, group, calculus, star group) sets its fields once,
+through `_set_fields`, and then refuses every assignment.
+"""
 
 from __future__ import annotations
 
 from .linalg import DimensionMismatch, LinMap, compose, identity, tensor
 from .reporting import Report, basis_label
+
+
+def _set_fields(record, **fields):
+    "Set a new record's fields past its refusing __setattr__; every record's __init__ calls it."
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
 
 
 class FiniteDimAlgebra:
@@ -18,10 +28,7 @@ class FiniteDimAlgebra:
             raise DimensionMismatch("unit must be a map 1 -> dim")
         if mult.dom != dim**2 or mult.cod != dim:
             raise DimensionMismatch("mult must be a map dim^2 -> dim")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "labels", labels or tuple(f"e{i}" for i in range(dim)))
+        _set_fields(self, dim=dim, unit=unit, mult=mult, labels=labels or tuple(f"e{i}" for i in range(dim)))
 
     def __setattr__(self, name, value=None):
         "Refuse every assignment; the other records share this method."

@@ -54,14 +54,9 @@ def check_kappa0(g: MultiBraidedGroup, rep: Report) -> LinMap:
     "kappa0 with its counit law and the antipode laws for the simplified product."
     n = g.dim
     I = identity(n)
-    k0 = kappa0(g)
+    k0 = kappa0(g)  # raises Kappa0Mismatch unless its two expressions coincide
     m0 = g.m0
-    rep.check_eq(
-        "KAPPA0_OK",
-        compose(tensor(g.counit, g.antipode), g.braiding, g.coproduct),
-        compose(tensor(g.antipode, g.counit), g.braiding, g.coproduct),
-        note="both expressions for kappa0 coincide",
-    )
+    rep.ok("KAPPA0_OK", note="both expressions for kappa0 coincide")
     rep.check_eq("KAPPA0_COUNIT", g.counit @ k0, g.counit)
     rep.check_eq("KAPPA0_ANTIPODE_L", compose(m0, tensor(k0, I), g.coproduct), g.unit @ g.counit)
     rep.check_eq("KAPPA0_ANTIPODE_R", compose(m0, tensor(I, k0), g.coproduct), g.unit @ g.counit)
@@ -280,11 +275,7 @@ def check_kappa_covariance(
 
 
 def kappa_iff_bicovariant(
-    c: FirstOrderCalculus,
-    lcd: LeftCovariantData | None,
-    rcd: RightCovariantData | None,
-    rep: Report,
-    kappa_cov: bool,
+    lcd: LeftCovariantData | None, rcd: RightCovariantData | None, rep: Report, kappa_cov: bool
 ) -> Report:
     """Assert that antipodal covariance and bicovariance agree, given the solved
     actions (None where the calculus is not covariant on that side) and the

@@ -89,10 +89,7 @@ def _parse_matrix(value, cod: int, dom: int, path: str) -> LinMap:
             for j, x in enumerate(row):
                 q = scalars.get(x) if type(x) is str else None
                 if q is None:
-                    try:
-                        q = _scalar(x) or 0  # a zero cell as the int 0, which LinMap.from_entries skips at once
-                    except ScalarParseError as exc:
-                        raise ParseError(f"{path}[{i}][{j}]", str(exc)) from exc
+                    q = _parse_scalar(x, f"{path}[{i}][{j}]") or 0  # a zero as the int 0, which from_entries skips
                     if type(x) is str:
                         scalars[x] = q
                 cells.append(q)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebras import FiniteDimAlgebra
+from .algebras import FiniteDimAlgebra, _set_fields
 from .groups import MultiBraidedGroup
 from .linalg import (
     DimensionMismatch,
@@ -57,26 +57,13 @@ class FirstOrderCalculus:
             raise DimensionMismatch("mgr must map Gamma (x) A -> Gamma")
         if d.dom != n or d.cod != gdim:
             raise DimensionMismatch("d must map A -> Gamma")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "gdim", gdim)
-        object.__setattr__(self, "mgl", mgl)
-        object.__setattr__(self, "mgr", mgr)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_cache", {})
+        _set_fields(self, group=group, gdim=gdim, mgl=mgl, mgr=mgr, d=d, name=name, _cache={})
 
     __setattr__ = __delattr__ = FiniteDimAlgebra.__setattr__
+    __eq__, __hash__ = FiniteDimAlgebra.__eq__, FiniteDimAlgebra.__hash__
 
     def _key(self) -> tuple:
         return (self.group, self.gdim, self.mgl, self.mgr, self.d, self.name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     _derived = MultiBraidedGroup._derived  # reads and fills self._cache, as on the group record
 

@@ -8,11 +8,12 @@ the common invariant flip restriction sigma_star and the invariant right
 multiplication circ, together with both module trivializations and the
 ideal-to-calculus reconstruction (and all their mirror versions).
 
-The ideal conditions, the invariant flip restriction and the reconstruction
-are written once, for the left side, through `sided_tensor`, and the left
-action and the reconstruction share one copy of the circ laws EQ_332-EQ_334;
-the other mirror versions stay twins because their report entries differ
-in set, order, notes or sides of an equation.
+The ideal conditions, the invariant flip restriction, the action-built flip
+and the reconstruction are written once, for the left side, through
+`sided_tensor`, and the left action and the reconstruction share one copy
+of the circ laws EQ_332-EQ_334; the other mirror versions stay twins
+because their report entries differ in set, order, notes or sides of an
+equation.
 """
 
 from __future__ import annotations
@@ -328,72 +329,63 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     return RightCovariantData(c, act, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet)
 
 
+# side -> (the keys of the built flip, of its action law and of the shift law, and the built flip's note)
+_ACTION_FLIPS = {
+    "left": ("EQ_38", "EQ_39", "EQ_310", "action-built flip equals the solved flip"),
+    "right": ("EQ_A6", "EQ_A7", "EQ_A8", ""),
+}
+
+
 def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None, flips: dict) -> LinMap:
     """The sigma flip rebuilt out of the left action; checked against the solved flip table.
 
     The two agree on every valid group record.  On a record that fails a
     non-fatal group check (PHI_MULT, EPS_SIGMA, ...) they can differ, and
     then InternalInconsistency is raised, as for any failed self-check."""
-    rep = report if report is not None else Report()
-    g = c.group
-    n = g.dim
-    I, Ig = identity(n), identity(c.gdim)
-    m, phi, eps, kap = g.mult, g.coproduct, g.counit, g.antipode
-    act, mgr = lcd.action, c.mgr
-    act_mgr = act @ mgr
-    built = compose(tensor(m, mgr), tensor(kap, act_mgr, kap), tensor(act, phi))
-    ls = flips["left"][1].map
-    if not rep.check_eq("EQ_38", built, ls, note="action-built flip equals the solved flip"):
-        raise InternalInconsistency("flip built from the left action disagrees with the solver")
-    rep.check_eq("EQ_39", act_mgr, compose(tensor(m, mgr), tensor(I, ls, I), tensor(act, phi)))
-    half = max(flips["left"]) // 2
-    shifts = range(-half, half + 1)
-    act_I, I_act = tensor(act, I), tensor(I, act)
-    once = Verdicts(rep)
-    for p in shifts:
-        for r in shifts:
-            sp, lr, lsum = g.sigma_n(p), flips["left"][r].map, flips["left"][p + r].map
-            once.check(
-                f"EQ_310_n{p}_m{r}",
-                (sp, lr, lsum),
-                lambda key: rep.check_eq(key, compose(tensor(sp, Ig), tensor(I, lr), act_I), I_act @ lsum),
-            )
-    rep.check_eq(
-        "EQ_311",
-        flips["left"][0].map,
-        compose(tensor(eps, I, Ig), tensor(g.sigma_inv, Ig), I_act, ls),
-    )
-    return built
+    return _flip_from_action(c, "left", lcd.action, report, flips)
 
 
 def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, report: Report | None, flips: dict) -> LinMap:
     """Mirror construction of the right flip out of the right action; as in
     flip_from_actions, a disagreement raises InternalInconsistency, which on
     a record failing a non-fatal group check is not a solver bug."""
+    return _flip_from_action(c, "right", rcd.action, report, flips)
+
+
+def _flip_from_action(c: FirstOrderCalculus, side: str, act: LinMap, report: Report | None, flips: dict) -> LinMap:
+    """The flip of `side` built out of its action `act`, written for the left.
+    On the right mgl takes mgr's place, the two sides of the shift law are
+    exchanged, and EQ_311, the shift-0 flip through the counit, is left-only."""
+    built_key, law_key, shift_key, note = _ACTION_FLIPS[side]
     rep = report if report is not None else Report()
+    t = sided_tensor(side)
     g = c.group
-    n = g.dim
-    I, Ig = identity(n), identity(c.gdim)
+    I, Ig = identity(g.dim), identity(c.gdim)
     m, phi, kap = g.mult, g.coproduct, g.antipode
-    act, mgl = rcd.action, c.mgl
-    act_mgl = act @ mgl
-    built = compose(tensor(mgl, m), tensor(kap, act_mgl, kap), tensor(phi, act))
-    rs = flips["right"][1].map
-    if not rep.check_eq("EQ_A6", built, rs):
-        raise InternalInconsistency("flip built from the right action disagrees with the solver")
-    rep.check_eq("EQ_A7", act_mgl, compose(tensor(mgl, m), tensor(I, rs, I), tensor(phi, act)))
-    half = max(flips["right"]) // 2
+    mod = c.mgr if side == "left" else c.mgl
+    act_mod = act @ mod
+    built = compose(t(m, mod), t(kap, act_mod, kap), t(act, phi))
+    s1 = flips[side][1].map
+    if not rep.check_eq(built_key, built, s1, note=note):
+        raise InternalInconsistency(f"flip built from the {side} action disagrees with the solver")
+    rep.check_eq(law_key, act_mod, compose(t(m, mod), t(I, s1, I), t(act, phi)))
+    half = max(flips[side]) // 2
     shifts = range(-half, half + 1)
-    act_I, I_act = tensor(act, I), tensor(I, act)
+    act_I, I_act = t(act, I), t(I, act)
     once = Verdicts(rep)
     for p in shifts:
         for r in shifts:
-            sp, rr, rsum = g.sigma_n(p), flips["right"][r].map, flips["right"][p + r].map
-            once.check(
-                f"EQ_A8_n{p}_m{r}",
-                (sp, rr, rsum),
-                lambda key: rep.check_eq(key, act_I @ rsum, compose(tensor(Ig, sp), tensor(rr, I), I_act)),
-            )
+            sp, fr, fsum = g.sigma_n(p), flips[side][r].map, flips[side][p + r].map
+
+            def law(key):
+                sides = compose(t(sp, Ig), t(I, fr), act_I), I_act @ fsum
+                return rep.check_eq(key, *(sides if side == "left" else sides[::-1]))
+
+            once.check(f"{shift_key}_n{p}_m{r}", (sp, fr, fsum), law)
+    if side == "left":
+        rep.check_eq(
+            "EQ_311", flips["left"][0].map, compose(tensor(g.counit, I, Ig), tensor(g.sigma_inv, Ig), I_act, s1)
+        )
     return built
 
 

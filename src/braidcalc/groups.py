@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebras import FiniteDimAlgebra, check_algebra
+from .algebras import FiniteDimAlgebra, _set_fields, check_algebra
 from .linalg import (
     DimensionMismatch,
     LinMap,
@@ -76,12 +76,7 @@ class MultiBraidedGroup:
             raise DimensionMismatch("antipode must be an endomorphism")
         if braiding.dom != n * n or braiding.cod != n * n:
             raise DimensionMismatch("braiding must act on dim^2")
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "coproduct", coproduct)
-        object.__setattr__(self, "counit", counit)
-        object.__setattr__(self, "antipode", antipode)
-        object.__setattr__(self, "braiding", braiding)
-        object.__setattr__(self, "_cache", {})
+        _set_fields(self, alg=alg, coproduct=coproduct, counit=counit, antipode=antipode, braiding=braiding, _cache={})
 
     __setattr__ = __delattr__ = FiniteDimAlgebra.__setattr__
 

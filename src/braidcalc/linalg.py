@@ -527,11 +527,11 @@ class _Leg(LinMap):
     """
 
     __slots__ = ("_a", "_f", "_b", "_built")
+    _im = None  # a real leg's; _CLeg reads f's imaginary part instead
 
     def __init__(self, a: int, f: LinMap, b: int):
         self._a, self._f, self._b = a, f, b
         self.cod, self.dom = a * f.cod * b, a * f.dom * b
-        self._im = None
         self._den = f._den  # the leg's entries are f's; tensor() makes no empty leg but identity(0)
         self._built = None
 
@@ -634,12 +634,6 @@ class _CLeg(_Leg):
 
     __slots__ = ()
 
-    def __init__(self, a: int, f: LinMap, b: int):
-        self._a, self._f, self._b = a, f, b
-        self.cod, self.dom = a * f.cod * b, a * f.dom * b
-        self._den = f._den
-        self._built = None
-
     def __getitem__(self, t):
         "Not supported: the real leg's row would drop f's imaginary part."
         raise TypeError("a complex leg's rows are not read by index")
@@ -711,11 +705,11 @@ class _Kron(LinMap):
     """
 
     __slots__ = ("_A", "_B", "_built")
+    _im = None  # a real product's; _CKron reads the built map's instead
 
     def __init__(self, A: LinMap, B: LinMap):
         self._A, self._B = A, B
         self.cod, self.dom = A.cod * B.cod, A.dom * B.dom
-        self._im = None
         self._built = None
 
     def _build(self) -> LinMap:
@@ -741,10 +735,6 @@ class _Kron(LinMap):
         q, n = self._B.cod, self._B.dom
         out = []
         for Xi in X:
-            if len(Xi) == 1:  # a multiple of one row: products of nonzeros
-                [(t, x)] = Xi.items()
-                out.append(_scaled(self[t], x))
-                continue
             row: dict = {}
             get = row.get
             for t, x in Xi.items():
@@ -771,11 +761,6 @@ class _CKron(_Kron):
     """A (x) B with a complex factor, held unbuilt: see the module docstring."""
 
     __slots__ = ()
-
-    def __init__(self, A: LinMap, B: LinMap):
-        self._A, self._B = A, B
-        self.cod, self.dom = A.cod * B.cod, A.dom * B.dom
-        self._built = None
 
     @property
     def _im(self):

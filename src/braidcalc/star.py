@@ -10,7 +10,7 @@ rule) and extended by the antimultiplicative module rule.
 
 from __future__ import annotations
 
-from .algebras import FiniteDimAlgebra
+from .algebras import FiniteDimAlgebra, _set_fields
 from .bicovariance import KappaData
 from .calculi import FirstOrderCalculus, NotBijective, NotCovariant, flip_for
 from .covariance import LeftCovariantData, RightCovariantData
@@ -39,18 +39,13 @@ class StarGroup:
     def __init__(self, group: MultiBraidedGroup, star: AntilinMap):
         if star.dom != group.dim or star.cod != group.dim:
             raise ValueError("star must be an antilinear endomorphism of the algebra")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "star", star)
+        _set_fields(self, group=group, star=star)
 
     __setattr__ = __delattr__ = FiniteDimAlgebra.__setattr__
+    __eq__, __hash__ = FiniteDimAlgebra.__eq__, FiniteDimAlgebra.__hash__
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.star) == (other.group, other.star)
-
-    def __hash__(self):
-        return hash((self.group, self.star))
+    def _key(self) -> tuple:
+        return (self.group, self.star)
 
 
 def check_star_group(sg: StarGroup, report: Report | None = None, shift_range: int = 2) -> Report:

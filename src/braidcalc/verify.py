@@ -119,7 +119,7 @@ def verify_calculus_section(bundle: Bundle, c: FirstOrderCalculus, shift_range: 
             kd = check_kappa_covariance(c, rep, lcd=lcd, rcd=rcd, flips=flips, shift_range=shift_range)
         except NotKappaCovariant as exc:  # the decision entry already records the failure and witness
             kappa_cov = exc.kernels_agree
-        kappa_iff_bicovariant(c, lcd, rcd, rep, kappa_cov)
+        kappa_iff_bicovariant(lcd, rcd, rep, kappa_cov)
     if bundle.star is not None and lcd is not None:
         sg = StarGroup(g, bundle.star)
         try:
@@ -179,7 +179,7 @@ def _solve_action(c: FirstOrderCalculus, side: str, rep: Report, flips: dict | N
     return None
 
 
-def verify_ideal_section(bundle: Bundle, name: str, vectors, shift_range: int = 2) -> Report:
+def verify_ideal_section(bundle: Bundle, name: str, vectors) -> Report:
     rep = Report(ctx=f"ideal:{name}")
     g = bundle.group
     try:
@@ -240,7 +240,7 @@ def verify_bundle(bundle: Bundle, shift_range: int = 2, paranoid: bool = False) 
     for c in bundle.calculi:
         out.extend(_guarded(f"calculus:{c.name}", lambda: verify_calculus_section(bundle, c, shift_range)))
     for name, vectors in bundle.ideals:
-        out.extend(_guarded(f"ideal:{name}", lambda: verify_ideal_section(bundle, name, vectors, shift_range)))
+        out.extend(_guarded(f"ideal:{name}", lambda: verify_ideal_section(bundle, name, vectors)))
     return out
 
 
@@ -298,7 +298,7 @@ def _covariance_one(bundle: Bundle, c: FirstOrderCalculus, mode: str, shift_rang
             kappa_cov = exc.kernels_agree
         lcd = _solve_action(c, "left", Report())
         rcd = _solve_action(c, "right", Report()) if lcd is not None else None
-        kappa_iff_bicovariant(c, lcd, rcd, sub, kappa_cov)
+        kappa_iff_bicovariant(lcd, rcd, sub, kappa_cov)
     elif mode == "star":
         lcd = _solve_action(c, "left", sub)
         if lcd is not None:

@@ -170,7 +170,7 @@ def _kappa_decision(c) -> bool:
 def test_kappa_iff_bicovariant_positive(k2_universal, gr_universal, k2_zero_calc, k4_d1_calc):
     for c in (k2_universal, gr_universal, k2_zero_calc, k4_d1_calc):
         rep = Report()
-        kappa_iff_bicovariant(c, solve_left_action(c, Report()), _right_action_or_none(c), rep, _kappa_decision(c))
+        kappa_iff_bicovariant(solve_left_action(c, Report()), _right_action_or_none(c), rep, _kappa_decision(c))
         entry = rep["KAPPA_IFF_BICOVARIANT"]
         assert entry.status == "pass", entry.note
 
@@ -178,7 +178,7 @@ def test_kappa_iff_bicovariant_positive(k2_universal, gr_universal, k2_zero_calc
 def test_kappa_iff_bicovariant_reports_the_given_decision(k2_universal, k2_lcd, k2_rcd):
     for kappa_cov, status in ((True, "pass"), (False, "fail")):
         rep = Report()
-        kappa_iff_bicovariant(k2_universal, k2_lcd, k2_rcd, rep, kappa_cov)
+        kappa_iff_bicovariant(k2_lcd, k2_rcd, rep, kappa_cov)
         entry = rep["KAPPA_IFF_BICOVARIANT"]
         assert entry.status == status
         assert entry.note == f"kappa-covariant: {kappa_cov}; bicovariant: True"
@@ -192,7 +192,7 @@ def test_kappa_iff_bicovariant_skips_non_left_covariant(k2_universal, k2):
     with pytest.raises(NotLeftCovariant):
         solve_left_action(broken, Report())
     rep = Report()
-    kappa_iff_bicovariant(broken, None, None, rep, _kappa_decision(broken))
+    kappa_iff_bicovariant(None, None, rep, _kappa_decision(broken))
     assert rep["KAPPA_IFF_BICOVARIANT"].status == "skipped"
 
 
@@ -210,7 +210,7 @@ def test_anyon_t2_is_left_but_not_bicovariant(anyon, anyon_t2_calc):
     with pytest.raises(NotRightCovariant):
         solve_right_action(c, Report())
     rep2 = Report()
-    kappa_iff_bicovariant(c, lcd, None, rep2, _kappa_decision(c))
+    kappa_iff_bicovariant(lcd, None, rep2, _kappa_decision(c))
     entry = rep2["KAPPA_IFF_BICOVARIANT"]
     assert entry.status == "pass"
     assert "kappa-covariant: False; bicovariant: False" in entry.note

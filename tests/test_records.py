@@ -110,6 +110,18 @@ def test_star_group(k2):
         StarGroup(k2, AntilinMap(identity(1)))
 
 
+def test_key_records_are_equal_within_their_class_only(k2, k2_universal):
+    # FirstOrderCalculus and StarGroup share FiniteDimAlgebra's __eq__ and __hash__ through _key
+    sg = StarGroup(k2, conjugation_star(k2))
+    records = (k2.alg, k2_universal, sg)
+    for x in records:
+        for y in records:
+            if x is not y:
+                assert not x == y and x != y
+    for x in (k2_universal, sg):
+        assert hash(x) == hash(x._key())
+
+
 @pytest.mark.parametrize(
     "record, names",
     [
