@@ -329,10 +329,11 @@ def solve_right_action(c: FirstOrderCalculus, report: Report | None = None, flip
     return RightCovariantData(c, act, inv_space, incl, proj_coords, zeta, zeta_hat, ideal, star_sigma, bullet)
 
 
-# side -> (the keys of the built flip, of its action law and of the shift law, and the built flip's note)
+# side -> (the module map the action is composed with, the keys of the built flip, of its action law
+# and of the shift law, the built flip's note, and the step that orders the shift law's two sides)
 _ACTION_FLIPS = {
-    "left": ("EQ_38", "EQ_39", "EQ_310", "action-built flip equals the solved flip"),
-    "right": ("EQ_A6", "EQ_A7", "EQ_A8", ""),
+    "left": ("mgr", "EQ_38", "EQ_39", "EQ_310", "action-built flip equals the solved flip", 1),
+    "right": ("mgl", "EQ_A6", "EQ_A7", "EQ_A8", "", -1),
 }
 
 
@@ -342,7 +343,15 @@ def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Rep
     The two agree on every valid group record.  On a record that fails a
     non-fatal group check (PHI_MULT, EPS_SIGMA, ...) they can differ, and
     then InternalInconsistency is raised, as for any failed self-check."""
-    return _flip_from_action(c, "left", lcd.action, report, flips)
+    rep = report if report is not None else Report()
+    built = _flip_from_action(c, "left", lcd.action, rep, flips)
+    g, I, Ig = c.group, identity(c.group.dim), identity(c.gdim)
+    rep.check_eq(
+        "EQ_311",
+        flips["left"][0].map,
+        compose(tensor(g.counit, I, Ig), tensor(g.sigma_inv, Ig), tensor(I, lcd.action), flips["left"][1].map),
+    )
+    return built
 
 
 def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, report: Report | None, flips: dict) -> LinMap:
@@ -353,16 +362,15 @@ def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, repor
 
 
 def _flip_from_action(c: FirstOrderCalculus, side: str, act: LinMap, report: Report | None, flips: dict) -> LinMap:
-    """The flip of `side` built out of its action `act`, written for the left.
-    On the right mgl takes mgr's place, the two sides of the shift law are
-    exchanged, and EQ_311, the shift-0 flip through the counit, is left-only."""
-    built_key, law_key, shift_key, note = _ACTION_FLIPS[side]
+    """The flip of `side` built out of its action `act` and its laws EQ_38-EQ_310
+    (EQ_A6-EQ_A8 on the right), written for the left; the side's module map
+    and the order of the shift law's two sides come from _ACTION_FLIPS."""
+    module, built_key, law_key, shift_key, note, step = _ACTION_FLIPS[side]
     rep = report if report is not None else Report()
     t = sided_tensor(side)
     g = c.group
     I, Ig = identity(g.dim), identity(c.gdim)
-    m, phi, kap = g.mult, g.coproduct, g.antipode
-    mod = c.mgr if side == "left" else c.mgl
+    m, phi, kap, mod = g.mult, g.coproduct, g.antipode, getattr(c, module)
     act_mod = act @ mod
     built = compose(t(m, mod), t(kap, act_mod, kap), t(act, phi))
     s1 = flips[side][1].map
@@ -376,16 +384,11 @@ def _flip_from_action(c: FirstOrderCalculus, side: str, act: LinMap, report: Rep
     for p in shifts:
         for r in shifts:
             sp, fr, fsum = g.sigma_n(p), flips[side][r].map, flips[side][p + r].map
-
-            def law(key):
-                sides = compose(t(sp, Ig), t(I, fr), act_I), I_act @ fsum
-                return rep.check_eq(key, *(sides if side == "left" else sides[::-1]))
-
-            once.check(f"{shift_key}_n{p}_m{r}", (sp, fr, fsum), law)
-    if side == "left":
-        rep.check_eq(
-            "EQ_311", flips["left"][0].map, compose(tensor(g.counit, I, Ig), tensor(g.sigma_inv, Ig), I_act, s1)
-        )
+            once.check(
+                f"{shift_key}_n{p}_m{r}",
+                (sp, fr, fsum),
+                lambda key: rep.check_eq(key, *(compose(t(sp, Ig), t(I, fr), act_I), I_act @ fsum)[::step]),
+            )
     return built
 
 
