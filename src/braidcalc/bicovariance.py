@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .calculi import FirstOrderCalculus, iota_l, iota_r, sided_tensor
+from .calculi import FirstOrderCalculus, flip_window, iota_l, iota_r, sided_tensor
 from .covariance import LeftCovariantData, RightCovariantData, _check_ideal_conditions
 from .groups import InternalInconsistency, MultiBraidedGroup, adjoint_action, kappa0
 from .linalg import (
@@ -63,17 +63,11 @@ def check_kappa0(g: MultiBraidedGroup, rep: Report) -> LinMap:
     return k0
 
 
-def check_bicovariance(
-    c: FirstOrderCalculus,
-    lcd: LeftCovariantData,
-    rcd: RightCovariantData,
-    flips: dict,
-    rep: Report,
-    shift_range: int = 2,
-) -> Report:
-    """Compatibility of the two actions, their twistings, and the invariant restrictions.
-    EQ_44A/EQ_44B (each side's action against the other side's flips) and
-    EQ_46A/EQ_46B are each written once, through sided_tensor."""
+def check_bicovariance(lcd: LeftCovariantData, rcd: RightCovariantData, flips: dict, rep: Report) -> Report:
+    """Compatibility of the two actions, their twistings, and the invariant restrictions,
+    over the table's flip_window.  EQ_44A/EQ_44B (each side's action against the
+    other side's flips) and EQ_46A/EQ_46B are each written once, through sided_tensor."""
+    c = lcd.calculus
     g = c.group
     n = g.dim
     I, Ig = identity(n), identity(c.gdim)
@@ -88,7 +82,7 @@ def check_bicovariance(
         act_l @ rcd.zeta_hat,
         compose(tensor(I, rcd.zeta_hat), tau, tensor(kap, kap), ad, g.kappa_inv),
     )
-    shifts = range(-shift_range, shift_range + 1)
+    shifts = flip_window(flips)
     left, right = flips["left"], flips["right"]
     sigma = {k: g.sigma_n(k) for k in shifts}
     once = Verdicts(rep)
@@ -135,7 +129,6 @@ def ideal_bicovariance_test(g: MultiBraidedGroup, r: Subspace, rep: Report) -> R
 
 
 def right_action_from_ad(
-    g: MultiBraidedGroup,
     lcd: LeftCovariantData,
     rcd: RightCovariantData,
     right_triv: tuple[LinMap, LinMap],
@@ -148,6 +141,7 @@ def right_action_from_ad(
     against the directly solved right action.
     """
     c = lcd.calculus
+    g = c.group
     n = g.dim
     I = identity(n)
     q = lcd.inv_dim
@@ -181,9 +175,9 @@ def check_kappa_covariance(
     lcd: LeftCovariantData | None = None,
     rcd: RightCovariantData | None = None,
     flips: dict | None = None,
-    shift_range: int = 2,
 ) -> KappaData:
-    "Decide antipodal covariance and derive the twisting bijection; EQ_55/EQ_57 are written once, through sided_tensor."
+    """Decide antipodal covariance and derive the twisting bijection; EQ_55/EQ_57,
+    over the table's flip_window, are written once, through sided_tensor."""
     g = c.group
     n = g.dim
     I, Ig = identity(n), identity(c.gdim)
@@ -222,7 +216,7 @@ def check_kappa_covariance(
 
     if flips is not None:
         once = Verdicts(rep)
-        for n_s in range(-shift_range, shift_range + 1):
+        for n_s in flip_window(flips):
             for side, key in (("left", "EQ_55"), ("right", "EQ_57")):
                 t, f = sided_tensor(side), flips[side]
                 once.check(

@@ -161,11 +161,13 @@ def solve_flips(c: FirstOrderCalculus, shift_range: int = 2) -> dict:
     """Left and right flips of every shifted braiding sigma_n.
 
     The table spans [-2K, 2K] so that identities indexed by sums of two
-    shifts in [-K, K] stay inside the table.  The shifts are taken in
-    ascending order, left before right, through flip_for, so a distinct
-    braid is solved at its first shift and a NotCovariant or NotBijective
-    message names that shift.  Every entry is labelled with its own shift,
-    and the entries of equal braids share their `map` and `inverse`.
+    shifts in the window [-K, K] stay inside the table; the batteries that
+    take the table read that window from it, through flip_window.  The
+    shifts are taken in ascending order, left before right, through
+    flip_for, so a distinct braid is solved at its first shift and a
+    NotCovariant or NotBijective message names that shift.  Every entry is
+    labelled with its own shift, and the entries of equal braids share
+    their `map` and `inverse`.
     """
     table = {"left": {}, "right": {}}
     for n in range(-2 * shift_range, 2 * shift_range + 1):
@@ -173,6 +175,12 @@ def solve_flips(c: FirstOrderCalculus, shift_range: int = 2) -> dict:
         for side in ("left", "right"):
             table[side][n] = flip_for(c, braid, side, n)
     return table
+
+
+def flip_window(flips: dict) -> range:
+    "The window [-K, K] of a table that solve_flips built over [-2K, 2K]."
+    half = max(flips["left"]) // 2
+    return range(-half, half + 1)
 
 
 def _kernel_is_subbimodule(c: FirstOrderCalculus, ker) -> bool:
@@ -273,13 +281,8 @@ def flip_tau_from_sigma(c: FirstOrderCalculus, f_sigma: FlipOver, report: Report
     return FlipOver(side, "tau", ft, ft_inv)
 
 
-def check_multi_covariance(
-    c: FirstOrderCalculus,
-    flips: dict,
-    report: Report | None = None,
-    shift_range: int = 2,
-) -> Report:
-    """Identities tying the whole flip family together.
+def check_multi_covariance(c: FirstOrderCalculus, flips: dict, report: Report | None = None) -> Report:
+    """Identities tying the whole flip family together, over the table's flip_window.
 
     Composition law for the ternary closure operation, the mixed braid
     relations with one calculus leg, coproduct twisting, and antipode
@@ -294,7 +297,6 @@ def check_multi_covariance(
     I, Ig = identity(n), identity(c.gdim)
     phi, kap = g.coproduct, g.antipode
     left, right = flips["left"], flips["right"]
-    K = shift_range
 
     once = Verdicts(rep)
     for a in range(-1, 2):
@@ -309,7 +311,7 @@ def check_multi_covariance(
                         (fa.map, fb.inverse, fc.map, fsum.map),
                         lambda key: rep.check_eq(key, compose(fa.map, fb.inverse, fc.map), fsum.map),
                     )
-    shifts = range(-K, K + 1)
+    shifts = flip_window(flips)
     sigma = {k: g.sigma_n(k) for k in shifts}
     for p in shifts:
         for q in shifts:

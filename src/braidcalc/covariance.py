@@ -23,6 +23,7 @@ from collections import namedtuple
 from .calculi import (
     FirstOrderCalculus,
     check_calculus,
+    flip_window,
     iota_l,
     iota_r,
     sided_tensor,
@@ -337,14 +338,15 @@ _ACTION_FLIPS = {
 }
 
 
-def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None, flips: dict) -> LinMap:
+def flip_from_actions(lcd: LeftCovariantData, report: Report | None, flips: dict) -> LinMap:
     """The sigma flip rebuilt out of the left action; checked against the solved flip table.
 
     The two agree on every valid group record.  On a record that fails a
     non-fatal group check (PHI_MULT, EPS_SIGMA, ...) they can differ, and
     then InternalInconsistency is raised, as for any failed self-check."""
     rep = report if report is not None else Report()
-    built = _flip_from_action(c, "left", lcd.action, rep, flips)
+    built = _flip_from_action("left", lcd, rep, flips)
+    c = lcd.calculus
     g, I, Ig = c.group, identity(c.group.dim), identity(c.gdim)
     rep.check_eq(
         "EQ_311",
@@ -354,20 +356,22 @@ def flip_from_actions(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Rep
     return built
 
 
-def flip_from_right_action(c: FirstOrderCalculus, rcd: RightCovariantData, report: Report | None, flips: dict) -> LinMap:
+def flip_from_right_action(rcd: RightCovariantData, report: Report | None, flips: dict) -> LinMap:
     """Mirror construction of the right flip out of the right action; as in
     flip_from_actions, a disagreement raises InternalInconsistency, which on
     a record failing a non-fatal group check is not a solver bug."""
-    return _flip_from_action(c, "right", rcd.action, report, flips)
+    return _flip_from_action("right", rcd, report, flips)
 
 
-def _flip_from_action(c: FirstOrderCalculus, side: str, act: LinMap, report: Report | None, flips: dict) -> LinMap:
-    """The flip of `side` built out of its action `act` and its laws EQ_38-EQ_310
-    (EQ_A6-EQ_A8 on the right), written for the left; the side's module map
-    and the order of the shift law's two sides come from _ACTION_FLIPS."""
+def _flip_from_action(side: str, data: LeftCovariantData | RightCovariantData, report: Report | None,
+                      flips: dict) -> LinMap:
+    """The flip of `side` built out of the solved action of `data` and its laws
+    EQ_38-EQ_310 (EQ_A6-EQ_A8 on the right), written for the left; the side's
+    module map and the order of the shift law's two sides come from _ACTION_FLIPS."""
     module, built_key, law_key, shift_key, note, step = _ACTION_FLIPS[side]
     rep = report if report is not None else Report()
     t = sided_tensor(side)
+    c, act = data.calculus, data.action
     g = c.group
     I, Ig = identity(g.dim), identity(c.gdim)
     m, phi, kap, mod = g.mult, g.coproduct, g.antipode, getattr(c, module)
@@ -377,8 +381,7 @@ def _flip_from_action(c: FirstOrderCalculus, side: str, act: LinMap, report: Rep
     if not rep.check_eq(built_key, built, s1, note=note):
         raise InternalInconsistency(f"flip built from the {side} action disagrees with the solver")
     rep.check_eq(law_key, act_mod, compose(t(m, mod), t(I, s1, I), t(act, phi)))
-    half = max(flips[side]) // 2
-    shifts = range(-half, half + 1)
+    shifts = flip_window(flips)
     act_I, I_act = t(act, I), t(I, act)
     once = Verdicts(rep)
     for p in shifts:
@@ -392,9 +395,10 @@ def _flip_from_action(c: FirstOrderCalculus, side: str, act: LinMap, report: Rep
     return built
 
 
-def left_trivialization(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None = None) -> tuple[LinMap, LinMap]:
+def left_trivialization(lcd: LeftCovariantData, report: Report | None = None) -> tuple[LinMap, LinMap]:
     "Gamma = A (x) (invariant forms) as left modules, with the dictionary."
     rep = report if report is not None else Report()
+    c = lcd.calculus
     g = c.group
     n, q = g.dim, lcd.inv_dim
     I, Iq, Ig = identity(n), identity(q), identity(c.gdim)
@@ -413,9 +417,10 @@ def left_trivialization(c: FirstOrderCalculus, lcd: LeftCovariantData, report: R
     return fwd, bwd
 
 
-def right_trivialization(c: FirstOrderCalculus, lcd: LeftCovariantData, report: Report | None = None) -> tuple[LinMap, LinMap]:
+def right_trivialization(lcd: LeftCovariantData, report: Report | None = None) -> tuple[LinMap, LinMap]:
     "Gamma = (invariant forms) (x) A as right modules; needs sigma_star invertible."
     rep = report if report is not None else Report()
+    c = lcd.calculus
     g = c.group
     n, q = g.dim, lcd.inv_dim
     I, Iq = identity(n), identity(q)
@@ -449,9 +454,10 @@ def right_trivialization(c: FirstOrderCalculus, lcd: LeftCovariantData, report: 
     return fwd, bwd
 
 
-def right_covariant_trivializations(c: FirstOrderCalculus, rcd: RightCovariantData, report: Report | None = None):
+def right_covariant_trivializations(rcd: RightCovariantData, report: Report | None = None):
     "The mirror dictionaries for a solved right action."
     rep = report if report is not None else Report()
+    c = rcd.calculus
     g = c.group
     n, q = g.dim, rcd.inv_dim
     I, Iq = identity(n), identity(q)

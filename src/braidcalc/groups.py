@@ -2,16 +2,18 @@
 
 A group record holds the algebra plus coproduct, counit, antipode and the
 intrinsic braiding.  From these the secondary braiding tau, the shift
-family sigma_n = (sigma tau^-1)^(n-1) sigma and its inverses, the
-simplified product m0 = m tau^-1 sigma, the adjoint action and ker(eps)
-are derived and cached (a paranoid verification pass recomputes tau and
-the shifts on a fresh clone and compares); kappa0, the antipode of m0, is
-derived on each call.  Each shift is one product away from its neighbour
-toward sigma_1 = sigma, and a shift equal to one derived before it is
-that object, so equal shifts are one object: the checks over the shift
-family, which key their verdicts by the maps, find a repeat by identity
-without comparing rows.  The verdicts of the ideal conditions
-(covariance) are kept on the record as well, once per side and subspace.
+family sigma_n = (sigma tau^-1)^(n-1) sigma, the simplified product
+m0 = m tau^-1 sigma, the adjoint action and ker(eps) are derived and
+cached (a paranoid verification pass recomputes tau and the shifts on a
+fresh clone and compares); kappa0, the antipode of m0, is derived on each
+call.  Each shift is one product away from its neighbour toward
+sigma_1 = sigma, and a shift equal to one derived before it is that
+object, so equal shifts are one object: the checks over the shift family,
+which key their verdicts by the maps, find a repeat by identity without
+comparing rows.  Every inverse (sigma^-1, kappa^-1, tau^-1, sigma_n^-1)
+comes from inverse_of, which keeps one inverse per distinct map, compared
+by value.  The verdicts of the ideal conditions (covariance) are kept on
+the record as well, once per side and subspace.
 """
 
 from __future__ import annotations
@@ -102,11 +104,11 @@ class MultiBraidedGroup:
 
     @property
     def sigma_inv(self) -> LinMap:
-        return self._derived("sigma_inv", self.braiding.inverse)
+        return self.inverse_of(self.braiding)
 
     @property
     def kappa_inv(self) -> LinMap:
-        return self._derived("kappa_inv", self.antipode.inverse)
+        return self.inverse_of(self.antipode)
 
     @property
     def tau(self) -> LinMap:
@@ -119,7 +121,7 @@ class MultiBraidedGroup:
 
     @property
     def tau_inv(self) -> LinMap:
-        return self._derived("tau_inv", self.tau.inverse)
+        return self.inverse_of(self.tau)
 
     @property
     def m0(self) -> LinMap:
@@ -144,28 +146,17 @@ class MultiBraidedGroup:
     def sigma_inv_tau(self) -> LinMap:
         return self._derived("sigma_inv_tau", lambda: self.sigma_inv @ self.tau)
 
-    def _shift(self, n: int) -> tuple:
-        "(the first shift derived with sigma_n's value, sigma_n)"
+    def sigma_n(self, n: int) -> LinMap:
         if abs(n) > SIGMA_CAP:
             raise ValueError(f"shift {n} beyond the bound {SIGMA_CAP}")
         return self._derived(("sigma_n", n), lambda: _derive_shift(self, n))
 
-    def sigma_n(self, n: int) -> LinMap:
-        return self._shift(n)[1]
-
     def sigma_n_inv(self, n: int) -> LinMap:
-        "The inverse of sigma_n, one object per distinct shift."
-        first, s = self._shift(n)
-        if first == 1:
-            return self.sigma_inv
-        return self._derived(("sigma_n_inv", first), s.inverse)
+        return self.inverse_of(self.sigma_n(n))
 
     def inverse_of(self, f: LinMap) -> LinMap:
-        "f^-1: read from the record when f is one of its shift objects, else computed."
-        for first, s in self._cache.get("distinct_shifts", ()):
-            if s is f:
-                return self.sigma_n_inv(first)
-        return f.inverse()
+        "f^-1, kept on the record once per distinct f (compared by value): equal maps share one inverse."
+        return self._derived(("inverse", f), f.inverse)
 
     def uncached_clone(self) -> "MultiBraidedGroup":
         return MultiBraidedGroup(self.alg, self.coproduct, self.counit, self.antipode, self.braiding)
@@ -194,17 +185,16 @@ def derive_tau(g: MultiBraidedGroup) -> LinMap:
     return left
 
 
-def _derive_shift(g: MultiBraidedGroup, n: int) -> tuple:
-    """(first, sigma_n) from the neighbour toward sigma_1 = sigma, by both
-    expressions: sigma_n = (sigma tau^-1) sigma_(n-1) = sigma_(n-1) (tau^-1 sigma)
-    above 1, and (tau sigma^-1) sigma_(n+1) = sigma_(n+1) (sigma^-1 tau) below.
-    A value met before is returned as the object derived first, with the
-    shift it was derived at."""
+def _derive_shift(g: MultiBraidedGroup, n: int) -> LinMap:
+    """sigma_n from the neighbour toward sigma_1 = sigma, by both expressions:
+    sigma_n = (sigma tau^-1) sigma_(n-1) = sigma_(n-1) (tau^-1 sigma) above 1,
+    and (tau sigma^-1) sigma_(n+1) = sigma_(n+1) (sigma^-1 tau) below.  A
+    value met before is returned as the object derived first."""
     distinct = g._derived("distinct_shifts", list)
     if n == 1:
         g.tau_inv  # sigma_1 needs tau, as every shift does
-        distinct.append((1, g.braiding))
-        return 1, g.braiding
+        distinct.append(g.braiding)
+        return g.braiding
     if n > 1:
         near = g.sigma_n(n - 1)
         a, b = g.sigma_tau_inv @ near, near @ g.tau_inv_sigma
@@ -213,11 +203,11 @@ def _derive_shift(g: MultiBraidedGroup, n: int) -> tuple:
         a, b = g.tau_sigma_inv @ near, near @ g.sigma_inv_tau
     if a != b:
         raise InternalInconsistency(f"sigma_{n}: the two product expressions differ")
-    for first, s in distinct:
+    for s in distinct:
         if s == a:
-            return first, s
-    distinct.append((n, a))
-    return n, a
+            return s
+    distinct.append(a)
+    return a
 
 
 def simplified_algebra(g: MultiBraidedGroup) -> FiniteDimAlgebra:

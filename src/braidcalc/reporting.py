@@ -188,15 +188,12 @@ def _vector_witness(vec, lhs_val, rhs_val) -> dict:
     }
 
 
-def basis_label(index: int, dims, labels=None) -> str:
-    "Decode a composite tensor index into a factor label tuple string."
+def basis_label(index: int, dims, labels) -> str:
+    "Decode a composite tensor index into a tuple string of the factors' basis labels."
     parts = []
     rem = index
     for d in reversed(dims):
         parts.append(rem % d)
         rem //= d
     parts.reverse()
-    if labels is not None:
-        named = [labels[p] for p in parts]
-        return "(" + ", ".join(named) + ")"
-    return "(" + ", ".join(str(p) for p in parts) + ")"
+    return "(" + ", ".join(labels[p] for p in parts) + ")"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .algebras import FiniteDimAlgebra, _set_fields
 from .bicovariance import KappaData
-from .calculi import FirstOrderCalculus, NotBijective, NotCovariant, flip_for
+from .calculi import FirstOrderCalculus, NotBijective, NotCovariant, flip_for, flip_window
 from .covariance import LeftCovariantData, RightCovariantData
 from .groups import MultiBraidedGroup
 from .linalg import (
@@ -79,7 +79,6 @@ def check_star_group(sg: StarGroup, report: Report | None = None, shift_range: i
 
 
 def star_covariance(
-    c: FirstOrderCalculus,
     lcd: LeftCovariantData,
     sg: StarGroup,
     report: Report | None = None,
@@ -94,6 +93,7 @@ def star_covariance(
     battery recorded in the report.
     """
     rep = report if report is not None else Report()
+    c = lcd.calculus
     g = c.group
     n, q, gd = g.dim, lcd.inv_dim, c.gdim
     I = identity(n)
@@ -155,11 +155,11 @@ def check_star_flip_compat(
     sg: StarGroup,
     star_gamma: AntilinMap,
     report: Report | None = None,
-    shift_range: int = 2,
 ) -> Report:
-    """Flip compatibility with the star: each flip conjugates into the mirrored system.
-    EQ_69/EQ_610 are written once; the right one swaps the roles of the two
-    antilinear products star_gamma (x) star and star (x) star_gamma."""
+    """Flip compatibility with the star over the table's flip_window: each flip
+    conjugates into the mirrored system.  EQ_69/EQ_610 are written once; the right
+    one swaps the roles of the two antilinear products star_gamma (x) star and
+    star (x) star_gamma."""
     rep = report if report is not None else Report()
     g = sg.group
     n, gd = g.dim, c.gdim
@@ -168,7 +168,7 @@ def check_star_flip_compat(
     sg_s, s_sg = star_gamma.tensor(star), star.tensor(star_gamma)
     once = Verdicts(rep)
     conj: dict = {}  # a distinct sigma_k^-1 -> its conjugate by psi
-    for k in range(-shift_range, shift_range + 1):
+    for k in flip_window(flips):
         sk_inv = g.sigma_n_inv(k)
         if sk_inv not in conj:
             conj[sk_inv] = compose(psi, sk_inv, psi)

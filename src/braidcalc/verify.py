@@ -28,6 +28,7 @@ from .calculi import (
     check_flip_identities,
     check_multi_covariance,
     flip_tau_from_sigma,
+    flip_window,
     solve_flips,
 )
 from .covariance import (
@@ -93,39 +94,39 @@ def verify_calculus_section(bundle: Bundle, c: FirstOrderCalculus, shift_range: 
     rcd = _solve_action(c, "right", rep, flips)
     right_triv = None
     if lcd is not None and flips is not None:
-        flip_from_actions(c, lcd, rep, flips=flips)
-        left_trivialization(c, lcd, rep)
+        flip_from_actions(lcd, rep, flips=flips)
+        left_trivialization(lcd, rep)
         try:
-            right_triv = right_trivialization(c, lcd, rep)
+            right_triv = right_trivialization(lcd, rep)
         except SigmaStarSingular as exc:
             rep.fail("SIGMA_STAR_SINGULAR", {"reason": str(exc)})
     if rcd is not None and flips is not None:
-        flip_from_right_action(c, rcd, rep, flips=flips)
+        flip_from_right_action(rcd, rep, flips=flips)
         try:
-            right_covariant_trivializations(c, rcd, rep)
+            right_covariant_trivializations(rcd, rep)
         except SigmaStarSingular as exc:
             rep.fail("STAR_SIGMA_SINGULAR", {"reason": str(exc)})
     if lcd is not None and rcd is not None and flips is not None:
-        check_bicovariance(c, lcd, rcd, flips, rep, shift_range)
+        check_bicovariance(lcd, rcd, flips, rep)
     if rcd is not None and right_triv is not None:
         try:
-            right_action_from_ad(g, lcd, rcd, right_triv, rep)
+            right_action_from_ad(lcd, rcd, right_triv, rep)
         except AdNotDescending as exc:
             rep.fail("AD_NOT_DESCENDING", {"reason": str(exc)})
     kd = None
     if lcd is not None:
         kappa_cov = True
         try:
-            kd = check_kappa_covariance(c, rep, lcd=lcd, rcd=rcd, flips=flips, shift_range=shift_range)
+            kd = check_kappa_covariance(c, rep, lcd=lcd, rcd=rcd, flips=flips)
         except NotKappaCovariant as exc:  # the decision entry already records the failure and witness
             kappa_cov = exc.kernels_agree
         kappa_iff_bicovariant(lcd, rcd, rep, kappa_cov)
     if bundle.star is not None and lcd is not None:
         sg = StarGroup(g, bundle.star)
         try:
-            star_gamma = star_covariance(c, lcd, sg, rep, rcd=rcd, kappa_data=kd, flips=flips)
+            star_gamma = star_covariance(lcd, sg, rep, rcd=rcd, kappa_data=kd, flips=flips)
             if flips is not None:
-                check_star_flip_compat(c, flips, sg, star_gamma, rep, shift_range)
+                check_star_flip_compat(c, flips, sg, star_gamma, rep)
         except NotStarCovariant:
             pass  # STARKAPPA_IDEAL already carries the witness
     return rep
@@ -151,7 +152,7 @@ def _flip_battery(c: FirstOrderCalculus, rep: Report, shift_range: int, note: st
         return None
     rep.ok("FLIPS_SOLVED", note=note)
     blocks: dict = {}
-    for k in range(-shift_range, shift_range + 1):
+    for k in flip_window(flips):
         left, right, sk = flips["left"][k], flips["right"][k], g.sigma_n(k)
         key = (sk, left.map, left.inverse, right.map, right.inverse)
         block = blocks.get(key)
@@ -162,7 +163,7 @@ def _flip_battery(c: FirstOrderCalculus, rep: Report, shift_range: int, note: st
         rep.extend(block)
     flip_tau_from_sigma(c, flips["left"][1], rep)
     flip_tau_from_sigma(c, flips["right"][1], rep)
-    check_multi_covariance(c, flips, rep, shift_range)
+    check_multi_covariance(c, flips, rep)
     return flips
 
 
@@ -286,14 +287,14 @@ def _covariance_one(bundle: Bundle, c: FirstOrderCalculus, mode: str, shift_rang
         if lcd is not None and rcd is not None:
             try:
                 flips = solve_flips(c, shift_range)
-                check_bicovariance(c, lcd, rcd, flips, sub, shift_range)
+                check_bicovariance(lcd, rcd, flips, sub)
             except (NotCovariant, NotBijective) as exc:
                 sub.fail("NOT_SIGMA_COVARIANT", {"reason": str(exc)})
             ideal_bicovariance_test(g, lcd.ideal, sub)
     elif mode == "kappa":
         kappa_cov = True
         try:
-            check_kappa_covariance(c, sub, shift_range=shift_range)
+            check_kappa_covariance(c, sub)
         except NotKappaCovariant as exc:
             kappa_cov = exc.kernels_agree
         lcd = _solve_action(c, "left", Report())
@@ -303,7 +304,7 @@ def _covariance_one(bundle: Bundle, c: FirstOrderCalculus, mode: str, shift_rang
         lcd = _solve_action(c, "left", sub)
         if lcd is not None:
             try:
-                star_covariance(c, lcd, StarGroup(g, bundle.star), sub)
+                star_covariance(lcd, StarGroup(g, bundle.star), sub)
             except NotStarCovariant:
                 pass
     elif mode == "braided":

@@ -289,7 +289,7 @@ def test_criterion_6_decision_equivalences():
         sk = star4.star @ k4.antipode
         stable = all(lcd.ideal.contains(sk.apply(v)) for v in lcd.ideal.basis)
         try:
-            star_covariance(calc, lcd, star4, Report())
+            star_covariance(lcd, star4, Report())
             covariant = True
         except NotStarCovariant:
             covariant = False

@@ -14,6 +14,7 @@ from braidcalc.calculi import (
     solve_flips,
 )
 from braidcalc import calculi, verify
+from braidcalc.bicovariance import check_bicovariance, check_kappa_covariance
 from braidcalc.bundles import Bundle
 from braidcalc.covariance import reconstruct_from_ideal, universal_ideals
 from braidcalc.fixtures import _delta_group, conjugation_star, u_basis_flip_k2
@@ -21,6 +22,7 @@ from braidcalc.groups import MultiBraidedGroup
 from braidcalc.linalg import LinMap, identity, permutation_map, tensor
 from braidcalc.reporting import Report, Verdicts
 from braidcalc.scalars import Q
+from braidcalc.star import StarGroup, check_star_flip_compat, star_covariance
 
 
 def test_check_calculus_passes_universal(k2_universal, gr_universal):
@@ -294,7 +296,7 @@ def test_tau_flip_zero_calculus(k2_zero_calc):
 def test_multi_covariance_passes(k2_universal, k2_flips, gr_universal, gr_flips):
     for c, flips in ((k2_universal, k2_flips), (gr_universal, gr_flips)):
         rep = Report()
-        check_multi_covariance(c, flips, rep, 2)
+        check_multi_covariance(c, flips, rep)
         assert rep.ok_all, [e.id for e in rep.failures()]
         for key in ("EQ_234_a1_b0_c-1", "EQ_235_a2_b-2_c1", "EQ_242_n1_m-1",
                     "EQ_247_n2", "EQ_236_a-1_b1_c0", "EQ_237_a1_b2_c-2",
@@ -307,7 +309,7 @@ def test_corrupted_flip_table_fails_coproduct_twisting(gr_universal, gr_flips):
     orig = flips["left"][1]
     flips["left"][1] = FlipOver("left", 1, orig.map.scale(Q(2)), orig.inverse.scale(Q(1) / Q(2)))
     rep = Report()
-    check_multi_covariance(gr_universal, flips, rep, 2)
+    check_multi_covariance(gr_universal, flips, rep)
     assert not rep.passed("EQ_242_n1_m1")
     assert rep["EQ_242_n1_m1"].witness is not None
 
@@ -328,10 +330,10 @@ def test_multi_covariance_verdicts_match_memo_free_checks(monkeypatch, k2_univer
         return raw(self, key, lhs, rhs, name, note)
 
     monkeypatch.setattr(Report, "check_eq", counted)
-    memo = check_multi_covariance(c, flips, Report(), 2)
+    memo = check_multi_covariance(c, flips, Report())
     memo_calls = len(calls)
     monkeypatch.setattr(Verdicts, "check", lambda self, key, maps, run: run(key))
-    direct = check_multi_covariance(c, flips, Report(), 2)
+    direct = check_multi_covariance(c, flips, Report())
     assert memo.entries == direct.entries
     assert memo_calls < len(calls) - memo_calls == len(direct.entries)
     fails = {e.id for e in memo.failures()}
@@ -340,8 +342,28 @@ def test_multi_covariance_verdicts_match_memo_free_checks(monkeypatch, k2_univer
     assert all(e.witness is not None for e in memo.failures())
 
 
+def test_batteries_read_their_window_from_the_flip_table(k2, k2_universal, k2_lcd, k2_rcd):
+    # a table solved over [-2K, 2K] sets the window [-K, K] of every battery that takes it
+    c = k2_universal
+    sg = StarGroup(k2, conjugation_star(k2))
+    star_gamma = star_covariance(k2_lcd, sg, Report())
+    for K in (1, 2, 3):
+        flips = solve_flips(c, K)
+        assert calculi.flip_window(flips) == range(-K, K + 1)
+        rep = Report()
+        check_multi_covariance(c, flips, rep)
+        check_bicovariance(k2_lcd, k2_rcd, flips, rep)
+        check_kappa_covariance(c, rep, flips=flips)
+        check_star_flip_compat(c, flips, sg, star_gamma, rep)
+        assert rep.ok_all, [e.id for e in rep.failures()]
+        w = 2 * K + 1
+        counts = {key: sum(e.id.startswith(key + "_") for e in rep.entries)
+                  for key in ("EQ_235", "EQ_242", "EQ_44A", "EQ_55", "EQ_69")}
+        assert counts == {"EQ_235": w**3, "EQ_242": w**2, "EQ_44A": w**2, "EQ_55": w, "EQ_69": w}, K
+
+
 def test_multi_covariance_vacuous_on_zero_calculus(k2_zero_calc):
     flips = solve_flips(k2_zero_calc, 2)
     rep = Report()
-    check_multi_covariance(k2_zero_calc, flips, rep, 2)
+    check_multi_covariance(k2_zero_calc, flips, rep)
     assert rep.ok_all

@@ -160,7 +160,7 @@ def test_flip_from_actions_agrees_with_solver(k2_universal, k2_flips, k2_lcd,
                                               gr_universal, gr_flips, gr_lcd):
     for c, flips, lcd in ((k2_universal, k2_flips, k2_lcd), (gr_universal, gr_flips, gr_lcd)):
         rep = Report()
-        flip_from_actions(c, lcd, rep, flips=flips)
+        flip_from_actions(lcd, rep, flips=flips)
         assert rep.ok_all, [e.id for e in rep.failures()]
         assert rep.passed("EQ_38") and rep.passed("EQ_39")
         assert rep.passed("EQ_310_n1_m-1") and rep.passed("EQ_311")
@@ -169,7 +169,7 @@ def test_flip_from_actions_agrees_with_solver(k2_universal, k2_flips, k2_lcd,
 def test_flip_from_right_action(k2_universal, k2_flips, k2_rcd, gr_universal, gr_flips, gr_rcd):
     for c, flips, rcd in ((k2_universal, k2_flips, k2_rcd), (gr_universal, gr_flips, gr_rcd)):
         rep = Report()
-        flip_from_right_action(c, rcd, rep, flips=flips)
+        flip_from_right_action(rcd, rep, flips=flips)
         assert rep.ok_all, [e.id for e in rep.failures()]
         assert rep.passed("EQ_A6") and rep.passed("EQ_A7") and rep.passed("EQ_A8_n1_m1")
 
@@ -177,7 +177,7 @@ def test_flip_from_right_action(k2_universal, k2_flips, k2_rcd, gr_universal, gr
 def test_flip_from_actions_zero_calculus(k2_zero_calc):
     lcd = solve_left_action(k2_zero_calc, Report())
     rep = Report()
-    flip = flip_from_actions(k2_zero_calc, lcd, rep, flips=solve_flips(k2_zero_calc))
+    flip = flip_from_actions(lcd, rep, flips=solve_flips(k2_zero_calc))
     assert rep.ok_all and flip.cod == 0
 
 
@@ -187,7 +187,7 @@ def test_flip_from_actions_zero_calculus(k2_zero_calc):
 def test_left_trivialization_dimensions(k2_universal, k2_lcd, gr_universal, gr_lcd):
     for c, lcd in ((k2_universal, k2_lcd), (gr_universal, gr_lcd)):
         rep = Report()
-        fwd, bwd = left_trivialization(c, lcd, rep)
+        fwd, bwd = left_trivialization(lcd, rep)
         assert rep.ok_all, [e.id for e in rep.failures()]
         assert c.gdim == c.group.dim * lcd.inv_dim == 2
         assert fwd.cod == 2 and bwd.dom == 2
@@ -196,7 +196,7 @@ def test_left_trivialization_dimensions(k2_universal, k2_lcd, gr_universal, gr_l
 def test_right_trivialization(k2_universal, k2_lcd, gr_universal, gr_lcd):
     for c, lcd in ((k2_universal, k2_lcd), (gr_universal, gr_lcd)):
         rep = Report()
-        fwd, bwd = right_trivialization(c, lcd, rep)
+        fwd, bwd = right_trivialization(lcd, rep)
         assert rep.ok_all, [e.id for e in rep.failures()]
         for key in ("EQ_323", "EQ_324", "EQ_325", "EQ_326", "EQ_327", "EQ_328A", "EQ_328B"):
             assert rep.passed(key), key
@@ -205,9 +205,9 @@ def test_right_trivialization(k2_universal, k2_lcd, gr_universal, gr_lcd):
 def test_trivializations_zero_calculus(k2_zero_calc):
     lcd = solve_left_action(k2_zero_calc, Report())
     rep = Report()
-    fwd, bwd = left_trivialization(k2_zero_calc, lcd, rep)
+    fwd, bwd = left_trivialization(lcd, rep)
     assert fwd.cod == 0 and bwd.cod == 0
-    fwd2, bwd2 = right_trivialization(k2_zero_calc, lcd, rep)
+    fwd2, bwd2 = right_trivialization(lcd, rep)
     assert fwd2.dom == 0
     assert rep.ok_all
 
@@ -215,7 +215,7 @@ def test_trivializations_zero_calculus(k2_zero_calc):
 def test_right_covariant_trivializations(k2_universal, k2_rcd, gr_universal, gr_rcd):
     for c, rcd in ((k2_universal, k2_rcd), (gr_universal, gr_rcd)):
         rep = Report()
-        right_covariant_trivializations(c, rcd, rep)
+        right_covariant_trivializations(rcd, rep)
         assert rep.ok_all, [e.id for e in rep.failures()]
         for key in ("EQ_A14", "EQ_A16A", "EQ_A16B", "EQ_A17", "EQ_A18",
                     "EQ_A21", "EQ_A22", "EQ_A23", "EQ_A24A", "EQ_A24B"):

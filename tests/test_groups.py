@@ -88,6 +88,12 @@ def test_equal_shifts_are_one_object(k2):
     assert second.sigma_n(0) == second.tau and second.sigma_n_inv(1) is second.sigma_inv
     other = PSI2.scale(Q(2))  # not a shift: inverted where it is asked for
     assert second.inverse_of(other) == PSI2.scale(Q(1) / Q(2))
+    # every inverse is kept once per distinct value: sigma = tau on K2 gives one inverse,
+    # and two equal maps built apart share theirs
+    assert k2.tau_inv is k2.sigma_inv
+    dense = LinMap(4, 4, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    assert dense == PSI2 and dense is not PSI2
+    assert second.inverse_of(dense) is second.inverse_of(PSI2)
 
 
 def test_sigma_minus_two_gr_is_graded_flip(gr):

@@ -73,7 +73,7 @@ def test_star_covariance_k2_universal(k2, k2_universal, k2_lcd, k2_rcd, k2_flips
     sg = StarGroup(k2, conjugation_star(k2))
     rep = Report()
     kd = check_kappa_covariance(k2_universal, Report(), lcd=k2_lcd, rcd=k2_rcd, flips=k2_flips)
-    stg = star_covariance(k2_universal, k2_lcd, sg, rep, rcd=k2_rcd, kappa_data=kd, flips=k2_flips)
+    stg = star_covariance(k2_lcd, sg, rep, rcd=k2_rcd, kappa_data=kd, flips=k2_flips)
     assert rep.ok_all, [e.id for e in rep.failures()]
     for key in ("STARKAPPA_IDEAL", "EQ_614", "STAR_GAMMA_INVOLUTION", "STAR_D_COMPAT",
                 "STAR_BIMODULE_L", "STAR_BIMODULE_R", "EQ_613", "EQ_615", "EQ_616", "EQ_617"):
@@ -86,7 +86,7 @@ def test_star_covariance_zero_calculus(k2, k2_zero_calc):
     sg = StarGroup(k2, conjugation_star(k2))
     lcd = solve_left_action(k2_zero_calc, Report())
     rep = Report()
-    stg = star_covariance(k2_zero_calc, lcd, sg, rep)
+    stg = star_covariance(lcd, sg, rep)
     assert rep.ok_all
     assert stg.lin.cod == 0
 
@@ -95,7 +95,7 @@ def test_star_covariance_gr_universal(gr, gr_universal, gr_lcd, gr_rcd, gr_flips
     sg = StarGroup(gr, gr_star(1))
     kd = check_kappa_covariance(gr_universal, Report(), lcd=gr_lcd, rcd=gr_rcd, flips=gr_flips)
     rep = Report()
-    stg = star_covariance(gr_universal, gr_lcd, sg, rep, rcd=gr_rcd, kappa_data=kd, flips=gr_flips)
+    stg = star_covariance(gr_lcd, sg, rep, rcd=gr_rcd, kappa_data=kd, flips=gr_flips)
     assert rep.ok_all, [e.id for e in rep.failures()]
     assert rep.passed("EQ_617")
 
@@ -106,7 +106,7 @@ def test_star_flip_compat(k2, k2_universal, k2_lcd, k2_flips, gr, gr_universal, 
         (gr, gr_universal, gr_lcd, gr_flips, gr_star(1)),
     ):
         sg = StarGroup(g, star)
-        stg = star_covariance(c, lcd, sg, Report())
+        stg = star_covariance(lcd, sg, Report())
         rep = Report()
         check_star_flip_compat(c, flips, sg, stg, rep)
         assert rep.ok_all, [e.id for e in rep.failures()]
@@ -121,7 +121,7 @@ def test_nonstable_ideal_not_star_covariant(k4, k4_d1_calc):
     lcd = solve_left_action(k4_d1_calc, Report())
     rep = Report()
     with pytest.raises(NotStarCovariant):
-        star_covariance(k4_d1_calc, lcd, sg, rep)
+        star_covariance(lcd, sg, rep)
     entry = rep["STARKAPPA_IDEAL"]
     assert entry.status == "fail"
     assert "image_outside_ideal" in entry.witness
@@ -139,7 +139,7 @@ def test_stable_k4_ideal_is_star_covariant(k4):
     lcd = solve_left_action(calc, Report())
     sg = StarGroup(k4, conjugation_star(k4))
     rep = Report()
-    stg = star_covariance(calc, lcd, sg, rep)
+    stg = star_covariance(lcd, sg, rep)
     assert rep.ok_all, [e.id for e in rep.failures()]
     sk = sg.star @ k4.antipode
     assert all(lcd.ideal.contains(sk.apply(v)) for v in lcd.ideal.basis)

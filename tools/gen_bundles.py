@@ -3,6 +3,7 @@
     python3 tools/gen_bundles.py
 """
 
+import functools
 import sys
 from pathlib import Path
 
@@ -16,74 +17,29 @@ from braidcalc.reporting import Report
 
 OUT = ROOT / "bundles"
 
+# the nonunit basis vectors of a four-dimensional fixture, which span its ker(eps)
+E1, E2, E3 = ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]
+# each calculus is (its name, the universal ideal it is reconstructed from)
+BOTH_CALCULI = [("universal", "zero"), ("zero", "keps")]
 
-def k2_bundle() -> Bundle:
-    g = fix_k2()
-    ideals = universal_ideals(g)
-    universal = reconstruct_from_ideal(g, ideals["zero"], Report(), name="universal")
-    zero = reconstruct_from_ideal(g, ideals["keps"], Report(), name="zero")
-    return Bundle(
-        g,
-        conjugation_star(g),
-        [universal, zero],
-        [("zero", []), ("keps", [["0", "1"]])],
-    )
-
-
-def gr_bundle() -> Bundle:
-    g = fix_gr()
-    ideals = universal_ideals(g)
-    universal = reconstruct_from_ideal(g, ideals["zero"], Report(), name="universal")
-    zero = reconstruct_from_ideal(g, ideals["keps"], Report(), name="zero")
-    return Bundle(
-        g,
-        gr_star(1),
-        [universal, zero],
-        [("zero", []), ("keps", [["0", "1"]])],
-    )
-
-
-def one_bundle() -> Bundle:
-    g = fix_one()
-    universal = reconstruct_from_ideal(g, universal_ideals(g)["zero"], Report(), name="universal")
-    return Bundle(g, conjugation_star(g), [universal], [("zero", [])])
-
-
-def k4_bundle() -> Bundle:
-    g = fix_k4()
-    return Bundle(
-        g,
-        conjugation_star(g),
-        [],
-        [
-            ("zero", []),
-            ("keps", [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]),
-            ("d1", [["0", "1", "0", "0"]]),
-            ("d2", [["0", "0", "1", "0"]]),
-        ],
-    )
-
-
-def a4_bundle() -> Bundle:
-    g = fix_anyon()
-    return Bundle(
-        g,
-        conjugation_star(g),
-        [],
-        [
-            ("zero", []),
-            ("keps", [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]),
-        ],
-    )
-
-
-BUNDLES = {
-    "fix_1": one_bundle,
-    "fix_k2": k2_bundle,
-    "fix_gr": gr_bundle,
-    "fix_k4": k4_bundle,
-    "fix_a4": a4_bundle,
+# name -> (the group fixture, its star, its calculi, its ideal sections)
+TABLE = {
+    "fix_1": (fix_one, conjugation_star, BOTH_CALCULI[:1], [("zero", [])]),
+    "fix_k2": (fix_k2, conjugation_star, BOTH_CALCULI, [("zero", []), ("keps", [["0", "1"]])]),
+    "fix_gr": (fix_gr, lambda g: gr_star(1), BOTH_CALCULI, [("zero", []), ("keps", [["0", "1"]])]),
+    "fix_k4": (fix_k4, conjugation_star, [], [("zero", []), ("keps", [E1, E2, E3]), ("d1", [E1]), ("d2", [E2])]),
+    "fix_a4": (fix_anyon, conjugation_star, [], [("zero", []), ("keps", [E1, E2, E3])]),
 }
+
+
+def build(fixture, star, calculi, ideals) -> Bundle:
+    g = fixture()
+    both = universal_ideals(g)
+    sections = [reconstruct_from_ideal(g, both[ideal], Report(), name=name) for name, ideal in calculi]
+    return Bundle(g, star(g), sections, ideals)
+
+
+BUNDLES = {name: functools.partial(build, *spec) for name, spec in TABLE.items()}
 
 
 def main():

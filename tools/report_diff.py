@@ -49,13 +49,6 @@ MODES = ("left", "right", "bi", "kappa", "star", "braided")
 DERIVED = ("tau", "a0", "kappa0", "ad")
 # a mutated scalar becomes one of these, other than its old value
 SCALARS = ("0", "1", "-1", "2", "1/2", "0+1 i")
-# the matrix of `braidcalc.fixtures.u_basis_flip_k2()`: the graded flip of K2's character basis
-U_BASIS_FLIP_K2 = [
-    ["1/2", "1/2", "1/2", "-1/2"],
-    ["1/2", "-1/2", "1/2", "1/2"],
-    ["1/2", "1/2", "-1/2", "1/2"],
-    ["-1/2", "1/2", "1/2", "1/2"],
-]
 
 
 def fixed_commands() -> list:
@@ -82,9 +75,12 @@ def fixed_commands() -> list:
 
 
 def sigma_ne_tau_k2(star: bool) -> str:
-    "fix_k2 with the braiding U_BASIS_FLIP_K2, its universal and zero calculi and no ideal; the star if `star`."
+    "fix_k2 with the braiding u_basis_flip_k2(), its universal and zero calculi and no ideal; the star if `star`."
+    from braidcalc.bundles import matrix_rows  # here, since the comparing process has no braidcalc on its path
+    from braidcalc.fixtures import u_basis_flip_k2
+
     data = json.loads((BUNDLE_DIR / "fix_k2.json").read_text())
-    data["group"]["sigma"] = U_BASIS_FLIP_K2
+    data["group"]["sigma"] = matrix_rows(u_basis_flip_k2())
     data["ideals"] = []
     if not star:
         del data["group"]["star"]
